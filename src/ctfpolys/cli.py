@@ -11,7 +11,6 @@ from .counting import (
     BudgetExceededError,
     CountQuery,
     FAMILIES,
-    InternalCheckError,
     count,
 )
 from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_text
@@ -20,6 +19,7 @@ from .orientations import (
     classify,
     enumerate_classes,
     enumerate_orientations,
+    equivalent,
 )
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
 from .verify import IdentityReport, verify_corpus, verify_graph
@@ -189,11 +189,13 @@ def _cmd_example(args) -> int:
 
     kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2))
     kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2))
-    ce_members = [
-        o for o in orientations
-        if _is_cut_eulerian_orientation(o)
-    ]
-    ce_class_count = _classes_among(graph, ce_members)
+    # an orientation is cut-Eulerian exactly when its reverse is
+    # cut-Eulerian equivalent to it
+    ce_members = [o for o in orientations if equivalent(o, o.reversed(), "cut_eulerian")]
+    ce_class_count = sum(
+        1 for rep in enumerate_classes(graph, "cut_eulerian", "all").representatives
+        if equivalent(rep, rep.reversed(), "cut_eulerian")
+    )
 
     lines = [
         "built-in example graph: 3 vertices, edges e1..e5 = "
@@ -230,23 +232,6 @@ def _cmd_example(args) -> int:
     )
     print("\n".join(lines))
     return 0
-
-
-def _is_cut_eulerian_orientation(orientation) -> bool:
-    from .orientations import _circuit_part_positions, is_flow, is_tension
-
-    graph = orientation.graph
-    circuit = _circuit_part_positions(orientation)
-    m = graph.edge_count
-    bond_vec = tuple(0 if p in circuit else 1 for p in range(m))
-    circ_vec = tuple(1 if p in circuit else 0 for p in range(m))
-    return is_tension(orientation, bond_vec, 0) and is_flow(orientation, circ_vec, 0)
-
-
-def _classes_among(graph, members) -> int:
-    keep = {o.flips for o in members}
-    partition = enumerate_classes(graph, "cut_eulerian", "all")
-    return sum(1 for cls in partition.classes if cls[0].flips in keep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,7 +309,6 @@ def main(argv=None) -> int:
         KeyError,
         BudgetExceededError,
         EnumerationLimitError,
-        InternalCheckError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ from .orientations import (
     _flip_signs,
     enumerate_classes,
     enumerate_orientations,
-    induced_orientation,
+    in_filter,
     is_flow,
     is_tension,
 )
@@ -41,17 +41,39 @@ FAMILIES = frozenset(
     }
 )
 
+#: The twelve families that are sums over orientations of (tension count in
+#: a box at p) x (flow count in a box at q): family -> (orientation set,
+#: tension box, flow box). The orientation set is None for the one given
+#: orientation, else (source, filter): every orientation passing the filter
+#: ("orientations"), or the cut-Eulerian class representatives of the
+#: filtered orientations ("representatives"). A box is "closed" [0, p],
+#: "open" [1, p-1], "support" (open on the bond part for tensions and on the
+#: circuit part for flows, zero elsewhere), or None for a side the family
+#: does not count.
+ORIENTATION_SUMS = {
+    "tau_local": (None, "open", None),
+    "phi_local": (None, None, "open"),
+    "kappa_local": (None, "support", "support"),
+    "tau_bar_local": (None, "closed", None),
+    "phi_bar_local": (None, None, "closed"),
+    "kappa_bar_local": (None, "closed", "closed"),
+    "tau_bar_int": (("orientations", "acyclic"), "closed", None),
+    "phi_bar_int": (("orientations", "totally_cyclic"), None, "closed"),
+    "kappa_bar_int": (("orientations", "all"), "closed", "closed"),
+    "tau_bar_mod": (("representatives", "acyclic"), "closed", None),
+    "phi_bar_mod": (("representatives", "totally_cyclic"), None, "closed"),
+    "kappa_bar_mod": (("representatives", "all"), "closed", "closed"),
+}
+
 #: Families whose counts need an orientation argument.
 LOCAL_FAMILIES = frozenset(
-    {"tau_local", "phi_local", "tau_bar_local", "phi_bar_local",
-     "kappa_local", "kappa_bar_local"}
+    family for family, (members, _, _) in ORIENTATION_SUMS.items() if members is None
 )
 
 #: Families defined on closed boxes; they accept p = 0 / q = 0.
 BAR_FAMILIES = frozenset(
-    {"tau_bar_local", "phi_bar_local", "tau_bar_int", "phi_bar_int",
-     "tau_bar_mod", "phi_bar_mod", "kappa_bar_local", "kappa_bar_int",
-     "kappa_bar_mod"}
+    family for family, (_, t_box, f_box) in ORIENTATION_SUMS.items()
+    if "closed" in (t_box, f_box)
 )
 
 _X_ONLY = frozenset({"tau_mod", "tau_int", "tau_local", "tau_bar_local",
@@ -62,10 +84,6 @@ _Y_ONLY = frozenset({"phi_mod", "phi_int", "phi_local", "phi_bar_local",
 
 class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed its candidate budget."""
-
-
-class InternalCheckError(AssertionError):
-    """A built-in cross-check failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -344,12 +362,17 @@ def enum_modular_flows(
     return out
 
 
-def _zero_mask(vec: Sequence[int]) -> int:
-    mask = 0
-    for i, x in enumerate(vec):
-        if x == 0:
-            mask |= 1 << i
-    return mask
+def _zero_mask_counts(vectors) -> dict[int, int]:
+    """Number of vectors per zero set, the zero set as a bit mask of edge
+    positions."""
+    counts: dict[int, int] = {}
+    for vec in vectors:
+        mask = 0
+        for i, x in enumerate(vec):
+            if x == 0:
+                mask |= 1 << i
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
 
 
 def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], full: int) -> int:
@@ -362,14 +385,64 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _open_support_ranges(graph, circuit_positions, p, q):
-    m = graph.edge_count
-    t_ranges = [(1, p - 1)] * m
-    f_ranges = [(0, 0)] * m
-    for pos in circuit_positions:
-        t_ranges[pos] = (0, 0)
-        f_ranges[pos] = (1, q - 1)
-    return t_ranges, f_ranges
+def _box_count(orientation, side, box, value, budget=None) -> int:
+    """Tensions (side "tension") or flows (side "flow") of the orientation in
+    one box of ORIENTATION_SUMS at p or q; 1 for the box None."""
+    if box is None:
+        return 1
+    inside = (0, value) if box == "closed" else (1, value - 1)
+    m = orientation.graph.edge_count
+    if box == "support":
+        circuit = _circuit_part_positions(orientation)
+        on_circuit = side == "flow"
+        ranges = [inside if (pos in circuit) == on_circuit else (0, 0) for pos in range(m)]
+    else:
+        ranges = [inside] * m
+    counter = _count_tensions if side == "tension" else _count_flows
+    return counter(orientation, ranges, budget)
+
+
+def sum_members(
+    graph: MultiGraph,
+    family: str,
+    orientation: Orientation | None = None,
+    sweep_limit: int = DEFAULT_SWEEP_LIMIT,
+) -> tuple[Orientation, ...]:
+    """The orientations an orientation-sum family adds up."""
+    members = ORIENTATION_SUMS[family][0]
+    if members is None:
+        return (orientation,)
+    source, filter_name = members
+    if source == "representatives":
+        return enumerate_classes(graph, "cut_eulerian", filter_name, sweep_limit).representatives
+    return tuple(
+        o for o in enumerate_orientations(graph, sweep_limit) if in_filter(o, filter_name)
+    )
+
+
+class CountTable:
+    """Box counts of the orientations of one graph, each computed once, and
+    the sums the orientation-sum families read from them. A table lives for
+    one count, polynomial or identity-ledger computation."""
+
+    def __init__(self, budget: int | None = None):
+        self.budget = budget
+        self._counts: dict = {}
+
+    def side(self, orientation: Orientation, side: str, box, value) -> int:
+        key = (orientation.flips, side, box, value)
+        found = self._counts.get(key)
+        if found is None:
+            found = self._counts[key] = _box_count(orientation, side, box, value, self.budget)
+        return found
+
+    def total(self, family: str, members, p, q) -> int:
+        """The family's sum over the given member orientations at (p, q)."""
+        _, t_box, f_box = ORIENTATION_SUMS[family]
+        return sum(
+            self.side(o, "tension", t_box, p) * self.side(o, "flow", f_box, q)
+            for o in members
+        )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -432,107 +505,26 @@ def count(graph: MultiGraph, query, budget: int | None = None,
             if all(x != 0 for x in v)
         )
 
-    if family == "tau_local":
-        return _count_tensions(orientation, [(1, p - 1)] * m, budget)
-    if family == "phi_local":
-        return _count_flows(orientation, [(1, q - 1)] * m, budget)
-    if family == "tau_bar_local":
-        return _count_tensions(orientation, [(0, p)] * m, budget)
-    if family == "phi_bar_local":
-        return _count_flows(orientation, [(0, q)] * m, budget)
-
-    if family == "tau_bar_int":
-        return sum(
-            _count_tensions(o, [(0, p)] * m, budget)
-            for o in enumerate_orientations(graph, sweep_limit)
-            if not _circuit_part_positions(o)
-        )
-    if family == "phi_bar_int":
-        every = frozenset(range(m))
-        return sum(
-            _count_flows(o, [(0, q)] * m, budget)
-            for o in enumerate_orientations(graph, sweep_limit)
-            if _circuit_part_positions(o) == every
-        )
-    if family == "tau_bar_mod":
-        part = enumerate_classes(graph, "cut_eulerian", "acyclic", sweep_limit)
-        return sum(
-            _count_tensions(rep, [(0, p)] * m, budget) for rep in part.representatives
-        )
-    if family == "phi_bar_mod":
-        part = enumerate_classes(graph, "cut_eulerian", "totally_cyclic", sweep_limit)
-        return sum(
-            _count_flows(rep, [(0, q)] * m, budget) for rep in part.representatives
-        )
-
     if family == "kappa_mod":
         group_a = query.group_a or (p,)
         group_b = query.group_b or (q,)
         _require(prod(group_a) == p and prod(group_b) == q,
                  "group orders must match p and q")
-        tensions: dict[int, int] = {}
-        for v in enum_modular_tensions(orientation, group_a, budget):
-            mask = _zero_mask(v)
-            tensions[mask] = tensions.get(mask, 0) + 1
-        flows: dict[int, int] = {}
-        for v in enum_modular_flows(orientation, group_b, budget):
-            mask = _zero_mask(v)
-            flows[mask] = flows.get(mask, 0) + 1
-        return _matched_pairs(tensions, flows, (1 << m) - 1)
+        return _matched_pairs(
+            _zero_mask_counts(enum_modular_tensions(orientation, group_a, budget)),
+            _zero_mask_counts(enum_modular_flows(orientation, group_b, budget)),
+            (1 << m) - 1,
+        )
 
     if family == "kappa_int":
-        tensions = {}
-        for v in _iter_tensions(orientation, [(-(p - 1), p - 1)] * m, budget):
-            mask = _zero_mask(v)
-            tensions[mask] = tensions.get(mask, 0) + 1
-        flows = {}
-        for v in _iter_flows(orientation, [(-(q - 1), q - 1)] * m, budget):
-            mask = _zero_mask(v)
-            flows[mask] = flows.get(mask, 0) + 1
-        return _matched_pairs(tensions, flows, (1 << m) - 1)
-
-    if family == "kappa_local":
-        circuit = _circuit_part_positions(orientation)
-        t_ranges, f_ranges = _open_support_ranges(graph, circuit, p, q)
-        direct = _count_tensions(orientation, t_ranges, budget) * _count_flows(
-            orientation, f_ranges, budget
-        )
-        circuit_ids = frozenset(graph.edge_ids[pos] for pos in circuit)
-        quotient = graph.contract(circuit_ids)
-        restriction = graph.restrict(circuit_ids)
-        via_minors = count(
-            quotient,
-            CountQuery("tau_local", p=p, orientation=induced_orientation(orientation, quotient)),
-            budget,
-        ) * count(
-            restriction,
-            CountQuery("phi_local", q=q, orientation=induced_orientation(orientation, restriction)),
-            budget,
-        )
-        if direct != via_minors:
-            raise InternalCheckError(
-                f"kappa_local mismatch: direct {direct} != minor product {via_minors}"
-            )
-        return direct
-
-    if family == "kappa_bar_local":
-        return _count_tensions(orientation, [(0, p)] * m, budget) * _count_flows(
-            orientation, [(0, q)] * m, budget
+        return _matched_pairs(
+            _zero_mask_counts(_iter_tensions(orientation, [(-(p - 1), p - 1)] * m, budget)),
+            _zero_mask_counts(_iter_flows(orientation, [(-(q - 1), q - 1)] * m, budget)),
+            (1 << m) - 1,
         )
 
-    if family == "kappa_bar_int":
-        return sum(
-            count(graph, CountQuery("kappa_bar_local", p=p, q=q, orientation=o), budget)
-            for o in enumerate_orientations(graph, sweep_limit)
-        )
-    if family == "kappa_bar_mod":
-        part = enumerate_classes(graph, "cut_eulerian", "all", sweep_limit)
-        return sum(
-            count(graph, CountQuery("kappa_bar_local", p=p, q=q, orientation=rep), budget)
-            for rep in part.representatives
-        )
-
-    raise AssertionError(f"unhandled family {family}")
+    members = sum_members(graph, family, orientation, sweep_limit)
+    return CountTable(budget).total(family, members, p, q)
 
 
 def mod_map(

@@ -32,12 +32,6 @@ class ForestData:
     forest_edges: frozenset[int]
     fundamental_circuits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
-    def circuit(self, edge_id: int) -> tuple[tuple[int, int], ...]:
-        for eid, circ in self.fundamental_circuits:
-            if eid == edge_id:
-                return circ
-        raise KeyError(edge_id)
-
 
 class _UnionFind:
     def __init__(self, n: int):

@@ -283,6 +283,16 @@ def _circuit_part_positions(orientation: Orientation) -> frozenset[int]:
     )
 
 
+def in_filter(orientation: Orientation, filter: str) -> bool:
+    """Membership in one of the orientation sets "all", "acyclic" (empty
+    circuit part) and "totally_cyclic" (empty bond part)."""
+    if filter == "acyclic":
+        return not _circuit_part_positions(orientation)
+    if filter == "totally_cyclic":
+        return len(_circuit_part_positions(orientation)) == orientation.graph.edge_count
+    return True
+
+
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """Test cut / Eulerian / cut-Eulerian equivalence of two orientations.
 
@@ -338,15 +348,7 @@ def enumerate_classes(
     if filter not in ("all", "acyclic", "totally_cyclic"):
         raise ValueError(f"unknown filter {filter!r}")
 
-    members = []
-    for o in enumerate_orientations(graph, limit):
-        if filter == "acyclic" and _circuit_part_positions(o):
-            continue
-        if filter == "totally_cyclic" and _circuit_part_positions(o) != frozenset(
-            range(graph.edge_count)
-        ):
-            continue
-        members.append(o)
+    members = [o for o in enumerate_orientations(graph, limit) if in_filter(o, filter)]
 
     uf = _UnionFind(len(members))
     for i in range(len(members)):

@@ -12,11 +12,14 @@ from typing import Mapping, Sequence
 from .counting import (
     BAR_FAMILIES,
     CountQuery,
+    CountTable,
     FAMILIES,
     LOCAL_FAMILIES,
+    ORIENTATION_SUMS,
     _X_ONLY,
     _Y_ONLY,
     count,
+    sum_members,
 )
 from .multigraph import MultiGraph, _UnionFind
 from .orientations import Orientation
@@ -350,15 +353,58 @@ INTEGER_COEFFICIENT_FAMILIES = frozenset(
 )
 
 
-def _family_grid(family: str, rank: int, nullity: int):
-    bar = family in BAR_FAMILIES
-    x_lo = 0 if bar else 1
-    y_lo = 0 if bar else 1
-    xs = list(range(x_lo, x_lo + rank + 1))
-    ys = list(range(y_lo, y_lo + nullity + 1))
+def orientation_sum_polynomial(
+    table: CountTable,
+    family: str,
+    members: Sequence[Orientation],
+    rank: int,
+    nullity: int,
+) -> BivariatePolynomial:
+    """Polynomial of an orientation-sum family over the given members, read
+    from the table: each member's tension counts are taken once per sampled
+    p and its flow counts once per sampled q."""
+    return _interpolate_family(
+        family, lambda a, b: table.total(family, members, a, b), rank, nullity
+    )
+
+
+def _interpolate_family(family: str, sampler, rank: int, nullity: int) -> BivariatePolynomial:
+    """Interpolate sampler(p, q) on the family's grid and verify its held-out
+    points (see counting_polynomial)."""
+    lo = 0 if family in BAR_FAMILIES else 1
+    xs = list(range(lo, lo + rank + 1))
+    ys = list(range(lo, lo + nullity + 1))
     held_x = [xs[-1] + 1, xs[-1] + 2]
     held_y = [ys[-1] + 1, ys[-1] + 2]
-    return xs, ys, held_x, held_y
+    if family in _X_ONLY:
+        ys, held = [lo], [(h, lo) for h in held_x]
+    elif family in _Y_ONLY:
+        xs, held = [lo], [(lo, h) for h in held_y]
+    else:
+        held = list(zip(held_x, held_y))
+    poly = interpolate_checked(sampler, xs, ys, held)
+    if family in INTEGER_COEFFICIENT_FAMILIES and not poly.has_integer_coefficients():
+        raise InterpolationError(f"{family} interpolated to non-integer coefficients")
+    return poly
+
+
+def _polynomial(
+    graph: MultiGraph,
+    family: str,
+    orientation: Orientation | None,
+    budget: int | None,
+) -> BivariatePolynomial:
+    stats = graph.stats()
+    if family in ORIENTATION_SUMS:
+        members = sum_members(graph, family, orientation)
+        return orientation_sum_polynomial(
+            CountTable(budget), family, members, stats.rank, stats.nullity
+        )
+
+    def sampler(a, b):
+        return count(graph, CountQuery(family, p=a, q=b), budget)
+
+    return _interpolate_family(family, sampler, stats.rank, stats.nullity)
 
 
 def counting_polynomial(
@@ -377,26 +423,7 @@ def counting_polynomial(
         raise ValueError(f"unknown family {family!r}")
     if family in LOCAL_FAMILIES:
         raise ValueError(f"{family} needs an orientation; use local_polynomial")
-    stats = graph.stats()
-    xs, ys, held_x, held_y = _family_grid(family, stats.rank, stats.nullity)
-
-    if family in _X_ONLY:
-        def sampler(a, b):
-            return count(graph, CountQuery(family, p=a), budget)
-        ys, held = [ys[0]], [(h, ys[0]) for h in held_x]
-    elif family in _Y_ONLY:
-        def sampler(a, b):
-            return count(graph, CountQuery(family, q=b), budget)
-        xs, held = [xs[0]], [(xs[0], h) for h in held_y]
-    else:
-        def sampler(a, b):
-            return count(graph, CountQuery(family, p=a, q=b), budget)
-        held = list(zip(held_x, held_y))
-
-    poly = interpolate_checked(sampler, xs, ys, held)
-    if family in INTEGER_COEFFICIENT_FAMILIES and not poly.has_integer_coefficients():
-        raise InterpolationError(f"{family} interpolated to non-integer coefficients")
-    return poly
+    return _polynomial(graph, family, None, budget)
 
 
 def local_polynomial(
@@ -408,24 +435,9 @@ def local_polynomial(
     """Polynomial of one of the per-orientation families."""
     if family not in LOCAL_FAMILIES:
         raise ValueError(f"{family} is not a per-orientation family")
-    stats = graph.stats()
-    xs, ys, held_x, held_y = _family_grid(family, stats.rank, stats.nullity)
-
-    if family in _X_ONLY:
-        def sampler(a, b):
-            return count(graph, CountQuery(family, p=a, orientation=orientation), budget)
-        ys, held = [ys[0]], [(h, ys[0]) for h in held_x]
-    elif family in _Y_ONLY:
-        def sampler(a, b):
-            return count(graph, CountQuery(family, q=b, orientation=orientation), budget)
-        xs, held = [xs[0]], [(xs[0], h) for h in held_y]
-    else:
-        def sampler(a, b):
-            return count(
-                graph, CountQuery(family, p=a, q=b, orientation=orientation), budget
-            )
-        held = list(zip(held_x, held_y))
-    return interpolate_checked(sampler, xs, ys, held)
+    if orientation.graph != graph:
+        raise ValueError("orientation belongs to a different graph")
+    return _polynomial(graph, family, orientation, budget)
 
 
 REPORT_FAMILIES = (

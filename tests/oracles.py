@@ -68,6 +68,18 @@ def integer_tensions(graph, flips, low, high):
     return sorted(found)
 
 
+def is_acyclic(graph, flips):
+    """No directed circuit: some tension is positive on every edge, and then
+    one with values in [1, |V|] exists (potentials from a topological order)."""
+    return bool(integer_tensions(graph, flips, 1, graph.vertex_count))
+
+
+def is_totally_cyclic(graph, flips):
+    """Every edge on a directed circuit: some flow is positive on every edge,
+    and then one with values in [1, |E|] exists (a sum of circuits)."""
+    return bool(integer_flows(graph, flips, 1, graph.edge_count))
+
+
 def _mixed_radix_encode(parts, moduli):
     value, place = 0, 1
     for part, m in zip(parts, moduli):

@@ -241,6 +241,23 @@ def test_kappa_bar_local_examples(p8, small_corpus):
     assert count(p8, "kappa_bar_int", p=0, q=0) == 32
 
 
+def test_bar_int_families_match_oracles(small_corpus):
+    # closed-box sweeps summed over the acyclic, totally cyclic and all
+    # orientations, with membership decided from the definitions
+    for g in small_corpus:
+        orients = list(product((0, 1), repeat=g.edge_count))
+        acyclic = [f for f in orients if oracles.is_acyclic(g, f)]
+        totally_cyclic = [f for f in orients if oracles.is_totally_cyclic(g, f)]
+        for a, b in product((0, 1, 2), repeat=2):
+            tensions = {f: len(oracles.integer_tensions(g, f, 0, a)) for f in orients}
+            flows = {f: len(oracles.integer_flows(g, f, 0, b)) for f in orients}
+            assert count(g, "tau_bar_int", p=a) == sum(tensions[f] for f in acyclic)
+            assert count(g, "phi_bar_int", q=b) == sum(flows[f] for f in totally_cyclic)
+            assert count(g, "kappa_bar_int", p=a, q=b) == sum(
+                tensions[f] * flows[f] for f in orients
+            )
+
+
 def test_kappa_mod_group_shape_independence(c3, digon_loop):
     for g in (c3, digon_loop):
         for q in (1, 2, 3):
