@@ -423,7 +423,8 @@ def sum_members(
 class CountTable:
     """Box counts of the orientations of one graph, each computed once, and
     the sums the orientation-sum families read from them. A table lives for
-    one count, polynomial or identity-ledger computation."""
+    one count, one polynomial, one ``polys`` report (all six graph-level
+    orientation-sum families) or one identity-ledger computation."""
 
     def __init__(self, budget: int | None = None):
         self.budget = budget

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .multigraph import MultiGraph, _UnionFind, spanning_structure
+from .multigraph import MultiGraph, spanning_structure
 
 RELATIONS = ("cut", "eulerian", "cut_eulerian")
 
@@ -334,7 +334,38 @@ def enumerate_orientations(graph: MultiGraph, limit: int = DEFAULT_SWEEP_LIMIT) 
         yield Orientation(graph, bits)
 
 
-@lru_cache(maxsize=None)
+def _class_key(graph: MultiGraph, relation: str):
+    """The key of an orientation's class under ``relation``, as a function of
+    the orientation; see ``enumerate_classes``."""
+    circuits = tuple(((e_pos, 1),) + rest for e_pos, rest in _circuit_table(graph))
+    nonloop = tuple((pos, graph.edges[pos]) for pos in graph.nonloop_positions)
+
+    def circuit_sums(flips, skip=frozenset()):
+        # the signed count of flipped positions: the sum of ref_sign * s over
+        # the same positions is their sum of ref_sign minus twice this count
+        return tuple(
+            sum(ref for t, ref in circ if flips[t] and t not in skip) for circ in circuits
+        )
+
+    def out_degrees(flips, only=None):
+        out = [0] * graph.vertex_count
+        for pos, (u, v) in nonloop:
+            if only is None or pos in only:
+                out[v if flips[pos] else u] += 1
+        return tuple(out)
+
+    def key(orientation: Orientation):
+        flips = orientation.flips
+        if relation == "cut":
+            return circuit_sums(flips)
+        if relation == "eulerian":
+            return out_degrees(flips)
+        circuit = _circuit_part_positions(orientation)
+        return (circuit, circuit_sums(flips, circuit), out_degrees(flips, circuit))
+
+    return key
+
+
 def enumerate_classes(
     graph: MultiGraph,
     relation: str,
@@ -342,31 +373,36 @@ def enumerate_classes(
     limit: int = DEFAULT_SWEEP_LIMIT,
 ) -> ClassPartition:
     """Partition the (optionally filtered) orientation set into equivalence
-    classes by pairwise-equivalence closure."""
+    classes, in one pass that groups the orientations by a key.
+
+    With s the +-1 flip signs, two orientations' disagreement indicator has
+    s1 * ind = (s1 - s2) / 2, so each linear test ``equivalent`` makes on it
+    compares a linear form of s1 with the same form of s2. The keys:
+
+    * Eulerian: every vertex's out-degree over non-loop edges, which
+      reversing the disagreement set keeps exactly when ind is a flow.
+    * cut: the sum of ref_sign * s around every fundamental circuit (a loop
+      is its own), equal exactly when ind is a tension.
+    * cut-Eulerian: the circuit part, which equivalent orientations share;
+      the circuit sums over the bond part (ind is a tension there) and the
+      out-degrees over the circuit part (ind is a flow there).
+
+    Orientations are visited in lex order, so classes are ordered by their
+    lex-smallest member and list their members in lex order.
+    """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     if filter not in ("all", "acyclic", "totally_cyclic"):
         raise ValueError(f"unknown filter {filter!r}")
 
-    members = [o for o in enumerate_orientations(graph, limit) if in_filter(o, filter)]
-
-    uf = _UnionFind(len(members))
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if uf.find(i) == uf.find(j):
-                continue
-            if equivalent(members[i], members[j], relation):
-                uf.union(i, j)
-
-    grouped: dict[int, list[Orientation]] = {}
-    for i, o in enumerate(members):
-        grouped.setdefault(uf.find(i), []).append(o)
-    classes = sorted(
-        (tuple(sorted(cls, key=lambda o: o.flips)) for cls in grouped.values()),
-        key=lambda cls: cls[0].flips,
-    )
+    key = _class_key(graph, relation)
+    grouped: dict[object, list[Orientation]] = {}
+    for o in enumerate_orientations(graph, limit):
+        if in_filter(o, filter):
+            grouped.setdefault(key(o), []).append(o)
+    classes = tuple(tuple(cls) for cls in grouped.values())
     return ClassPartition(
         relation=relation,
-        classes=tuple(classes),
+        classes=classes,
         representatives=tuple(cls[0] for cls in classes),
     )

@@ -393,12 +393,14 @@ def _polynomial(
     family: str,
     orientation: Orientation | None,
     budget: int | None,
+    table: CountTable | None = None,
 ) -> BivariatePolynomial:
     stats = graph.stats()
     if family in ORIENTATION_SUMS:
         members = sum_members(graph, family, orientation)
         return orientation_sum_polynomial(
-            CountTable(budget), family, members, stats.rank, stats.nullity
+            table if table is not None else CountTable(budget),
+            family, members, stats.rank, stats.nullity,
         )
 
     def sampler(a, b):
@@ -462,8 +464,11 @@ class PolynomialReport:
 
 
 def polynomial_report(graph: MultiGraph, budget: int | None = None) -> PolynomialReport:
+    # the orientation-sum families read one table, so the box counts made for
+    # kappa_bar_int and kappa_bar_mod serve the tau and phi families too
+    table = CountTable(budget)
     return PolynomialReport(
         tutte=tutte(graph),
         rank_generating=rank_generating(graph),
-        families={f: counting_polynomial(graph, f, budget) for f in REPORT_FAMILIES},
+        families={f: _polynomial(graph, f, None, budget, table) for f in REPORT_FAMILIES},
     )

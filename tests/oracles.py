@@ -2,7 +2,8 @@
 
 Nothing here uses the library's spanning-forest parametrizations: tensions
 come from explicit potential sweeps, flows from full-box sweeps filtered by
-the boundary condition at every vertex.
+the boundary condition at every vertex, and orientation classes from the
+pairwise closure of the equivalence relations.
 """
 
 from itertools import product
@@ -37,16 +38,10 @@ def components_of(graph):
 def integer_flows(graph, flips, low, high):
     """All integer flows with low <= g(e) <= high, by exhaustive box sweep."""
     arrows = arrows_of(graph, flips)
-    found = []
-    for vec in product(range(low, high + 1), repeat=graph.edge_count):
-        net = [0] * graph.vertex_count
-        for (tail, head), value in zip(arrows, vec):
-            if tail != head:
-                net[tail] += value
-                net[head] -= value
-        if all(x == 0 for x in net):
-            found.append(vec)
-    return found
+    return [
+        vec for vec in product(range(low, high + 1), repeat=graph.edge_count)
+        if _is_flow_vector(graph, arrows, vec)
+    ]
 
 
 def integer_tensions(graph, flips, low, high):
@@ -150,3 +145,114 @@ def complementary_pairs_mod(graph, flips, p, q):
 
 def nowhere_zero(vectors):
     return [v for v in vectors if all(x != 0 for x in v)]
+
+
+def _is_flow_vector(graph, arrows, vec):
+    net = [0] * graph.vertex_count
+    for (tail, head), value in zip(arrows, vec):
+        if tail != head:
+            net[tail] += value
+            net[head] -= value
+    return all(x == 0 for x in net)
+
+
+def _is_tension_vector(graph, arrows, vec):
+    """Potentials assigned component by component by BFS, with
+    f(e) = potential(tail) - potential(head), must fit every edge; a loop
+    must carry 0."""
+    adj = [[] for _ in range(graph.vertex_count)]
+    for (tail, head), value in zip(arrows, vec):
+        if tail == head:
+            if value:
+                return False
+            continue
+        adj[tail].append((head, -value))
+        adj[head].append((tail, value))
+    potential = [None] * graph.vertex_count
+    for root in range(graph.vertex_count):
+        if potential[root] is not None:
+            continue
+        potential[root] = 0
+        queue = [root]
+        for v in queue:
+            for w, step in adj[v]:
+                if potential[w] is None:
+                    potential[w] = potential[v] + step
+                    queue.append(w)
+                elif potential[w] != potential[v] + step:
+                    return False
+    return True
+
+
+def circuit_part(graph, flips):
+    """Positions of edges on a directed circuit: loops, and the arrows whose
+    head reaches their tail."""
+    arrows = arrows_of(graph, flips)
+    succ = [[] for _ in range(graph.vertex_count)]
+    for tail, head in arrows:
+        if tail != head:
+            succ[tail].append(head)
+
+    def reaches(start, goal):
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            if v == goal:
+                return True
+            for w in succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    return frozenset(
+        pos for pos, (tail, head) in enumerate(arrows)
+        if tail == head or reaches(head, tail)
+    )
+
+
+def equivalent_by_definition(graph, first, second, relation):
+    """Cut / Eulerian / cut-Eulerian equivalence of two flip vectors: the
+    disagreement indicator is a tension / a flow / a tension on the bond part
+    of ``first`` plus a flow on its circuit part."""
+    arrows = arrows_of(graph, first)
+    ind = [int(a != b) for a, b in zip(first, second)]
+    if relation == "cut":
+        return _is_tension_vector(graph, arrows, ind)
+    if relation == "eulerian":
+        return _is_flow_vector(graph, arrows, ind)
+    circuit = circuit_part(graph, first)
+    bond_vec = [0 if pos in circuit else x for pos, x in enumerate(ind)]
+    circ_vec = [x if pos in circuit else 0 for pos, x in enumerate(ind)]
+    return (_is_tension_vector(graph, arrows, bond_vec)
+            and _is_flow_vector(graph, arrows, circ_vec))
+
+
+def pairwise_classes(graph, relation, filter):
+    """Classes of the filtered orientations (flip vectors) under the
+    closure of pairwise equivalence, ordered by their lex-smallest member,
+    members in lex order. ``filter`` is "all", "acyclic" (empty circuit
+    part) or "totally_cyclic" (every edge on a directed circuit)."""
+    members = []
+    for flips in product((0, 1), repeat=graph.edge_count):
+        size = len(circuit_part(graph, flips))
+        if (filter == "all" or (filter == "acyclic" and size == 0)
+                or (filter == "totally_cyclic" and size == graph.edge_count)):
+            members.append(flips)
+    root = list(range(len(members)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            ri, rj = find(i), find(j)
+            if ri != rj and equivalent_by_definition(graph, members[i], members[j], relation):
+                root[max(ri, rj)] = min(ri, rj)
+    grouped = {}
+    for i, flips in enumerate(members):
+        grouped.setdefault(find(i), []).append(flips)
+    return tuple(sorted(tuple(cls) for cls in grouped.values()))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctfpolys import IdentityCheck, IdentityReport, build_graph, format_graph_text
+from ctfpolys import IdentityCheck, IdentityReport, build_graph, format_graph_text, tutte
 from ctfpolys.cli import main
 
 P8_TEXT = "v 3\ne 0 2\ne 0 1\ne 1 2\ne 0 1\ne 1 2\n"
@@ -44,6 +44,20 @@ def test_classes_command(p8_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["class_count"] == 2
     assert all(len(cls["representative"]) == 5 for cls in payload["classes"])
+
+
+def test_classes_command_wheel(tmp_path, capsys):
+    # W5: the hub 0 joined to the rim cycle 1..5
+    w5 = build_graph(6, [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)])
+    path = tmp_path / "w5.g"
+    path.write_text(format_graph_text(w5))
+    t = tutte(w5)
+    # class counts are Tutte values: 121 = T(1,1), 462 = T(1,2) = T(2,1)
+    for relation, (x, y) in (("cut-eulerian", (1, 1)), ("cut", (1, 2)), ("eulerian", (2, 1))):
+        assert main(["--format", "json", "classes", str(path), "--relation", relation]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class_count"] == t.evaluate(x, y), relation
+        assert sum(cls["size"] for cls in payload["classes"]) == 2 ** 10
 
 
 def test_polys_command(p8_file, capsys):

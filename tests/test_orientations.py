@@ -1,11 +1,15 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ctfpolys import (
     EnumerationLimitError,
     Orientation,
     boundary,
+    build_graph,
     classify,
     coupling,
     enumerate_classes,
@@ -18,6 +22,7 @@ from ctfpolys import (
     is_tension,
     minty_partition,
 )
+from ctfpolys.orientations import RELATIONS
 
 U, V, W = 0, 1, 2
 
@@ -197,6 +202,50 @@ def test_class_size_product_rule(small_corpus):
 
         for o in enumerate_orientations(g):
             assert size_of(ce, o.flips) == size_of(cu, o.flips) * size_of(eu, o.flips)
+
+
+FILTERS = ("all", "acyclic", "totally_cyclic")
+
+
+def _flip_classes(partition):
+    assert partition.representatives == tuple(cls[0] for cls in partition.classes)
+    return tuple(tuple(o.flips for o in cls) for cls in partition.classes)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("filt", FILTERS)
+def test_classes_match_pairwise_oracle(small_corpus, p8, relation, filt):
+    for g in [*small_corpus, p8]:
+        got = _flip_classes(enumerate_classes(g, relation, filt))
+        assert got == oracles.pairwise_classes(g, relation, filt), (g.edges, relation, filt)
+
+
+@pytest.mark.parametrize("filt", FILTERS)
+def test_cut_eulerian_classes_of_doubled_square(filt):
+    # orientations with digons on {01, 23} and on {12, 30} have different
+    # circuit parts but equal bond-part circuit sums and circuit-part
+    # out-degrees; no multigraph with at most 6 edges has such a pair
+    square = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
+    got = _flip_classes(enumerate_classes(square, "cut_eulerian", filt))
+    assert got == oracles.pairwise_classes(square, "cut_eulerian", filt)
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with at most 5 vertices and 7 edges, loops and parallel
+    edges included."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_classes_match_pairwise_oracle_random(graph):
+    for relation in RELATIONS:
+        for filt in FILTERS:
+            got = _flip_classes(enumerate_classes(graph, relation, filt))
+            assert got == oracles.pairwise_classes(graph, relation, filt), (relation, filt)
 
 
 def test_loop_flip_is_eulerian_move(l1, digon_loop):
