@@ -117,6 +117,12 @@ def _cmd_classes(args) -> int:
     return 0
 
 
+#: Exit code per verification outcome: 2 if an identity failed, else 1 if
+#: one was skipped at a resource limit (an operational error, as bad input
+#: is), else 0.
+EXIT_CODES = {"pass": 0, "skip": 1, "fail": 2}
+
+
 def _print_report(report: IdentityReport, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report.to_json_list(), indent=2))
@@ -129,16 +135,12 @@ def _cmd_verify(args) -> int:
     _check_edge_limit(graph, args.budget, SWEEP_EDGE_LIMIT)
     report = verify_graph(graph)
     _print_report(report, args.format)
-    return 0 if report.all_passed else 2
+    return EXIT_CODES[report.outcome]
 
 
 def _cmd_corpus(args) -> int:
-    failures = 0
-    results = []
-    for graph, report in verify_corpus(args.max_edges, args.loops):
-        results.append((graph, report))
-        if not report.all_passed:
-            failures += 1
+    results = list(verify_corpus(args.max_edges, args.loops))
+    failures = sum(1 for _, report in results if report.outcome == "fail")
     if args.format == "json":
         payload = [
             {
@@ -153,13 +155,13 @@ def _cmd_corpus(args) -> int:
     else:
         for graph, report in results:
             edges = " ".join(f"{u}-{v}" for u, v in graph.edges) or "(edgeless)"
-            status = "pass" if report.all_passed else "FAIL"
+            status = "FAIL" if report.outcome == "fail" else report.outcome
             print(f"{status}  |V|={graph.vertex_count} edges: {edges}")
             if not report.all_passed:
                 for check in report.failures():
                     print(f"      {check.identity}: {check.witness}")
         print(f"{len(results)} graphs, {failures} with failures")
-    return 0 if failures == 0 else 2
+    return max((EXIT_CODES[report.outcome] for _, report in results), default=0)
 
 
 def _cmd_example(args) -> int:

@@ -276,12 +276,161 @@ def _iter_flows(orientation, ranges, budget=None) -> Iterator[tuple[int, ...]]:
             yield tuple(vec)
 
 
-def _count_tensions(orientation, ranges, budget=None) -> int:
-    return sum(1 for _ in _iter_tensions(orientation, ranges, budget))
+class _AdditionRows(dict):
+    """Rows of a group's addition table, each built on first use."""
+
+    def __init__(self, group: CyclicProduct):
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = [self.group.add(a, b) for b in self.group.elements()]
+        return row
 
 
-def _count_flows(orientation, ranges, budget=None) -> int:
-    return sum(1 for _ in _iter_flows(orientation, ranges, budget))
+def _partial_sum_dp(free, dependent, values, zeros: str, budget=None):
+    """Count the vectors of a space parametrized by free values at the
+    positions ``free``: each dependent position (pos, ((free_pos, c), ...))
+    holds the sum of c * value over its free positions, c = +-1.
+
+    ``values`` is a list of inclusive integer ranges per position, or a
+    CyclicProduct whose elements every position may take. ``zeros`` is
+    "allowed" (return the count), "forbidden" (return the count of the
+    nowhere-zero vectors) or "masks" (return {zero set as a bit mask of
+    positions: count}).
+
+    The free values are assigned in order (transfer-matrix method, Stanley,
+    EC1 4.7). The state is the tuple of partial sums of the dependent
+    positions that are open: some but not all of their free values are
+    assigned. A dependent position is checked and dropped when its last free
+    value is assigned; the ranges it allows cut that free value down to an
+    interval. A step that moves no open sum counts its values in bulk, and
+    only the few values that make a position zero are taken one by one.
+    The budget sees the candidate product of the free values, as an
+    enumeration of every assignment would.
+    """
+    group = values if isinstance(values, CyclicProduct) else None
+    if group is None:
+        _check_budget(prod(max(0, values[t][1] - values[t][0] + 1) for t in free), budget)
+    else:
+        _check_budget(group.order ** len(free), budget)
+        if free:  # the negation list costs the group's order
+            rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
+
+    index = {pos: i for i, pos in enumerate(free)}
+    opening = [[] for _ in free]
+    start_mask = 0
+    for pos, coeffs in dependent:
+        if not coeffs:  # identically zero: a loop tension or a bridge flow
+            if zeros == "forbidden" or (group is None and not values[pos][0] <= 0 <= values[pos][1]):
+                return {} if zeros == "masks" else 0
+            start_mask |= 1 << pos
+            continue
+        by_step = {index[t]: c for t, c in coeffs}
+        opening[min(by_step)].append((pos, by_step, max(by_step)))
+
+    # per free value: (position, zeros for the sums it opens, kept sums as
+    # (slot, coefficient), closed sums as (slot, coefficient, low, high, bit))
+    steps = []
+    live: list = []
+    for i, pos in enumerate(free):
+        slots = live + opening[i]
+        keep, close = [], []
+        for slot, (dep, by_step, last) in enumerate(slots):
+            c = by_step.get(i, 0)
+            if last == i:
+                low, high = (0, 0) if group is not None else values[dep]
+                close.append((slot, c, low, high, 1 << dep))
+            else:
+                keep.append((slot, c))
+        live = [slots[slot] for slot, _ in keep]
+        steps.append((pos, (0,) * len(opening[i]), keep, close))
+
+    track, forbid = zeros != "allowed", zeros == "forbidden"
+    states = {((), start_mask): 1}
+    for pos, pad, keep, close in steps:
+        bit = 1 << pos
+        moving = any(c for _, c in keep)
+        new: dict = {}
+        for (sums, mask), n in states.items():
+            sums += pad
+            special: dict[int, int] = {}  # value -> zero bits it creates
+            if group is None:
+                low, high = values[pos]
+                for slot, c, d_low, d_high, _ in close:
+                    x = sums[slot]  # comparisons, not max/min: 10% on W5
+                    if c > 0:
+                        if d_low - x > low:
+                            low = d_low - x
+                        if d_high - x < high:
+                            high = d_high - x
+                    else:
+                        if x - d_high > low:
+                            low = x - d_high
+                        if x - d_low < high:
+                            high = x - d_low
+                if low > high:
+                    continue
+                size, candidates = high - low + 1, range(low, high + 1)
+                if track:
+                    if low <= 0 <= high:
+                        special[0] = bit
+                    for slot, c, _, _, dep_bit in close:
+                        v = -c * sums[slot]
+                        if low <= v <= high:
+                            special[v] = special.get(v, 0) | dep_bit
+            else:
+                size, candidates = group.order, group.elements()
+                if track:
+                    special[0] = bit
+                    for slot, c, _, _, dep_bit in close:
+                        v = neg[sums[slot]] if c > 0 else sums[slot]
+                        special[v] = special.get(v, 0) | dep_bit
+            if not moving:
+                rest = tuple([sums[slot] for slot, _ in keep])
+                if size > len(special):
+                    key = (rest, mask)
+                    new[key] = new.get(key, 0) + n * (size - len(special))
+                if zeros == "masks":
+                    for bits in special.values():
+                        key = (rest, mask | bits)
+                        new[key] = new.get(key, 0) + n
+                continue
+            if group is None:
+                moved = [(sums[slot], c) for slot, c in keep]
+            else:
+                moved = [(rows[sums[slot]], c) for slot, c in keep]
+            for v in candidates:
+                bits = special.get(v, 0)
+                if bits and forbid:
+                    continue
+                if group is None:
+                    nxt = tuple([x + c * v for x, c in moved])
+                else:
+                    pick = (0, v, neg[v])  # the summand for c = 0, +1, -1
+                    nxt = tuple([row[pick[c]] for row, c in moved])
+                key = (nxt, mask | bits)
+                new[key] = new.get(key, 0) + n
+        states = new
+    if zeros == "masks":
+        return {mask: n for (_, mask), n in states.items()}
+    return sum(states.values())
+
+
+def _count_tensions(orientation, values, budget=None, zeros: str = "allowed"):
+    """Tensions of the digraph with values in per-position integer ranges or
+    in a group, counted by the partial-sum DP over spanning-forest values;
+    see _partial_sum_dp for ``zeros``."""
+    forest_pos, _, _, _ = _structure(orientation.graph)
+    return _partial_sum_dp(forest_pos, _tension_coeffs(orientation), values, zeros, budget)
+
+
+def _count_flows(orientation, values, budget=None, zeros: str = "allowed"):
+    """Flows, counted like _count_tensions over cotree values."""
+    _, cotree, _, _ = _structure(orientation.graph)
+    return _partial_sum_dp(
+        [e for e, _ in cotree], _flow_coeffs(orientation), values, zeros, budget
+    )
 
 
 def enum_integer_tensions_box(
@@ -360,19 +509,6 @@ def enum_modular_flows(
             vec[t] = value
         out.append(tuple(vec))
     return out
-
-
-def _zero_mask_counts(vectors) -> dict[int, int]:
-    """Number of vectors per zero set, the zero set as a bit mask of edge
-    positions."""
-    counts: dict[int, int] = {}
-    for vec in vectors:
-        mask = 0
-        for i, x in enumerate(vec):
-            if x == 0:
-                mask |= 1 << i
-        counts[mask] = counts.get(mask, 0) + 1
-    return counts
 
 
 def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], full: int) -> int:
@@ -481,51 +617,32 @@ def count(graph: MultiGraph, query, budget: int | None = None,
 
     m = graph.edge_count
 
-    if family == "tau_mod" or family == "phi_mod":
-        order = p if family == "tau_mod" else q
-        group = (query.group_a if family == "tau_mod" else query.group_b) or (order,)
-        _require(prod(group) == order, "group order must match the argument")
-        if family == "tau_mod":
-            vectors = enum_modular_tensions(orientation, group, budget)
-        else:
-            vectors = enum_modular_flows(orientation, group, budget)
-        return sum(1 for v in vectors if all(x != 0 for x in v))
-
-    if family == "tau_int":
-        ranges = [(-(p - 1), p - 1)] * m
-        return sum(
-            1
-            for v in _iter_tensions(orientation, ranges, budget)
-            if all(x != 0 for x in v)
+    # the definition-level families count nowhere-zero tensions or flows,
+    # or complementary pairs (ker f = supp g) matched by zero set; each side
+    # takes values in a group or in an open integer box, or is not counted
+    if family in ("tau_mod", "phi_mod", "kappa_mod"):
+        tensions = CyclicProduct(query.group_a or (p,)) if family != "phi_mod" else None
+        flows = CyclicProduct(query.group_b or (q,)) if family != "tau_mod" else None
+        _require(
+            (tensions is None or tensions.order == p) and (flows is None or flows.order == q),
+            "group order must match the argument",
         )
-    if family == "phi_int":
-        ranges = [(-(q - 1), q - 1)] * m
-        return sum(
-            1
-            for v in _iter_flows(orientation, ranges, budget)
-            if all(x != 0 for x in v)
-        )
+    elif family in ("tau_int", "phi_int", "kappa_int"):
+        tensions = [(-(p - 1), p - 1)] * m if family != "phi_int" else None
+        flows = [(-(q - 1), q - 1)] * m if family != "tau_int" else None
+    else:
+        members = sum_members(graph, family, orientation, sweep_limit)
+        return CountTable(budget).total(family, members, p, q)
 
-    if family == "kappa_mod":
-        group_a = query.group_a or (p,)
-        group_b = query.group_b or (q,)
-        _require(prod(group_a) == p and prod(group_b) == q,
-                 "group orders must match p and q")
-        return _matched_pairs(
-            _zero_mask_counts(enum_modular_tensions(orientation, group_a, budget)),
-            _zero_mask_counts(enum_modular_flows(orientation, group_b, budget)),
-            (1 << m) - 1,
-        )
-
-    if family == "kappa_int":
-        return _matched_pairs(
-            _zero_mask_counts(_iter_tensions(orientation, [(-(p - 1), p - 1)] * m, budget)),
-            _zero_mask_counts(_iter_flows(orientation, [(-(q - 1), q - 1)] * m, budget)),
-            (1 << m) - 1,
-        )
-
-    members = sum_members(graph, family, orientation, sweep_limit)
-    return CountTable(budget).total(family, members, p, q)
+    if flows is None:
+        return _count_tensions(orientation, tensions, budget, "forbidden")
+    if tensions is None:
+        return _count_flows(orientation, flows, budget, "forbidden")
+    return _matched_pairs(
+        _count_tensions(orientation, tensions, budget, "masks"),
+        _count_flows(orientation, flows, budget, "masks"),
+        (1 << m) - 1,
+    )
 
 
 def mod_map(

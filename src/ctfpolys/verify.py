@@ -12,10 +12,10 @@ from .counting import (
     BudgetExceededError,
     CountQuery,
     CountTable,
-    _zero_mask_counts,
+    CyclicProduct,
+    _count_flows,
+    _count_tensions,
     count,
-    enum_modular_flows,
-    enum_modular_tensions,
 )
 from .multigraph import MultiGraph, build_graph
 from .orientations import (
@@ -65,7 +65,7 @@ IDENTITY_TAGS = (
 class IdentityCheck:
     identity: str
     tag: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "skip" (a resource limit was hit)
     witness: str | None = None
 
 
@@ -77,6 +77,13 @@ class IdentityReport:
     @property
     def all_passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
+
+    @property
+    def outcome(self) -> str:
+        """"fail" if an identity failed, else "skip" if one was skipped at a
+        resource limit, else "pass"."""
+        statuses = {c.status for c in self.checks}
+        return "fail" if "fail" in statuses else "skip" if "skip" in statuses else "pass"
 
     def failures(self) -> tuple[IdentityCheck, ...]:
         return tuple(c for c in self.checks if c.status != "pass")
@@ -109,6 +116,18 @@ class _Collector:
     def equal(self, label: str, left, right) -> None:
         if left != right:
             self.problems.append(f"{label}: {left} != {right}")
+
+
+class _Lazy:
+    """Named values, each computed by its maker on first read."""
+
+    def __init__(self, **makers):
+        self._makers = makers
+
+    def __getattr__(self, name):
+        value = self._makers[name]()
+        setattr(self, name, value)
+        return value
 
 
 def _poly_sum(polys) -> BivariatePolynomial:
@@ -171,30 +190,35 @@ def verify_graph(
     def per_orientation(family):
         return {o: swept(family, [o]) for o in orientations}
 
-    kappa = per_orientation("kappa_local")
-    tau_open = per_orientation("tau_local")
-    phi_open = per_orientation("phi_local")
-    tau_closed = per_orientation("tau_bar_local")
-    phi_closed = per_orientation("phi_bar_local")
-    # kappa_bar_local is the product of the two closed-box counts
-    kappa_bar = {o: tau_closed[o] * phi_closed[o] for o in orientations}
     circuit = {o: _circuit_part_positions(o) for o in orientations}
     sign = {o: -1 if (r + len(circuit[o])) % 2 else 1 for o in orientations}
 
-    kappa_bar_int = swept("kappa_bar_int", orientations)
-    kappa_bar_mod = swept("kappa_bar_mod", reps)
-    tau_bar_int = swept("tau_bar_int", acyclic)
-    phi_bar_int = swept("phi_bar_int", totally_cyclic)
-    tau_bar_mod = swept("tau_bar_mod", acyclic_reps)
-    phi_bar_mod = swept("phi_bar_mod", tc_reps)
-
-    # the definition-level families, enumerated apart from the table
-    kappa_int = counting_polynomial(graph, "kappa_int", budget)
-    kappa_mod = counting_polynomial(graph, "kappa_mod", budget)
-    tau_int = counting_polynomial(graph, "tau_int", budget)
-    phi_int = counting_polynomial(graph, "phi_int", budget)
-    tau_mod = counting_polynomial(graph, "tau_mod", budget)
-    phi_mod = counting_polynomial(graph, "phi_mod", budget)
+    # the counted polynomials, each computed when an identity first reads it,
+    # so that a resource limit skips only the identities that need it
+    poly = _Lazy(
+        kappa=lambda: per_orientation("kappa_local"),
+        tau_open=lambda: per_orientation("tau_local"),
+        phi_open=lambda: per_orientation("phi_local"),
+        tau_closed=lambda: per_orientation("tau_bar_local"),
+        phi_closed=lambda: per_orientation("phi_bar_local"),
+        # kappa_bar_local is the product of the two closed-box counts
+        kappa_bar=lambda: {
+            o: poly.tau_closed[o] * poly.phi_closed[o] for o in orientations
+        },
+        kappa_bar_int=lambda: swept("kappa_bar_int", orientations),
+        kappa_bar_mod=lambda: swept("kappa_bar_mod", reps),
+        tau_bar_int=lambda: swept("tau_bar_int", acyclic),
+        phi_bar_int=lambda: swept("phi_bar_int", totally_cyclic),
+        tau_bar_mod=lambda: swept("tau_bar_mod", acyclic_reps),
+        phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
+        # the definition-level families, counted apart from the table
+        kappa_int=lambda: counting_polynomial(graph, "kappa_int", budget),
+        kappa_mod=lambda: counting_polynomial(graph, "kappa_mod", budget),
+        tau_int=lambda: counting_polynomial(graph, "tau_int", budget),
+        phi_int=lambda: counting_polynomial(graph, "phi_int", budget),
+        tau_mod=lambda: counting_polynomial(graph, "tau_mod", budget),
+        phi_mod=lambda: counting_polynomial(graph, "phi_mod", budget),
+    )
 
     tutte_poly = tutte(graph)
     rank_poly = rank_generating(graph)
@@ -203,84 +227,92 @@ def verify_graph(
     tags = dict(IDENTITY_TAGS)
 
     def run(identity: str, body: Callable[[_Collector], None]) -> None:
+        # a resource limit is no verdict on the identity: it is skipped,
+        # unless a failure was found before the limit was hit
         col = _Collector()
+        limit_hit = None
         try:
             body(col)
         except (BudgetExceededError, EnumerationLimitError) as exc:
-            col.problems.append(f"skipped (budget): {exc}")
+            limit_hit = f"resource limit: {exc}"
         if col.problems:
             checks.append(IdentityCheck(identity, tags[identity], "fail", col.problems[0]))
+        elif limit_hit:
+            checks.append(IdentityCheck(identity, tags[identity], "skip", limit_hit))
         else:
             checks.append(IdentityCheck(identity, tags[identity], "pass"))
 
     # ---- Theorem 1 (integral families) ----
     def t1b(col):
-        col.equal("kappa_int = sum of local", kappa_int,
-                  _poly_sum(kappa[o] for o in orientations))
-        col.equal("kappa_bar_int = sum of local", kappa_bar_int,
-                  _poly_sum(kappa_bar[o] for o in orientations))
+        col.equal("kappa_int = sum of local", poly.kappa_int,
+                  _poly_sum(poly.kappa[o] for o in orientations))
+        col.equal("kappa_bar_int = sum of local", poly.kappa_bar_int,
+                  _poly_sum(poly.kappa_bar[o] for o in orientations))
 
     def t1c(col):
         col.equal(
             "kappa_int(-x,-y)",
-            _neg_vars(kappa_int),
-            _poly_sum(sign[o] * kappa_bar[o] for o in orientations),
+            _neg_vars(poly.kappa_int),
+            _poly_sum(sign[o] * poly.kappa_bar[o] for o in orientations),
         )
         col.equal(
             "kappa_bar_int(-x,-y)",
-            _neg_vars(kappa_bar_int),
-            _poly_sum(sign[o] * kappa[o] for o in orientations),
+            _neg_vars(poly.kappa_bar_int),
+            _poly_sum(sign[o] * poly.kappa[o] for o in orientations),
         )
 
     def t1d(col):
-        col.equal("kappa_int(x,1)", kappa_int.set_y(1), tau_int)
-        col.equal("kappa_int(1,y)", kappa_int.set_x(1), phi_int)
-        col.equal("kappa_bar_int(x,-1)", kappa_bar_int.set_y(-1), tau_bar_int)
-        col.equal("kappa_bar_int(-1,y)", kappa_bar_int.set_x(-1), phi_bar_int)
+        col.equal("kappa_int(x,1)", poly.kappa_int.set_y(1), poly.tau_int)
+        col.equal("kappa_int(1,y)", poly.kappa_int.set_x(1), poly.phi_int)
+        col.equal("kappa_bar_int(x,-1)", poly.kappa_bar_int.set_y(-1), poly.tau_bar_int)
+        col.equal("kappa_bar_int(-1,y)", poly.kappa_bar_int.set_x(-1), poly.phi_bar_int)
 
     def _convolution(tau_family, phi_family):
+        # G/{} and G|E are G itself: those two factors are the ledger's own
         total = BivariatePolynomial()
+        full = (1 << m) - 1
         for mask in range(1 << m):
             ids = [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1]
-            quotient = graph.contract(ids)
-            restriction = graph.restrict(ids)
-            total = total + counting_polynomial(quotient, tau_family, budget) * \
-                counting_polynomial(restriction, phi_family, budget)
+            tau = getattr(poly, tau_family) if mask == 0 else \
+                counting_polynomial(graph.contract(ids), tau_family, budget)
+            phi = getattr(poly, phi_family) if mask == full else \
+                counting_polynomial(graph.restrict(ids), phi_family, budget)
+            total = total + tau * phi
         return total
 
     def t1e(col):
-        col.equal("kappa_int convolution", kappa_int, _convolution("tau_int", "phi_int"))
-        col.equal("kappa_bar_int convolution", kappa_bar_int,
+        col.equal("kappa_int convolution", poly.kappa_int, _convolution("tau_int", "phi_int"))
+        col.equal("kappa_bar_int convolution", poly.kappa_bar_int,
                   _convolution("tau_bar_int", "phi_bar_int"))
 
     # ---- Theorem 2 (modular families) ----
     def t2b(col):
-        col.equal("kappa_mod = sum over reps", kappa_mod,
-                  _poly_sum(kappa[o] for o in reps))
-        col.equal("kappa_bar_mod = sum over reps", kappa_bar_mod,
-                  _poly_sum(kappa_bar[o] for o in reps))
+        col.equal("kappa_mod = sum over reps", poly.kappa_mod,
+                  _poly_sum(poly.kappa[o] for o in reps))
+        col.equal("kappa_bar_mod = sum over reps", poly.kappa_bar_mod,
+                  _poly_sum(poly.kappa_bar[o] for o in reps))
 
     def t2c(col):
         col.equal(
             "kappa_mod(-x,-y)",
-            _neg_vars(kappa_mod),
-            _poly_sum(sign[o] * kappa_bar[o] for o in reps),
+            _neg_vars(poly.kappa_mod),
+            _poly_sum(sign[o] * poly.kappa_bar[o] for o in reps),
         )
         col.equal(
             "kappa_bar_mod(-x,-y)",
-            _neg_vars(kappa_bar_mod),
-            _poly_sum(sign[o] * kappa[o] for o in reps),
+            _neg_vars(poly.kappa_bar_mod),
+            _poly_sum(sign[o] * poly.kappa[o] for o in reps),
         )
 
     def t2d(col):
-        col.equal("kappa_mod(x,1)", kappa_mod.set_y(1), tau_mod)
-        col.equal("kappa_mod(1,y)", kappa_mod.set_x(1), phi_mod)
-        col.equal("kappa_bar_mod(x,-1)", kappa_bar_mod.set_y(-1), tau_bar_mod)
-        col.equal("kappa_bar_mod(-1,y)", kappa_bar_mod.set_x(-1), phi_bar_mod)
+        col.equal("kappa_mod(x,1)", poly.kappa_mod.set_y(1), poly.tau_mod)
+        col.equal("kappa_mod(1,y)", poly.kappa_mod.set_x(1), poly.phi_mod)
+        col.equal("kappa_bar_mod(x,-1)", poly.kappa_bar_mod.set_y(-1), poly.tau_bar_mod)
+        col.equal("kappa_bar_mod(-1,y)", poly.kappa_bar_mod.set_x(-1), poly.phi_bar_mod)
 
     def t2e(col):
-        col.equal("kappa_mod convolution", kappa_mod, _convolution("tau_mod", "phi_mod"))
-        col.equal("kappa_bar_mod convolution", kappa_bar_mod,
+        col.equal("kappa_mod convolution", poly.kappa_mod, _convolution("tau_mod", "phi_mod"))
+        col.equal("kappa_bar_mod convolution", poly.kappa_bar_mod,
                   _convolution("tau_bar_mod", "phi_bar_mod"))
 
     # ---- per-orientation identities ----
@@ -295,35 +327,35 @@ def verify_graph(
             label = f"orientation {o.flip_string() or '-'}"
             col.equal(
                 f"{label} product decomposition",
-                kappa[o],
+                poly.kappa[o],
                 local_polynomial(quotient, o_quot, "tau_local", budget)
                 * local_polynomial(restriction, o_rest, "phi_local", budget),
             )
             col.equal(
                 f"{label} closed product decomposition",
-                kappa_bar[o],
+                poly.kappa_bar[o],
                 local_polynomial(quotient, o_quot, "tau_bar_local", budget)
                 * local_polynomial(restriction, o_rest, "phi_bar_local", budget),
             )
             col.equal(
                 f"{label} reciprocity",
-                _neg_vars(kappa[o]),
-                sign[o] * kappa_bar[o],
+                _neg_vars(poly.kappa[o]),
+                sign[o] * poly.kappa_bar[o],
             )
-            col.equal(f"{label} kappa(x,1)", kappa[o].set_y(1), tau_open[o])
-            col.equal(f"{label} kappa(1,y)", kappa[o].set_x(1), phi_open[o])
+            col.equal(f"{label} kappa(x,1)", poly.kappa[o].set_y(1), poly.tau_open[o])
+            col.equal(f"{label} kappa(1,y)", poly.kappa[o].set_x(1), poly.phi_open[o])
             # the closed-box specializations survive only where the matching
             # open polytope is nonempty: the tension one needs an empty
             # circuit part, the flow one an empty bond part
             col.equal(
                 f"{label} kappa_bar(x,-1)",
-                kappa_bar[o].set_y(-1),
-                tau_closed[o] if not circuit[o] else zero,
+                poly.kappa_bar[o].set_y(-1),
+                poly.tau_closed[o] if not circuit[o] else zero,
             )
             col.equal(
                 f"{label} kappa_bar(-1,y)",
-                kappa_bar[o].set_x(-1),
-                phi_closed[o] if len(circuit[o]) == m else zero,
+                poly.kappa_bar[o].set_x(-1),
+                poly.phi_closed[o] if len(circuit[o]) == m else zero,
             )
 
     def pe(col):
@@ -336,11 +368,11 @@ def verify_graph(
             col.equal(
                 f"0-1 pair count at {o.flip_string() or '-'}",
                 Fraction(ce_size[o]),
-                kappa_bar[o].evaluate(1, 1),
+                poly.kappa_bar[o].evaluate(1, 1),
             )
 
     def t3(col):
-        col.equal("kappa_bar_mod = rank generating", kappa_bar_mod, rank_poly)
+        col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
         for p, q in product((1, 2, 3), repeat=2):
             triples = table.total("kappa_bar_mod", reps, p - 1, q - 1)
             col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), Fraction(triples))
@@ -349,8 +381,8 @@ def verify_graph(
         full = (1 << m) - 1
         ref = Orientation.reference(graph)
         for p, q in product((1, 2, 3), repeat=2):
-            tensions = _zero_mask_counts(enum_modular_tensions(ref, (p,), budget))
-            flows = _zero_mask_counts(enum_modular_flows(ref, (q,), budget))
+            tensions = _count_tensions(ref, CyclicProduct((p,)), budget, "masks")
+            flows = _count_flows(ref, CyclicProduct((q,)), budget, "masks")
             positive = 0
             alternating = 0
             for kmask, tcount in tensions.items():
@@ -372,23 +404,23 @@ def verify_graph(
     def im(col):
         col.equal(
             "kappa_int = weighted class sum",
-            kappa_int,
-            _poly_sum(ce_size[o] * kappa[o] for o in reps),
+            poly.kappa_int,
+            _poly_sum(ce_size[o] * poly.kappa[o] for o in reps),
         )
         col.equal(
             "kappa_bar_int = weighted class sum",
-            kappa_bar_int,
-            _poly_sum(ce_size[o] * kappa_bar[o] for o in reps),
+            poly.kappa_bar_int,
+            _poly_sum(ce_size[o] * poly.kappa_bar[o] for o in reps),
         )
         col.equal(
             "tau_int = weighted acyclic class sum",
-            tau_int,
-            _poly_sum(ce_size[o] * tau_open[o] for o in acyclic_reps),
+            poly.tau_int,
+            _poly_sum(ce_size[o] * poly.tau_open[o] for o in acyclic_reps),
         )
         col.equal(
             "phi_int = weighted totally cyclic class sum",
-            phi_int,
-            _poly_sum(ce_size[o] * phi_open[o] for o in tc_reps),
+            poly.phi_int,
+            _poly_sum(ce_size[o] * poly.phi_open[o] for o in tc_reps),
         )
 
     def cs(col):
@@ -398,7 +430,7 @@ def verify_graph(
         n_cu = len(self_reverse["cut"])
         n_eu = len(self_reverse["eulerian"])
         n_ce = len(self_reverse["cut_eulerian"])
-        kz, kbz = kappa_int, kappa_bar_int
+        kz, kbz = poly.kappa_int, poly.kappa_bar_int
         col.equal("kappa_bar_int(0,0)", kbz.evaluate(0, 0), Fraction(n_or))
         col.equal("|kappa_int(1,0)|", abs(kz.evaluate(1, 0)), Fraction(n_tc))
         col.equal("kappa_bar_int(-1,0)", kbz.evaluate(-1, 0), Fraction(n_tc))
@@ -428,7 +460,7 @@ def verify_graph(
             Fraction(sum(ce_size[o] for o in orientations)),
         )
 
-        k, kb, t = kappa_mod, kappa_bar_mod, tutte_poly
+        k, kb, t = poly.kappa_mod, poly.kappa_bar_mod, tutte_poly
         classes_in = lambda relation: sum(1 for o in reps if o in self_reverse[relation])
         col.equal("T(0,0) chain", t.evaluate(0, 0), kb.evaluate(-1, -1))
         col.equal("kappa_mod(1,1) chain", k.evaluate(1, 1), kb.evaluate(-1, -1))
@@ -477,11 +509,11 @@ def verify_graph(
         recomputed = interpolate_checked(
             sampler, xs, ys, [(r + 2, n + 2), (r + 3, n + 3)]
         )
-        col.equal("kappa_int from reversed orientation", kappa_int, recomputed)
+        col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
         lex_largest = [cls[-1] for cls in part_ce.classes]
         col.equal(
             "kappa_bar_mod from largest representatives",
-            kappa_bar_mod,
+            poly.kappa_bar_mod,
             swept("kappa_bar_mod", lex_largest),
         )
 

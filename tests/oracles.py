@@ -6,6 +6,7 @@ the boundary condition at every vertex, and orientation classes from the
 pairwise closure of the equivalence relations.
 """
 
+from collections import Counter
 from itertools import product
 
 
@@ -145,6 +146,21 @@ def complementary_pairs_mod(graph, flips, p, q):
 
 def nowhere_zero(vectors):
     return [v for v in vectors if all(x != 0 for x in v)]
+
+
+def count_complementary(tensions, flows):
+    """Number of pairs (f, g) with exactly one of f(e), g(e) nonzero on
+    every edge: the support of g is the zero set of f."""
+    by_support = Counter(tuple(x != 0 for x in g) for g in flows)
+    return sum(by_support[tuple(x == 0 for x in f)] for f in tensions)
+
+
+def reorient(graph, flips, vectors):
+    """The integer tensions or flows of the orientation ``flips``, from
+    those of the reference orientation: reversing a non-loop edge negates
+    the value on it, and a loop keeps its value."""
+    signs = [-1 if flips[pos] and u != v else 1 for pos, (u, v) in enumerate(graph.edges)]
+    return [tuple(s * x for s, x in zip(signs, vec)) for vec in vectors]
 
 
 def _is_flow_vector(graph, arrows, vec):

@@ -96,6 +96,18 @@ def test_verify_exit_codes_with_failing_stub(p8_file, monkeypatch, capsys):
     assert "crafted failure" in capsys.readouterr().out
 
 
+def test_verify_resource_limit_is_exit_1(p8_file, monkeypatch, capsys):
+    # a candidate budget too small for phi_int skips identities: the run
+    # reports them as skip and exits 1, not 2
+    import ctfpolys.cli as cli
+    from ctfpolys import verify_graph
+
+    monkeypatch.setattr(cli, "verify_graph", lambda graph: verify_graph(graph, budget=216))
+    assert main(["verify", p8_file]) == 1
+    out = capsys.readouterr().out
+    assert "skip" in out and "fail" not in out
+
+
 def test_verify_operational_error_is_exit_1(tmp_path, capsys):
     code = main(["verify", str(tmp_path / "missing.g")])
     assert code == 1

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from ctfpolys import (
@@ -22,6 +23,7 @@ from ctfpolys import (
     reorient_p,
     reorient_q,
 )
+from strategies import multigraphs
 
 
 def test_cyclic_product_arithmetic():
@@ -395,3 +397,104 @@ def test_budget_guard():
         enum_integer_flows_box(ref, -50, 50, budget=1000)
     with pytest.raises(BudgetExceededError):
         count(big, "phi_int", q=50, budget=1000)
+
+
+def _closed_counts(graph, flips, vectors, top):
+    """How many of an orientation's vectors lie in [0, a]^E, for a = 0..top;
+    ``vectors`` are the reference orientation's vectors in [-top, top]^E."""
+    tops = [max(v, default=0) for v in oracles.reorient(graph, flips, vectors)
+            if min(v, default=0) >= 0]
+    return [sum(1 for t in tops if t <= a) for a in range(top + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs())
+def test_counts_match_oracles_random(graph):
+    # the definition-level families and the six graph-level closed-box
+    # families at small (p, q), against brute force from the definitions;
+    # flows stay in [-1, 1], as a 7-loop graph has 5^7 flows in [-2, 2]
+    m = graph.edge_count
+    ref = (0,) * m
+    tensions = oracles.integer_tensions(graph, ref, -2, 2)
+    flows = oracles.integer_flows(graph, ref, -1, 1)
+
+    def below(vectors, a):
+        return [v for v in vectors if all(abs(x) < a for x in v)]
+
+    mod_t = {a: oracles.modular_tensions(graph, ref, (a,)) for a in (1, 2, 3)}
+    mod_f = {a: oracles.modular_flows(graph, ref, (a,)) for a in (1, 2, 3)}
+    for a in (1, 2, 3):
+        assert count(graph, "tau_int", p=a) == len(oracles.nowhere_zero(below(tensions, a)))
+        assert count(graph, "tau_mod", p=a) == len(oracles.nowhere_zero(mod_t[a]))
+        assert count(graph, "phi_mod", q=a) == len(oracles.nowhere_zero(mod_f[a]))
+    for a, b in product((1, 2, 3), repeat=2):
+        assert count(graph, "kappa_mod", p=a, q=b) == oracles.count_complementary(
+            mod_t[a], mod_f[b]
+        )
+    for b in (1, 2):
+        assert count(graph, "phi_int", q=b) == len(oracles.nowhere_zero(below(flows, b)))
+    for a, b in product((1, 2, 3), (1, 2)):
+        assert count(graph, "kappa_int", p=a, q=b) == oracles.count_complementary(
+            below(tensions, a), below(flows, b)
+        )
+
+    orients = list(product((0, 1), repeat=m))
+    t_box = {f: _closed_counts(graph, f, tensions, 2) for f in orients}
+    f_box = {f: _closed_counts(graph, f, flows, 1) for f in orients}
+    size = {f: len(oracles.circuit_part(graph, f)) for f in orients}
+    acyclic = [f for f in orients if size[f] == 0]
+    totally_cyclic = [f for f in orients if size[f] == m]
+    reps = {
+        filt: [cls[0] for cls in oracles.pairwise_classes(graph, "cut_eulerian", filt)]
+        for filt in ("all", "acyclic", "totally_cyclic")
+    }
+    for a, b in product((0, 1, 2), (0, 1)):
+        assert count(graph, "tau_bar_int", p=a) == sum(t_box[f][a] for f in acyclic)
+        assert count(graph, "phi_bar_int", q=b) == sum(f_box[f][b] for f in totally_cyclic)
+        assert count(graph, "kappa_bar_int", p=a, q=b) == sum(
+            t_box[f][a] * f_box[f][b] for f in orients
+        )
+        assert count(graph, "tau_bar_mod", p=a) == sum(t_box[f][a] for f in reps["acyclic"])
+        assert count(graph, "phi_bar_mod", q=b) == sum(
+            f_box[f][b] for f in reps["totally_cyclic"]
+        )
+        assert count(graph, "kappa_bar_mod", p=a, q=b) == sum(
+            t_box[f][a] * f_box[f][b] for f in reps["all"]
+        )
+
+
+def test_product_groups_match_oracles(c3, digon_loop, p8):
+    for g in (c3, digon_loop, p8):
+        for o in enumerate_orientations(g):
+            tensions = oracles.modular_tensions(g, o.flips, (2, 2))
+            flows = oracles.modular_flows(g, o.flips, (2, 2))
+            assert count(g, "tau_mod", p=4, orientation=o, group_a=(2, 2)) == len(
+                oracles.nowhere_zero(tensions)
+            )
+            assert count(g, "phi_mod", q=4, orientation=o, group_b=(2, 2)) == len(
+                oracles.nowhere_zero(flows)
+            )
+            assert count(
+                g, "kappa_mod", p=4, q=4, orientation=o, group_a=(2, 2), group_b=(2, 2)
+            ) == oracles.count_complementary(tensions, flows)
+            assert count(
+                g, "kappa_mod", p=4, q=3, orientation=o, group_a=(2, 2)
+            ) == oracles.count_complementary(tensions, oracles.modular_flows(g, o.flips, (3,)))
+
+
+def test_budget_sees_the_candidate_product(p8):
+    # p8 has rank 2 and nullity 3; a count needs a budget of at least the
+    # product of the ranges of its free values (for a pair, the larger side)
+    cases = [
+        ("tau_mod", {"p": 3}, 3 ** 2),
+        ("phi_mod", {"q": 3}, 3 ** 3),
+        ("kappa_mod", {"p": 3, "q": 3}, 3 ** 3),
+        ("tau_int", {"p": 3}, 5 ** 2),
+        ("phi_int", {"q": 3}, 5 ** 3),
+        ("kappa_int", {"p": 3, "q": 3}, 5 ** 3),
+        ("kappa_bar_int", {"p": 2, "q": 2}, 3 ** 3),
+    ]
+    for family, args, candidates in cases:
+        count(p8, family, budget=candidates, **args)
+        with pytest.raises(BudgetExceededError):
+            count(p8, family, budget=candidates - 1, **args)

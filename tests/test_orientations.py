@@ -2,7 +2,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from ctfpolys import (
@@ -23,6 +22,7 @@ from ctfpolys import (
     minty_partition,
 )
 from ctfpolys.orientations import RELATIONS
+from strategies import multigraphs
 
 U, V, W = 0, 1, 2
 
@@ -228,15 +228,6 @@ def test_cut_eulerian_classes_of_doubled_square(filt):
     square = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
     got = _flip_classes(enumerate_classes(square, "cut_eulerian", filt))
     assert got == oracles.pairwise_classes(square, "cut_eulerian", filt)
-
-
-@st.composite
-def multigraphs(draw):
-    """Multigraphs with at most 5 vertices and 7 edges, loops and parallel
-    edges included."""
-    n = draw(st.integers(1, 5))
-    vertex = st.integers(0, n - 1)
-    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=7)))
 
 
 @settings(max_examples=60, deadline=None)

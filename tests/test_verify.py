@@ -47,6 +47,24 @@ def test_verify_limit():
         verify_graph(big)
 
 
+def test_resource_limits_skip_identities(p8):
+    # p8 has rank 2 and nullity 3. A budget of 216 candidates covers the
+    # modular families and the box tables but not phi_int (11^3 flow
+    # candidates at q = 6), so the identities reading kappa_int or phi_int
+    # are skipped and the others still pass; a budget of 1 leaves only the
+    # Tutte convolution, which counts nothing.
+    for budget, must_pass in ((216, {"T2b", "T2e", "PL", "T3", "RPQ", "TC"}), (1, {"TC"})):
+        report = verify_graph(p8, budget=budget)
+        status = {c.identity: c.status for c in report.checks}
+        assert set(status.values()) == {"pass", "skip"}, status
+        assert {i for i, s in status.items() if s == "pass"} >= must_pass
+        assert status["T1b"] == status["IND"] == "skip"
+        assert not report.all_passed and report.outcome == "skip"
+        for check in report.checks:
+            if check.status == "skip":
+                assert check.witness.startswith("resource limit: ")
+
+
 def test_report_serialization(k2):
     report = verify_graph(k2)
     payload = report.to_json_list()
