@@ -139,9 +139,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    results = list(verify_corpus(args.max_edges, args.loops))
-    failures = sum(1 for _, report in results if report.outcome == "fail")
+    results = verify_corpus(args.max_edges, args.loops)
     if args.format == "json":
+        results = list(results)
         payload = [
             {
                 "vertex_count": graph.vertex_count,
@@ -152,16 +152,21 @@ def _cmd_corpus(args) -> int:
             for graph, report in results
         ]
         print(json.dumps(payload, indent=2))
-    else:
-        for graph, report in results:
-            edges = " ".join(f"{u}-{v}" for u, v in graph.edges) or "(edgeless)"
-            status = "FAIL" if report.outcome == "fail" else report.outcome
-            print(f"{status}  |V|={graph.vertex_count} edges: {edges}")
-            if not report.all_passed:
-                for check in report.failures():
-                    print(f"      {check.identity}: {check.witness}")
-        print(f"{len(results)} graphs, {failures} with failures")
-    return max((EXIT_CODES[report.outcome] for _, report in results), default=0)
+        return max((EXIT_CODES[report.outcome] for _, report in results), default=0)
+
+    # text mode prints each graph as soon as it is verified
+    graphs = failures = code = 0
+    for graph, report in results:
+        graphs += 1
+        failures += report.outcome == "fail"
+        code = max(code, EXIT_CODES[report.outcome])
+        edges = " ".join(f"{u}-{v}" for u, v in graph.edges) or "(edgeless)"
+        status = "FAIL" if report.outcome == "fail" else report.outcome
+        lines = [f"{status}  |V|={graph.vertex_count} edges: {edges}"]
+        lines.extend(f"      {check.identity}: {check.witness}" for check in report.failures())
+        print("\n".join(lines), flush=True)
+    print(f"{graphs} graphs, {failures} with failures")
+    return code
 
 
 def _cmd_example(args) -> int:

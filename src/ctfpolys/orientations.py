@@ -272,8 +272,9 @@ def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
     return tuple((1 - c) // 2 for c in coupling(first, second))
 
 
-@lru_cache(maxsize=None)
-def _circuit_part_positions(orientation: Orientation) -> frozenset[int]:
+def _circuit_part(orientation: Orientation) -> frozenset[int]:
+    """Positions of the circuit-part edges: loops and the edges inside a
+    strongly connected component."""
     graph = orientation.graph
     comp = _strong_components(orientation)
     return frozenset(
@@ -283,14 +284,31 @@ def _circuit_part_positions(orientation: Orientation) -> frozenset[int]:
     )
 
 
+@lru_cache(maxsize=None)
+def _circuit_part_positions(orientation: Orientation) -> frozenset[int]:
+    """``_circuit_part``, kept per orientation for the count table and the
+    ledger, which read it many times; a one-pass sweep such as
+    ``enumerate_classes`` calls ``_circuit_part`` instead."""
+    return _circuit_part(orientation)
+
+
+def _circuit_filter(circuit: frozenset[int] | None, edge_count: int, filter: str) -> bool:
+    """``in_filter`` on a given circuit part, which "all" does not read."""
+    if filter == "acyclic":
+        return not circuit
+    if filter == "totally_cyclic":
+        return len(circuit) == edge_count
+    return True
+
+
 def in_filter(orientation: Orientation, filter: str) -> bool:
     """Membership in one of the orientation sets "all", "acyclic" (empty
     circuit part) and "totally_cyclic" (empty bond part)."""
-    if filter == "acyclic":
-        return not _circuit_part_positions(orientation)
-    if filter == "totally_cyclic":
-        return len(_circuit_part_positions(orientation)) == orientation.graph.edge_count
-    return True
+    if filter == "all":
+        return True
+    return _circuit_filter(
+        _circuit_part_positions(orientation), orientation.graph.edge_count, filter
+    )
 
 
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
@@ -336,7 +354,8 @@ def enumerate_orientations(graph: MultiGraph, limit: int = DEFAULT_SWEEP_LIMIT) 
 
 def _class_key(graph: MultiGraph, relation: str):
     """The key of an orientation's class under ``relation``, as a function of
-    the orientation; see ``enumerate_classes``."""
+    the orientation and its circuit part (read only by cut-Eulerian); see
+    ``enumerate_classes``."""
     circuits = tuple(((e_pos, 1),) + rest for e_pos, rest in _circuit_table(graph))
     nonloop = tuple((pos, graph.edges[pos]) for pos in graph.nonloop_positions)
 
@@ -354,13 +373,12 @@ def _class_key(graph: MultiGraph, relation: str):
                 out[v if flips[pos] else u] += 1
         return tuple(out)
 
-    def key(orientation: Orientation):
+    def key(orientation: Orientation, circuit: frozenset[int] | None):
         flips = orientation.flips
         if relation == "cut":
             return circuit_sums(flips)
         if relation == "eulerian":
             return out_degrees(flips)
-        circuit = _circuit_part_positions(orientation)
         return (circuit, circuit_sums(flips, circuit), out_degrees(flips, circuit))
 
     return key
@@ -396,10 +414,13 @@ def enumerate_classes(
         raise ValueError(f"unknown filter {filter!r}")
 
     key = _class_key(graph, relation)
+    # each circuit part is read once here, so none is kept for the process
+    needs_circuit = relation == "cut_eulerian" or filter != "all"
     grouped: dict[object, list[Orientation]] = {}
     for o in enumerate_orientations(graph, limit):
-        if in_filter(o, filter):
-            grouped.setdefault(key(o), []).append(o)
+        circuit = _circuit_part(o) if needs_circuit else None
+        if _circuit_filter(circuit, graph.edge_count, filter):
+            grouped.setdefault(key(o, circuit), []).append(o)
     classes = tuple(tuple(cls) for cls in grouped.values())
     return ClassPartition(
         relation=relation,

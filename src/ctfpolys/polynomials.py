@@ -122,6 +122,12 @@ class BivariatePolynomial:
         return self.__mul__(other)
 
     def evaluate(self, x, y) -> Fraction:
+        if isinstance(x, int) and isinstance(y, int):
+            # integer points: the powers stay ints, one Fraction step per term
+            total = Fraction(0)
+            for (i, j), c in self._coeffs.items():
+                total += c * (x**i * y**j)
+            return total
         x, y = Fraction(x), Fraction(y)
         return sum(
             (c * x**i * y**j for (i, j), c in self._coeffs.items()),
@@ -203,9 +209,11 @@ class BivariatePolynomial:
         return {"vars": ["x", "y"], "monomials": monomials}
 
 
-def _lagrange_basis(points: Sequence[int]) -> list[list[Fraction]]:
-    """Coefficient lists (ascending powers) of the Lagrange basis through the
-    given distinct integer nodes."""
+@lru_cache(maxsize=128)
+def _lagrange_basis(points: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficient tuples (ascending powers) of the Lagrange basis through the
+    given distinct integer nodes. Cached by node tuple: the sampling grids are
+    a few short ranges, and every caller shares the immutable result."""
     basis = []
     for a in points:
         coeffs = [Fraction(1)]
@@ -220,8 +228,8 @@ def _lagrange_basis(points: Sequence[int]) -> list[list[Fraction]]:
                 nxt[k] -= c * b
                 nxt[k + 1] += c
             coeffs = nxt
-        basis.append([c / denom for c in coeffs])
-    return basis
+        basis.append(tuple(c / denom for c in coeffs))
+    return tuple(basis)
 
 
 def interpolate(
@@ -235,8 +243,8 @@ def interpolate(
         raise ValueError("sample points must be distinct")
     if len(values) != len(x_points) or any(len(row) != len(y_points) for row in values):
         raise ValueError("grid shape mismatch")
-    x_basis = _lagrange_basis(x_points)
-    y_basis = _lagrange_basis(y_points)
+    x_basis = _lagrange_basis(tuple(x_points))
+    y_basis = _lagrange_basis(tuple(y_points))
     coeffs: dict[tuple[int, int], Fraction] = {}
     for a, row in enumerate(values):
         for b, value in enumerate(row):
@@ -295,14 +303,20 @@ def rank_generating(graph: MultiGraph) -> BivariatePolynomial:
     return BivariatePolynomial(coeffs)
 
 
-def _compact_key(graph: MultiGraph):
+def _compact_key(graph: MultiGraph, orientation: Orientation | None = None):
     """Memo key: sorted edge multiset relabelled by first appearance.
 
     Complete description of the graph minus isolated vertices, so equal keys
-    imply equal Tutte polynomials; isomorphic graphs may still get distinct
-    keys, which only costs a recomputation.
+    imply equal Tutte and graph-level counting polynomials; isomorphic graphs
+    may still get distinct keys, which only costs a recomputation. With an
+    orientation, the same relabelling runs on its arrows, direction kept, so
+    the key describes the directed graph, as the per-orientation families
+    need.
     """
-    pairs = sorted((min(u, v), max(u, v)) for u, v in graph.edges)
+    if orientation is None:
+        pairs = sorted((min(u, v), max(u, v)) for u, v in graph.edges)
+    else:
+        pairs = sorted(orientation.arrows())
     relabel: dict[int, int] = {}
     out = []
     for u, v in pairs:
@@ -310,7 +324,7 @@ def _compact_key(graph: MultiGraph):
             if w not in relabel:
                 relabel[w] = len(relabel)
         a, b = relabel[u], relabel[v]
-        out.append((min(a, b), max(a, b)))
+        out.append((min(a, b), max(a, b)) if orientation is None else (a, b))
     return tuple(sorted(out))
 
 

@@ -30,6 +30,7 @@ from .orientations import (
 )
 from .polynomials import (
     BivariatePolynomial,
+    _compact_key,
     counting_polynomial,
     interpolate_checked,
     local_polynomial,
@@ -141,6 +142,40 @@ def _neg_vars(poly: BivariatePolynomial) -> BivariatePolynomial:
     return poly.substitute(-1, 0, -1, 0)
 
 
+class _PolynomialMemo:
+    """Counting polynomials of graphs and minors, kept for one ledger run or
+    one corpus sweep.
+
+    A graph-level family is keyed by the graph's ``_compact_key``, a
+    per-orientation family by the key of the orientation's arrows. Keys are
+    complete descriptions, not canonical forms: an isomorphic graph under
+    another key is only computed again. A computation that hits a resource
+    limit raises and stores nothing.
+    """
+
+    def __init__(self):
+        self._polys: dict = {}
+
+    def _get(self, key, compute) -> BivariatePolynomial:
+        poly = self._polys.get(key)
+        if poly is None:
+            poly = self._polys[key] = compute()
+        return poly
+
+    def counting(self, graph: MultiGraph, family: str, budget) -> BivariatePolynomial:
+        return self._get(
+            (_compact_key(graph), family),
+            lambda: counting_polynomial(graph, family, budget),
+        )
+
+    def local(self, graph: MultiGraph, orientation: Orientation, family: str,
+              budget) -> BivariatePolynomial:
+        return self._get(
+            (_compact_key(graph, orientation), family),
+            lambda: local_polynomial(graph, orientation, family, budget),
+        )
+
+
 def verify_graph(
     graph: MultiGraph,
     limit: int = DEFAULT_VERIFY_LIMIT,
@@ -148,6 +183,15 @@ def verify_graph(
 ) -> IdentityReport:
     """Check every identity in the ledger on one graph; exact polynomial or
     integer equalities throughout."""
+    return _verify_graph(graph, limit, budget, _PolynomialMemo())
+
+
+def _verify_graph(
+    graph: MultiGraph,
+    limit: int,
+    budget: int | None,
+    memo: _PolynomialMemo,
+) -> IdentityReport:
     nonloop = len(graph.nonloop_positions)
     if nonloop > limit:
         raise EnumerationLimitError(
@@ -212,12 +256,12 @@ def verify_graph(
         tau_bar_mod=lambda: swept("tau_bar_mod", acyclic_reps),
         phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
         # the definition-level families, counted apart from the table
-        kappa_int=lambda: counting_polynomial(graph, "kappa_int", budget),
-        kappa_mod=lambda: counting_polynomial(graph, "kappa_mod", budget),
-        tau_int=lambda: counting_polynomial(graph, "tau_int", budget),
-        phi_int=lambda: counting_polynomial(graph, "phi_int", budget),
-        tau_mod=lambda: counting_polynomial(graph, "tau_mod", budget),
-        phi_mod=lambda: counting_polynomial(graph, "phi_mod", budget),
+        kappa_int=lambda: memo.counting(graph, "kappa_int", budget),
+        kappa_mod=lambda: memo.counting(graph, "kappa_mod", budget),
+        tau_int=lambda: memo.counting(graph, "tau_int", budget),
+        phi_int=lambda: memo.counting(graph, "phi_int", budget),
+        tau_mod=lambda: memo.counting(graph, "tau_mod", budget),
+        phi_mod=lambda: memo.counting(graph, "phi_mod", budget),
     )
 
     tutte_poly = tutte(graph)
@@ -236,7 +280,10 @@ def verify_graph(
         except (BudgetExceededError, EnumerationLimitError) as exc:
             limit_hit = f"resource limit: {exc}"
         if col.problems:
-            checks.append(IdentityCheck(identity, tags[identity], "fail", col.problems[0]))
+            witness = col.problems[0]
+            if len(col.problems) > 1:
+                witness += f" (+{len(col.problems) - 1} more)"
+            checks.append(IdentityCheck(identity, tags[identity], "fail", witness))
         elif limit_hit:
             checks.append(IdentityCheck(identity, tags[identity], "skip", limit_hit))
         else:
@@ -274,9 +321,9 @@ def verify_graph(
         for mask in range(1 << m):
             ids = [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1]
             tau = getattr(poly, tau_family) if mask == 0 else \
-                counting_polynomial(graph.contract(ids), tau_family, budget)
+                memo.counting(graph.contract(ids), tau_family, budget)
             phi = getattr(poly, phi_family) if mask == full else \
-                counting_polynomial(graph.restrict(ids), phi_family, budget)
+                memo.counting(graph.restrict(ids), phi_family, budget)
             total = total + tau * phi
         return total
 
@@ -328,14 +375,14 @@ def verify_graph(
             col.equal(
                 f"{label} product decomposition",
                 poly.kappa[o],
-                local_polynomial(quotient, o_quot, "tau_local", budget)
-                * local_polynomial(restriction, o_rest, "phi_local", budget),
+                memo.local(quotient, o_quot, "tau_local", budget)
+                * memo.local(restriction, o_rest, "phi_local", budget),
             )
             col.equal(
                 f"{label} closed product decomposition",
                 poly.kappa_bar[o],
-                local_polynomial(quotient, o_quot, "tau_bar_local", budget)
-                * local_polynomial(restriction, o_rest, "phi_bar_local", budget),
+                memo.local(quotient, o_quot, "tau_bar_local", budget)
+                * memo.local(restriction, o_rest, "phi_bar_local", budget),
             )
             col.equal(
                 f"{label} reciprocity",
@@ -586,5 +633,7 @@ def verify_corpus(
     limit: int = DEFAULT_VERIFY_LIMIT,
     budget: int | None = None,
 ) -> Iterator[tuple[MultiGraph, IdentityReport]]:
+    # one memo for the whole sweep: the minors of small graphs repeat
+    memo = _PolynomialMemo()
     for graph in small_multigraphs(max_edges, include_loops):
-        yield graph, verify_graph(graph, limit, budget)
+        yield graph, _verify_graph(graph, limit, budget, memo)

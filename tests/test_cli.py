@@ -164,3 +164,20 @@ def test_budget_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--budget", "21", "count", str(path21), "--family", "tau_mod", "--p", "1"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_corpus_text_streams_each_graph(monkeypatch, capsys):
+    # a sweep that dies after its first graph has already printed that graph
+    import ctfpolys.cli as cli
+    from ctfpolys import EnumerationLimitError, verify_graph
+
+    def sweep(max_edges, include_loops):
+        graph = build_graph(2, [(0, 1)])
+        yield graph, verify_graph(graph)
+        raise EnumerationLimitError("sweep stopped")
+
+    monkeypatch.setattr(cli, "verify_corpus", sweep)
+    assert main(["corpus", "--max-edges", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "pass  |V|=2 edges: 0-1\n"
+    assert "sweep stopped" in captured.err

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctfpolys import (
     BivariatePolynomial,
@@ -191,3 +192,33 @@ def test_polynomial_report(k2):
     # K2: single bridge; both orientations acyclic, one CE class
     assert named["kappa_bar_int"] == 2 * (X + 1)
     assert named["tau_int"] == 2 * (X - 1)
+
+
+_coefficients = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.fractions(max_denominator=12),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficients, st.integers(-9, 9), st.integers(-9, 9))
+def test_integer_point_evaluation_matches_fraction_path(coeffs, x, y):
+    poly = BivariatePolynomial(coeffs)
+    value = poly.evaluate(x, y)
+    assert isinstance(value, Fraction)
+    assert value == poly.evaluate(Fraction(x), Fraction(y))
+
+
+def test_cached_lagrange_bases_are_immutable():
+    from ctfpolys.polynomials import _lagrange_basis
+
+    basis = _lagrange_basis((0, 1, 2))
+    with pytest.raises(TypeError):
+        basis[0][0] = Fraction(5)
+    with pytest.raises((TypeError, AttributeError)):
+        basis[0].append(Fraction(5))
+    assert _lagrange_basis((0, 1, 2)) is basis
+    # the basis through 0, 1, 2 reproduces t^2 from its values 0, 1, 4
+    values = [[a * a] for a in (0, 1, 2)]
+    assert interpolate(values, [0, 1, 2], [0]) == X * X

@@ -4,13 +4,17 @@ import pytest
 
 from ctfpolys import (
     EnumerationLimitError,
+    Orientation,
     build_graph,
+    local_polynomial,
+    rank_generating,
     small_multigraphs,
     tutte,
     verify_corpus,
     verify_graph,
 )
-from ctfpolys.verify import IDENTITY_TAGS
+from ctfpolys.polynomials import _compact_key
+from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
 
 ALL_IDS = [identity for identity, _ in IDENTITY_TAGS]
 
@@ -133,3 +137,45 @@ def test_verify_corpus_edgeless_only():
     graph, report = results[0]
     assert graph.edge_count == 0
     assert report.all_passed
+
+
+def test_sweep_memo_changes_no_report():
+    # the sweep shares one memo across graphs; each report must equal the
+    # one a fresh ledger run gives
+    for graph, report in verify_corpus(3, include_loops=True):
+        assert report.checks == verify_graph(graph).checks, graph.edges
+
+
+def test_local_memo_keys_keep_direction():
+    # a->b->c and a->b<-c share the undirected key but not the directed one
+    path = build_graph(3, [(0, 1), (1, 2)])
+    through = Orientation.reference(path)
+    inward = through.with_flipped([1])
+    assert _compact_key(path) == _compact_key(build_graph(3, [(0, 1), (2, 1)]))
+    assert _compact_key(path, through) != _compact_key(path, inward)
+    # the two orientations of a digon differ the same way and have different
+    # local polynomials: one memo must still return each one's own
+    digon = build_graph(2, [(0, 1), (0, 1)])
+    acyclic = Orientation.reference(digon)
+    cyclic = acyclic.with_flipped([1])
+    memo = _PolynomialMemo()
+    for family in ("tau_local", "phi_local", "tau_bar_local", "phi_bar_local"):
+        fresh = [local_polynomial(digon, o, family) for o in (acyclic, cyclic)]
+        assert fresh[0] != fresh[1], family
+        assert [memo.local(digon, o, family, None) for o in (acyclic, cyclic)] == fresh
+
+
+def test_failure_witness_counts_problems(p8, monkeypatch):
+    # a wrong rank generating polynomial breaks all 18 RPQ checks: the
+    # witness names the first and counts the other 17
+    import ctfpolys.verify as verify
+
+    wrong = rank_generating(p8) + 1
+    monkeypatch.setattr(verify, "rank_generating", lambda graph: wrong)
+    report = verify_graph(p8)
+    rpq = next(c for c in report.checks if c.identity == "RPQ")
+    assert rpq.status == "fail"
+    assert rpq.witness.startswith("R(1,1) pair sum: ")
+    assert rpq.witness.endswith(" (+17 more)")
+    assert report.outcome == "fail"
+    assert set(report.to_json_list()[0]) == {"id", "tag", "status", "witness"}
