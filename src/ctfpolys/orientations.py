@@ -274,7 +274,9 @@ def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
 
 def _circuit_part(orientation: Orientation) -> frozenset[int]:
     """Positions of the circuit-part edges: loops and the edges inside a
-    strongly connected component."""
+    strongly connected component. ``_circuit_part_positions`` keeps it per
+    orientation for the count table and the ledger, which read it many
+    times; a one-pass sweep such as ``enumerate_classes`` calls it uncached."""
     graph = orientation.graph
     comp = _strong_components(orientation)
     return frozenset(
@@ -284,12 +286,7 @@ def _circuit_part(orientation: Orientation) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
-def _circuit_part_positions(orientation: Orientation) -> frozenset[int]:
-    """``_circuit_part``, kept per orientation for the count table and the
-    ledger, which read it many times; a one-pass sweep such as
-    ``enumerate_classes`` calls ``_circuit_part`` instead."""
-    return _circuit_part(orientation)
+_circuit_part_positions = lru_cache(maxsize=None)(_circuit_part)
 
 
 def _circuit_filter(circuit: frozenset[int] | None, edge_count: int, filter: str) -> bool:

@@ -122,15 +122,13 @@ class BivariatePolynomial:
         return self.__mul__(other)
 
     def evaluate(self, x, y) -> Fraction:
-        if isinstance(x, int) and isinstance(y, int):
-            # integer points: the powers stay ints, one Fraction step per term
-            total = Fraction(0)
-            for (i, j), c in self._coeffs.items():
-                total += c * (x**i * y**j)
-            return total
-        x, y = Fraction(x), Fraction(y)
+        # ints stay ints, so at integer points the powers need no Fraction step
+        if not isinstance(x, int):
+            x = Fraction(x)
+        if not isinstance(y, int):
+            y = Fraction(y)
         return sum(
-            (c * x**i * y**j for (i, j), c in self._coeffs.items()),
+            (c * (x**i * y**j) for (i, j), c in self._coeffs.items()),
             Fraction(0),
         )
 
