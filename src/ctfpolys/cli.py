@@ -7,15 +7,11 @@ import argparse
 import json
 import sys
 
-from .counting import (
-    BudgetExceededError,
-    CountQuery,
-    FAMILIES,
-    count,
-)
+from .counting import CountQuery, FAMILIES, LOCAL_FAMILIES, count
 from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_text
 from .orientations import (
-    EnumerationLimitError,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     classify,
     enumerate_classes,
     enumerate_orientations,
@@ -23,11 +19,6 @@ from .orientations import (
 )
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
 from .verify import IdentityReport, verify_corpus, verify_graph
-
-#: Largest edge count accepted for polynomial-family commands (full
-#: orientation sweeps), and for single counts.
-SWEEP_EDGE_LIMIT = 12
-COUNT_EDGE_LIMIT = 20
 
 EXAMPLE_GRAPH_EDGES = ((0, 2), (0, 1), (1, 2), (0, 1), (1, 2))
 
@@ -41,18 +32,8 @@ def _load_graph(path: str) -> MultiGraph:
         return parse_graph_text(fh.read())
 
 
-def _check_edge_limit(graph: MultiGraph, budget: int | None, default: int) -> None:
-    cap = budget if budget is not None else default
-    if graph.edge_count > cap:
-        raise EnumerationLimitError(
-            f"graph has {graph.edge_count} edges, limit is {cap} (use --budget)"
-        )
-
-
 def _cmd_polys(args) -> int:
-    graph = _load_graph(args.file)
-    _check_edge_limit(graph, args.budget, SWEEP_EDGE_LIMIT)
-    report = polynomial_report(graph)
+    report = polynomial_report(_load_graph(args.file), args.budget)
     named = report.named()
     if args.format == "json":
         payload = {name: poly.to_json_dict() for name, poly in named.items()}
@@ -75,7 +56,6 @@ def _parse_group(text: str | None) -> tuple[int, ...] | None:
 
 def _cmd_count(args) -> int:
     graph = _load_graph(args.file)
-    _check_edge_limit(graph, args.budget, COUNT_EDGE_LIMIT)
     query = CountQuery(
         family=args.family,
         p=args.p,
@@ -84,16 +64,15 @@ def _cmd_count(args) -> int:
         group_a=_parse_group(args.group),
         group_b=_parse_group(args.group_b),
     )
-    print(count(graph, query))
+    print(count(graph, query, args.budget))
     return 0
 
 
 def _cmd_classes(args) -> int:
     graph = _load_graph(args.file)
-    _check_edge_limit(graph, args.budget, COUNT_EDGE_LIMIT)
     relation = args.relation.replace("-", "_")
     filter_name = args.filter.replace("-", "_")
-    partition = enumerate_classes(graph, relation, filter_name)
+    partition = enumerate_classes(graph, relation, filter_name, args.budget)
     if args.format == "json":
         payload = {
             "relation": args.relation,
@@ -131,15 +110,13 @@ def _print_report(report: IdentityReport, fmt: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    graph = _load_graph(args.file)
-    _check_edge_limit(graph, args.budget, SWEEP_EDGE_LIMIT)
-    report = verify_graph(graph)
+    report = verify_graph(_load_graph(args.file), args.budget)
     _print_report(report, args.format)
     return EXIT_CODES[report.outcome]
 
 
 def _cmd_corpus(args) -> int:
-    results = verify_corpus(args.max_edges, args.loops)
+    results = verify_corpus(args.max_edges, args.loops, args.budget)
     if args.format == "json":
         results = list(results)
         payload = [
@@ -170,37 +147,39 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    graph = _example_graph()
+    graph, budget = _example_graph(), args.budget
     t = tutte(graph)
     r = rank_generating(graph)
-    kappa = counting_polynomial(graph, "kappa_mod")
-    kappa_int = counting_polynomial(graph, "kappa_int")
-    kappa_bar = counting_polynomial(graph, "kappa_bar_mod")
-    kappa_bar_int = counting_polynomial(graph, "kappa_bar_int")
+    kappa = counting_polynomial(graph, "kappa_mod", budget)
+    kappa_int = counting_polynomial(graph, "kappa_int", budget)
+    kappa_bar = counting_polynomial(graph, "kappa_bar_mod", budget)
+    kappa_bar_int = counting_polynomial(graph, "kappa_bar_int", budget)
 
-    orientations = list(enumerate_orientations(graph))
+    def class_count(relation, filter_name="all"):
+        return len(enumerate_classes(graph, relation, filter_name, budget).classes)
+
+    orientations = list(enumerate_orientations(graph, budget))
     n_acyclic = sum(1 for o in orientations if classify(o).is_acyclic)
     n_tc = sum(1 for o in orientations if classify(o).is_totally_cyclic)
     censuses = [
         ("orientations", len(orientations)),
         ("acyclic orientations", n_acyclic),
         ("totally cyclic orientations", n_tc),
-        ("cut-Eulerian classes", len(enumerate_classes(graph, "cut_eulerian", "all").classes)),
-        ("cut classes of acyclic orientations",
-         len(enumerate_classes(graph, "cut", "acyclic").classes)),
+        ("cut-Eulerian classes", class_count("cut_eulerian")),
+        ("cut classes of acyclic orientations", class_count("cut", "acyclic")),
         ("Eulerian classes of totally cyclic orientations",
-         len(enumerate_classes(graph, "eulerian", "totally_cyclic").classes)),
-        ("cut classes", len(enumerate_classes(graph, "cut", "all").classes)),
-        ("Eulerian classes", len(enumerate_classes(graph, "eulerian", "all").classes)),
+         class_count("eulerian", "totally_cyclic")),
+        ("cut classes", class_count("cut")),
+        ("Eulerian classes", class_count("eulerian")),
     ]
 
-    kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2))
-    kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2))
+    kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2), budget)
+    kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2), budget)
     # an orientation is cut-Eulerian exactly when its reverse is
     # cut-Eulerian equivalent to it
     ce_members = [o for o in orientations if equivalent(o, o.reversed(), "cut_eulerian")]
     ce_class_count = sum(
-        1 for rep in enumerate_classes(graph, "cut_eulerian", "all").representatives
+        1 for rep in enumerate_classes(graph, "cut_eulerian", "all", budget).representatives
         if equivalent(rep, rep.reversed(), "cut_eulerian")
     )
 
@@ -241,8 +220,27 @@ def _cmd_example(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other bad input: exit code 2
+    means that an identity failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctfpolys",
         description="Exact tension-flow counting polynomials of multigraphs",
     )
@@ -251,8 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     parser.add_argument(
-        "--budget", type=int, default=None,
-        help="override the edge-count limit for expensive commands",
+        "--budget", type=_budget, default=DEFAULT_BUDGET,
+        help="work items one call may create: DP states of one counting-kernel "
+        "call, or the 2^|E| orientations or edge subsets of one sweep "
+        f"(default {DEFAULT_BUDGET}); past it a command exits 1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="one counting-family value")
     p_count.add_argument("file")
-    p_count.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    # the per-orientation families need an orientation, which the CLI cannot pass
+    p_count.add_argument("--family", required=True, choices=sorted(FAMILIES - LOCAL_FAMILIES))
     p_count.add_argument("--p", type=int, default=None)
     p_count.add_argument("--q", type=int, default=None)
     p_count.add_argument(
@@ -315,7 +316,6 @@ def main(argv=None) -> int:
         ValueError,
         KeyError,
         BudgetExceededError,
-        EnumerationLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

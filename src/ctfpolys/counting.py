@@ -16,8 +16,9 @@ from typing import Iterator, Sequence
 
 from .multigraph import MultiGraph, _UnionFind
 from .orientations import (
-    DEFAULT_SWEEP_LIMIT,
+    DEFAULT_BUDGET,
     Orientation,
+    _check_budget,
     _circuit_table,
     _circuit_part_positions,
     _flip_signs,
@@ -27,9 +28,6 @@ from .orientations import (
     is_flow,
     is_tension,
 )
-
-#: Cap on candidate assignments per box/group enumeration.
-DEFAULT_CANDIDATE_BUDGET = 1 << 22
 
 FAMILIES = frozenset(
     {
@@ -80,10 +78,6 @@ _X_ONLY = frozenset({"tau_mod", "tau_int", "tau_local", "tau_bar_local",
                      "tau_bar_int", "tau_bar_mod"})
 _Y_ONLY = frozenset({"phi_mod", "phi_int", "phi_local", "phi_bar_local",
                      "phi_bar_int", "phi_bar_mod"})
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its candidate budget."""
 
 
 @dataclass(frozen=True)
@@ -177,14 +171,6 @@ def _structure(graph: MultiGraph):
     )
 
 
-def _check_budget(candidates: int, budget: int | None) -> None:
-    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    if candidates > cap:
-        raise BudgetExceededError(
-            f"enumeration needs {candidates} candidates, budget is {cap}"
-        )
-
-
 def _normalize_ranges(
     graph: MultiGraph,
     lower,
@@ -225,14 +211,14 @@ def _flow_coeffs(orientation: Orientation):
     )
 
 
-def _iter_tensions(orientation, ranges, budget=None) -> Iterator[tuple[int, ...]]:
+def _iter_tensions(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
     """Integer tensions of the digraph with per-position inclusive bounds,
     parametrized by spanning-forest values."""
     graph = orientation.graph
     forest_pos, _, _, _ = _structure(graph)
     dependent = _tension_coeffs(orientation)
     spans = [range(ranges[t][0], ranges[t][1] + 1) for t in forest_pos]
-    _check_budget(prod(len(s) for s in spans), budget)
+    _check_budget(prod(len(s) for s in spans), budget, "candidates")
     vec = [0] * graph.edge_count
     for assignment in product(*spans):
         for t, value in zip(forest_pos, assignment):
@@ -250,7 +236,7 @@ def _iter_tensions(orientation, ranges, budget=None) -> Iterator[tuple[int, ...]
             yield tuple(vec)
 
 
-def _iter_flows(orientation, ranges, budget=None) -> Iterator[tuple[int, ...]]:
+def _iter_flows(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
     """Integer flows with per-position inclusive bounds, parametrized by
     cotree values."""
     graph = orientation.graph
@@ -258,7 +244,7 @@ def _iter_flows(orientation, ranges, budget=None) -> Iterator[tuple[int, ...]]:
     cotree_pos = [e for e, _ in cotree]
     dependent = _flow_coeffs(orientation)
     spans = [range(ranges[e][0], ranges[e][1] + 1) for e in cotree_pos]
-    _check_budget(prod(len(s) for s in spans), budget)
+    _check_budget(prod(len(s) for s in spans), budget, "candidates")
     vec = [0] * graph.edge_count
     for assignment in product(*spans):
         for e, value in zip(cotree_pos, assignment):
@@ -288,7 +274,7 @@ class _AdditionRows(dict):
         return row
 
 
-def _partial_sum_dp(free, dependent, values, zeros: str, budget=None):
+def _partial_sum_dp(free, dependent, values, zeros: str, budget):
     """Count the vectors of a space parametrized by free values at the
     positions ``free``: each dependent position (pos, ((free_pos, c), ...))
     holds the sum of c * value over its free positions, c = +-1.
@@ -306,16 +292,11 @@ def _partial_sum_dp(free, dependent, values, zeros: str, budget=None):
     value is assigned; the ranges it allows cut that free value down to an
     interval. A step that moves no open sum counts its values in bulk, and
     only the few values that make a position zero are taken one by one.
-    The budget sees the candidate product of the free values, as an
-    enumeration of every assignment would.
+    The budget counts the states the steps create, checked after each step.
     """
     group = values if isinstance(values, CyclicProduct) else None
-    if group is None:
-        _check_budget(prod(max(0, values[t][1] - values[t][0] + 1) for t in free), budget)
-    else:
-        _check_budget(group.order ** len(free), budget)
-        if free:  # the negation list costs the group's order
-            rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
+    if group is not None and free:  # the negation list costs the group's order
+        rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
 
     index = {pos: i for i, pos in enumerate(free)}
     opening = [[] for _ in free]
@@ -347,7 +328,7 @@ def _partial_sum_dp(free, dependent, values, zeros: str, budget=None):
         steps.append((pos, (0,) * len(opening[i]), keep, close))
 
     track, forbid = zeros != "allowed", zeros == "forbidden"
-    states = {((), start_mask): 1}
+    states, created = {((), start_mask): 1}, 0
     for pos, pad, keep, close in steps:
         bit = 1 << pos
         moving = any(c for _, c in keep)
@@ -412,12 +393,14 @@ def _partial_sum_dp(free, dependent, values, zeros: str, budget=None):
                 key = (nxt, mask | bits)
                 new[key] = new.get(key, 0) + n
         states = new
+        created += len(new)
+        _check_budget(created, budget, "DP states")
     if zeros == "masks":
         return {mask: n for (_, mask), n in states.items()}
     return sum(states.values())
 
 
-def _count_tensions(orientation, values, budget=None, zeros: str = "allowed"):
+def _count_tensions(orientation, values, budget, zeros: str = "allowed"):
     """Tensions of the digraph with values in per-position integer ranges or
     in a group, counted by the partial-sum DP over spanning-forest values;
     see _partial_sum_dp for ``zeros``."""
@@ -425,7 +408,7 @@ def _count_tensions(orientation, values, budget=None, zeros: str = "allowed"):
     return _partial_sum_dp(forest_pos, _tension_coeffs(orientation), values, zeros, budget)
 
 
-def _count_flows(orientation, values, budget=None, zeros: str = "allowed"):
+def _count_flows(orientation, values, budget, zeros: str = "allowed"):
     """Flows, counted like _count_tensions over cotree values."""
     _, cotree, _, _ = _structure(orientation.graph)
     return _partial_sum_dp(
@@ -439,7 +422,7 @@ def enum_integer_tensions_box(
     upper,
     strict_lower=None,
     strict_upper=None,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All integer tensions with lower <= f(e) <= upper per edge (strict
     flags tighten either side). Bounds may be scalars or per-edge sequences."""
@@ -453,7 +436,7 @@ def enum_integer_flows_box(
     upper,
     strict_lower=None,
     strict_upper=None,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """Integer flows in a box; dual to the tension enumerator."""
     ranges = _normalize_ranges(orientation.graph, lower, upper, strict_lower, strict_upper)
@@ -463,7 +446,7 @@ def enum_integer_flows_box(
 def enum_modular_tensions(
     orientation: Orientation,
     group: Sequence[int],
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """The tension group over the given product of cyclic moduli: one vector
     per potential with the smallest vertex of each component pinned to 0."""
@@ -471,7 +454,7 @@ def enum_modular_tensions(
     graph = orientation.graph
     _, _, _, roots = _structure(graph)
     free = [v for v in range(graph.vertex_count) if v not in roots]
-    _check_budget(grp.order ** len(free), budget)
+    _check_budget(grp.order ** len(free), budget, "candidates")
     arrows = orientation.arrows()
     out = []
     potential = [0] * graph.vertex_count
@@ -487,7 +470,7 @@ def enum_modular_tensions(
 def enum_modular_flows(
     orientation: Orientation,
     group: Sequence[int],
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """The flow group over the given product of cyclic moduli: free cotree
     values extended through the fundamental circuits."""
@@ -496,7 +479,7 @@ def enum_modular_flows(
     _, cotree, _, _ = _structure(graph)
     cotree_pos = [e for e, _ in cotree]
     dependent = _flow_coeffs(orientation)
-    _check_budget(grp.order ** len(cotree_pos), budget)
+    _check_budget(grp.order ** len(cotree_pos), budget, "candidates")
     out = []
     vec = [0] * graph.edge_count
     for values in product(grp.elements(), repeat=len(cotree_pos)):
@@ -521,7 +504,7 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _box_count(orientation, side, box, value, budget=None) -> int:
+def _box_count(orientation, side, box, value, budget) -> int:
     """Tensions (side "tension") or flows (side "flow") of the orientation in
     one box of ORIENTATION_SUMS at p or q; 1 for the box None."""
     if box is None:
@@ -542,7 +525,7 @@ def sum_members(
     graph: MultiGraph,
     family: str,
     orientation: Orientation | None = None,
-    sweep_limit: int = DEFAULT_SWEEP_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[Orientation, ...]:
     """The orientations an orientation-sum family adds up."""
     members = ORIENTATION_SUMS[family][0]
@@ -550,10 +533,8 @@ def sum_members(
         return (orientation,)
     source, filter_name = members
     if source == "representatives":
-        return enumerate_classes(graph, "cut_eulerian", filter_name, sweep_limit).representatives
-    return tuple(
-        o for o in enumerate_orientations(graph, sweep_limit) if in_filter(o, filter_name)
-    )
+        return enumerate_classes(graph, "cut_eulerian", filter_name, budget).representatives
+    return tuple(o for o in enumerate_orientations(graph, budget) if in_filter(o, filter_name))
 
 
 class CountTable:
@@ -562,7 +543,7 @@ class CountTable:
     one count, one polynomial, one ``polys`` report (all six graph-level
     orientation-sum families) or one identity-ledger computation."""
 
-    def __init__(self, budget: int | None = None):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
         self.budget = budget
         self._counts: dict = {}
 
@@ -587,12 +568,12 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def count(graph: MultiGraph, query, budget: int | None = None,
-          sweep_limit: int = DEFAULT_SWEEP_LIMIT, **kwargs) -> int:
+def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> int:
     """Exact value of one counting family at one argument point.
 
     ``query`` is a CountQuery or a family name (extra arguments then come
-    from keyword arguments p, q, orientation, group_a, group_b).
+    from keyword arguments p, q, orientation, group_a, group_b). ``budget``
+    caps the work items of each kernel call and orientation sweep.
     """
     if isinstance(query, str):
         query = CountQuery(query, **kwargs)
@@ -631,7 +612,7 @@ def count(graph: MultiGraph, query, budget: int | None = None,
         tensions = [(-(p - 1), p - 1)] * m if family != "phi_int" else None
         flows = [(-(q - 1), q - 1)] * m if family != "tau_int" else None
     else:
-        members = sum_members(graph, family, orientation, sweep_limit)
+        members = sum_members(graph, family, orientation, budget)
         return CountTable(budget).total(family, members, p, q)
 
     if flows is None:

@@ -12,12 +12,19 @@ from .multigraph import MultiGraph, spanning_structure
 
 RELATIONS = ("cut", "eulerian", "cut_eulerian")
 
-#: Largest number of non-loop edges for which a full orientation sweep is run.
-DEFAULT_SWEEP_LIMIT = 20
+#: Work items one call may create: the DP states of one counting-kernel call,
+#: the candidates of one ``enum_*`` call, or the 2^|E| orientations or edge
+#: subsets of one sweep.
+DEFAULT_BUDGET = 1 << 20
 
 
-class EnumerationLimitError(RuntimeError):
-    """Raised when an orientation sweep would exceed its limit."""
+class BudgetExceededError(RuntimeError):
+    """Raised when one call would create more work items than its budget."""
+
+
+def _check_budget(work: int, budget: int, items: str) -> None:
+    if work > budget:
+        raise BudgetExceededError(f"{work} {items} exceed the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -338,13 +345,11 @@ def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientat
     return Orientation(minor, tuple(flip_by_id[i] for i in minor.edge_ids))
 
 
-def enumerate_orientations(graph: MultiGraph, limit: int = DEFAULT_SWEEP_LIMIT) -> Iterator[Orientation]:
-    """All 2^|E| orientations in lexicographic flip order."""
+def enumerate_orientations(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Iterator[Orientation]:
+    """All 2^|E| orientations in lexicographic flip order; more than
+    ``budget`` of them raise BudgetExceededError before the first."""
     k = graph.edge_count
-    if k > limit:
-        raise EnumerationLimitError(
-            f"{k} edges exceeds the orientation sweep limit {limit}"
-        )
+    _check_budget(1 << k, budget, "orientations")
     for bits in product((0, 1), repeat=k):
         yield Orientation(graph, bits)
 
@@ -385,7 +390,7 @@ def enumerate_classes(
     graph: MultiGraph,
     relation: str,
     filter: str = "all",
-    limit: int = DEFAULT_SWEEP_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> ClassPartition:
     """Partition the (optionally filtered) orientation set into equivalence
     classes, in one pass that groups the orientations by a key.
@@ -414,7 +419,7 @@ def enumerate_classes(
     # each circuit part is read once here, so none is kept for the process
     needs_circuit = relation == "cut_eulerian" or filter != "all"
     grouped: dict[object, list[Orientation]] = {}
-    for o in enumerate_orientations(graph, limit):
+    for o in enumerate_orientations(graph, budget):
         circuit = _circuit_part(o) if needs_circuit else None
         if _circuit_filter(circuit, graph.edge_count, filter):
             grouped.setdefault(key(o, circuit), []).append(o)

@@ -22,7 +22,7 @@ from .counting import (
     sum_members,
 )
 from .multigraph import MultiGraph, _UnionFind
-from .orientations import Orientation
+from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
 
 
 class InterpolationError(ValueError):
@@ -38,7 +38,8 @@ class BivariatePolynomial:
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None):
         cleaned: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in (coeffs or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 cleaned[(int(i), int(j))] = c
         self._coeffs = cleaned
@@ -404,12 +405,12 @@ def _polynomial(
     graph: MultiGraph,
     family: str,
     orientation: Orientation | None,
-    budget: int | None,
+    budget: int,
     table: CountTable | None = None,
 ) -> BivariatePolynomial:
     stats = graph.stats()
     if family in ORIENTATION_SUMS:
-        members = sum_members(graph, family, orientation)
+        members = sum_members(graph, family, orientation, budget)
         return orientation_sum_polynomial(
             table if table is not None else CountTable(budget),
             family, members, stats.rank, stats.nullity,
@@ -424,7 +425,7 @@ def _polynomial(
 def counting_polynomial(
     graph: MultiGraph,
     family: str,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> BivariatePolynomial:
     """Interpolate a graph-level counting family into its polynomial.
 
@@ -444,7 +445,7 @@ def local_polynomial(
     graph: MultiGraph,
     orientation: Orientation,
     family: str,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> BivariatePolynomial:
     """Polynomial of one of the per-orientation families."""
     if family not in LOCAL_FAMILIES:
@@ -475,7 +476,10 @@ class PolynomialReport:
         return out
 
 
-def polynomial_report(graph: MultiGraph, budget: int | None = None) -> PolynomialReport:
+def polynomial_report(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> PolynomialReport:
+    # the rank-generating polynomial and the orientation sums sweep 2^|E|
+    # subsets: an oversized graph stops here, before any of them runs
+    _check_budget(1 << graph.edge_count, budget, "edge subsets")
     # the orientation-sum families read one table, so the box counts made for
     # kappa_bar_int and kappa_bar_mod serve the tau and phi families too
     table = CountTable(budget)

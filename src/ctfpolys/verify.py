@@ -9,7 +9,6 @@ from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .counting import (
-    BudgetExceededError,
     CountQuery,
     CountTable,
     CyclicProduct,
@@ -19,8 +18,10 @@ from .counting import (
 )
 from .multigraph import MultiGraph, build_graph
 from .orientations import (
-    EnumerationLimitError,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     Orientation,
+    _check_budget,
     _circuit_part_positions,
     enumerate_classes,
     enumerate_orientations,
@@ -38,9 +39,6 @@ from .polynomials import (
     rank_generating,
     tutte,
 )
-
-#: Default cap on non-loop edges for a full verification run.
-DEFAULT_VERIFY_LIMIT = 12
 
 IDENTITY_TAGS = (
     ("T1b", "integral decomposition over orientations"),
@@ -176,34 +174,24 @@ class _PolynomialMemo:
         )
 
 
-def verify_graph(
-    graph: MultiGraph,
-    limit: int = DEFAULT_VERIFY_LIMIT,
-    budget: int | None = None,
-) -> IdentityReport:
+def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check every identity in the ledger on one graph; exact polynomial or
-    integer equalities throughout."""
-    return _verify_graph(graph, limit, budget, _PolynomialMemo())
+    integer equalities throughout. A graph with more than ``budget`` edge
+    subsets raises BudgetExceededError; an identity whose computation needs
+    a kernel call over the budget is reported as "skip"."""
+    return _verify_graph(graph, budget, _PolynomialMemo())
 
 
-def _verify_graph(
-    graph: MultiGraph,
-    limit: int,
-    budget: int | None,
-    memo: _PolynomialMemo,
-) -> IdentityReport:
-    nonloop = len(graph.nonloop_positions)
-    if nonloop > limit:
-        raise EnumerationLimitError(
-            f"{nonloop} non-loop edges exceeds the verification limit {limit}"
-        )
+def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> IdentityReport:
+    # the orientation and edge-subset sweeps below all have 2^|E| items
+    _check_budget(1 << graph.edge_count, budget, "edge subsets")
     stats = graph.stats()
     r, n, m = stats.rank, stats.nullity, graph.edge_count
 
-    orientations = list(enumerate_orientations(graph))
-    part_ce = enumerate_classes(graph, "cut_eulerian", "all")
-    part_cu = enumerate_classes(graph, "cut", "all")
-    part_eu = enumerate_classes(graph, "eulerian", "all")
+    orientations = list(enumerate_orientations(graph, budget))
+    part_ce = enumerate_classes(graph, "cut_eulerian", "all", budget)
+    part_cu = enumerate_classes(graph, "cut", "all", budget)
+    part_eu = enumerate_classes(graph, "eulerian", "all", budget)
 
     def class_sizes(partition):
         return {o: len(cls) for cls in partition.classes for o in cls}
@@ -277,7 +265,7 @@ def _verify_graph(
         limit_hit = None
         try:
             body(col)
-        except (BudgetExceededError, EnumerationLimitError) as exc:
+        except BudgetExceededError as exc:
             limit_hit = f"resource limit: {exc}"
         if col.problems:
             witness = col.problems[0]
@@ -630,10 +618,9 @@ def small_multigraphs(max_edges: int, include_loops: bool) -> Iterator[MultiGrap
 def verify_corpus(
     max_edges: int,
     include_loops: bool = True,
-    limit: int = DEFAULT_VERIFY_LIMIT,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[MultiGraph, IdentityReport]]:
     # one memo for the whole sweep: the minors of small graphs repeat
     memo = _PolynomialMemo()
     for graph in small_multigraphs(max_edges, include_loops):
-        yield graph, _verify_graph(graph, limit, budget, memo)
+        yield graph, _verify_graph(graph, budget, memo)

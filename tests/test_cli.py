@@ -84,7 +84,7 @@ def test_verify_command(p8_file, capsys):
 def test_verify_exit_codes_with_failing_stub(p8_file, monkeypatch, capsys):
     import ctfpolys.cli as cli
 
-    def fake_verify(graph):
+    def fake_verify(graph, budget):
         return IdentityReport(
             graph,
             (IdentityCheck("T1b", "stub", "fail", "crafted failure"),),
@@ -96,19 +96,15 @@ def test_verify_exit_codes_with_failing_stub(p8_file, monkeypatch, capsys):
     assert "crafted failure" in capsys.readouterr().out
 
 
-def test_verify_resource_limit_is_exit_1(p8_file, monkeypatch, capsys):
-    # a candidate budget too small for phi_int skips identities: the run
-    # reports them as skip and exits 1, not 2
-    import ctfpolys.cli as cli
-    from ctfpolys import verify_graph
-
-    monkeypatch.setattr(cli, "verify_graph", lambda graph: verify_graph(graph, budget=216))
-    assert main(["verify", p8_file]) == 1
+def test_verify_resource_limit_is_exit_1(p8_file, capsys):
+    # 64 DP states per kernel call are too few for phi_int: the run reports
+    # the identities that read it as skip and exits 1, not 2
+    assert main(["--budget", "64", "verify", p8_file]) == 1
     out = capsys.readouterr().out
     assert "skip" in out and "fail" not in out
 
 
-def test_verify_operational_error_is_exit_1(tmp_path, capsys):
+def test_verify_operational_error_is_exit_1(tmp_path, monkeypatch, capsys):
     code = main(["verify", str(tmp_path / "missing.g")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
@@ -117,9 +113,22 @@ def test_verify_operational_error_is_exit_1(tmp_path, capsys):
     bad.write_text("v x\n")
     assert main(["verify", str(bad)]) == 1
 
+    # 2^21 edge subsets exceed the default budget: both commands stop before
+    # they compute anything
+    import ctfpolys.polynomials as polynomials
+    import ctfpolys.verify as verify
+
+    def never(graph):
+        raise AssertionError("computed before the budget check")
+
+    monkeypatch.setattr(polynomials, "rank_generating", never)
+    monkeypatch.setattr(verify, "rank_generating", never)
     big = tmp_path / "big.g"
-    big.write_text(format_graph_text(build_graph(2, [(0, 1)] * 13)))
-    assert main(["verify", str(big)]) == 1
+    big.write_text(format_graph_text(build_graph(2, [(0, 1)] * 21)))
+    capsys.readouterr()
+    for command in ("polys", "verify"):
+        assert main([command, str(big)]) == 1
+        assert "2097152 edge subsets exceed the budget of 1048576" in capsys.readouterr().err
 
 
 def test_corpus_command(capsys):
@@ -158,23 +167,74 @@ def test_budget_override(tmp_path, capsys):
     assert main(["count", str(path), "--family", "tau_mod", "--p", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
+    # a star's tau_mod count takes one DP state per edge: 21 states on 21
+    # edges, well inside the default budget
     path21 = tmp_path / "star21.g"
     path21.write_text(format_graph_text(build_graph(22, [(0, k) for k in range(1, 22)])))
-    assert main(["count", str(path21), "--family", "tau_mod", "--p", "1"]) == 1
-    capsys.readouterr()
-    assert main(["--budget", "21", "count", str(path21), "--family", "tau_mod", "--p", "1"]) == 0
-    assert capsys.readouterr().out.strip() == "0"
+    assert main(["count", str(path21), "--family", "tau_mod", "--p", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["--budget", "20", "count", str(path21), "--family", "tau_mod", "--p", "2"]) == 1
+    assert "21 DP states exceed the budget of 20" in capsys.readouterr().err
+    assert main(["--budget", "21", "count", str(path21), "--family", "tau_mod", "--p", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_budget_reaches_every_command(tmp_path, capsys):
+    # the triangle has 2^3 orientations and edge subsets; the worked example 2^5
+    triangle = tmp_path / "triangle.g"
+    triangle.write_text(format_graph_text(build_graph(3, [(0, 1), (1, 2), (0, 2)])))
+    path = str(triangle)
+    commands = (
+        ["polys", path],
+        ["count", path, "--family", "kappa_bar_int", "--p", "1", "--q", "1"],
+        ["classes", path, "--relation", "cut"],
+        ["verify", path],
+        ["corpus", "--max-edges", "3"],
+        ["example"],
+    )
+    for command in commands:
+        assert main(["--budget", "4", *command]) == 1, command
+        assert "exceed the budget of 4" in capsys.readouterr().err, command
+    assert main(["--budget", "8", "classes", path, "--relation", "cut"]) == 0
+    assert capsys.readouterr().out.startswith("4 classes")  # T(1, 2) = 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["count", "graph.g", "--family", "tau_mod", "--p", "abc"],
+        ["count", "graph.g", "--family", "tau_local", "--p", "2"],
+        ["--budget", "-1", "classes", "graph.g", "--relation", "cut"],
+        ["--budget", "0", "example"],
+        ["--budget", "many", "example"],
+        ["polish"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # exit code 2 is kept for a failed identity
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
 
 
 def test_corpus_text_streams_each_graph(monkeypatch, capsys):
     # a sweep that dies after its first graph has already printed that graph
     import ctfpolys.cli as cli
-    from ctfpolys import EnumerationLimitError, verify_graph
+    from ctfpolys import BudgetExceededError, verify_graph
 
-    def sweep(max_edges, include_loops):
+    def sweep(max_edges, include_loops, budget):
         graph = build_graph(2, [(0, 1)])
         yield graph, verify_graph(graph)
-        raise EnumerationLimitError("sweep stopped")
+        raise BudgetExceededError("sweep stopped")
 
     monkeypatch.setattr(cli, "verify_corpus", sweep)
     assert main(["corpus", "--max-edges", "1"]) == 1

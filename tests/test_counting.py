@@ -482,19 +482,18 @@ def test_product_groups_match_oracles(c3, digon_loop, p8):
             ) == oracles.count_complementary(tensions, oracles.modular_flows(g, o.flips, (3,)))
 
 
-def test_budget_sees_the_candidate_product(p8):
-    # p8 has rank 2 and nullity 3; a count needs a budget of at least the
-    # product of the ranges of its free values (for a pair, the larger side)
-    cases = [
-        ("tau_mod", {"p": 3}, 3 ** 2),
-        ("phi_mod", {"q": 3}, 3 ** 3),
-        ("kappa_mod", {"p": 3, "q": 3}, 3 ** 3),
-        ("tau_int", {"p": 3}, 5 ** 2),
-        ("phi_int", {"q": 3}, 5 ** 3),
-        ("kappa_int", {"p": 3, "q": 3}, 5 ** 3),
-        ("kappa_bar_int", {"p": 2, "q": 2}, 3 ** 3),
-    ]
-    for family, args, candidates in cases:
-        count(p8, family, budget=candidates, **args)
-        with pytest.raises(BudgetExceededError):
-            count(p8, family, budget=candidates - 1, **args)
+def test_budget_counts_dp_states():
+    # phi_int at q = 3 on three parallel edges u-v: two cotree values are
+    # free, the tree edge carries their signed sum. The first step creates
+    # one state per nonzero value in [-2, 2] (4 states), the second closes
+    # the sum and merges everything into one state: 5 states in all.
+    theta = build_graph(2, [(0, 1)] * 3)
+    assert count(theta, "phi_int", q=3, budget=5) == 6
+    with pytest.raises(BudgetExceededError, match="5 DP states exceed the budget of 4"):
+        count(theta, "phi_int", q=3, budget=4)
+
+
+def test_default_budget_is_not_a_candidate_product():
+    # 19^8 assignments of the free values, but one DP state per step
+    path = build_graph(9, [(k, k + 1) for k in range(8)])
+    assert count(path, "tau_int", p=10) == 18 ** 8

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import oracles
 from ctfpolys import (
-    EnumerationLimitError,
+    BudgetExceededError,
     Orientation,
     boundary,
     build_graph,
@@ -248,10 +248,13 @@ def test_loop_flip_is_eulerian_move(l1, digon_loop):
 
 
 def test_enumeration_limit(p8):
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_orientations(p8, limit=4))
-    with pytest.raises(EnumerationLimitError):
-        enumerate_classes(p8, "cut", "all", limit=4)
+    # a sweep of p8's 2^5 orientations needs a budget of 32
+    assert len(list(enumerate_orientations(p8, budget=32))) == 32
+    assert len(enumerate_classes(p8, "cut", "all", budget=32).classes) == 24
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_orientations(p8, budget=31))
+    with pytest.raises(BudgetExceededError):
+        enumerate_classes(p8, "cut", "all", budget=31)
 
 
 def test_induced_orientation(p8):

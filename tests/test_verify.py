@@ -3,7 +3,8 @@ import json
 import pytest
 
 from ctfpolys import (
-    EnumerationLimitError,
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     Orientation,
     build_graph,
     local_polynomial,
@@ -46,18 +47,23 @@ def test_verify_with_isolated_vertex():
 
 
 def test_verify_limit():
-    big = build_graph(2, [(0, 1)] * 13)
-    with pytest.raises(EnumerationLimitError):
-        verify_graph(big)
+    # the ledger sweeps 2^|E| orientations and edge subsets
+    with pytest.raises(BudgetExceededError):
+        verify_graph(build_graph(2, [(0, 1)] * 21))
+    digon13 = build_graph(2, [(0, 1)] * 13)
+    with pytest.raises(BudgetExceededError, match="8192 edge subsets"):
+        verify_graph(digon13, budget=2 ** 13 - 1)
 
 
 def test_resource_limits_skip_identities(p8):
-    # p8 has rank 2 and nullity 3. A budget of 216 candidates covers the
-    # modular families and the box tables but not phi_int (11^3 flow
-    # candidates at q = 6), so the identities reading kappa_int or phi_int
-    # are skipped and the others still pass; a budget of 1 leaves only the
-    # Tutte convolution, which counts nothing.
-    for budget, must_pass in ((216, {"T2b", "T2e", "PL", "T3", "RPQ", "TC"}), (1, {"TC"})):
+    # p8 has 5 edges, so a budget of 32 lets the ledger sweep its subsets
+    # and orientations. A budget of 64 DP states per kernel call covers the
+    # modular families and the box tables but not the integral counts behind
+    # kappa_int and phi_int, so the identities reading them are skipped and
+    # the others still pass; at 32 only the modular zero-set histograms of
+    # RPQ and the Tutte convolution, which counts nothing, are left.
+    must_pass_at_64 = {"T2b", "T2c", "T2d", "T2e", "PL", "PE", "T3", "RPQ", "TC"}
+    for budget, must_pass in ((64, must_pass_at_64), (32, {"RPQ", "TC"})):
         report = verify_graph(p8, budget=budget)
         status = {c.identity: c.status for c in report.checks}
         assert set(status.values()) == {"pass", "skip"}, status
@@ -162,7 +168,7 @@ def test_local_memo_keys_keep_direction():
     for family in ("tau_local", "phi_local", "tau_bar_local", "phi_bar_local"):
         fresh = [local_polynomial(digon, o, family) for o in (acyclic, cyclic)]
         assert fresh[0] != fresh[1], family
-        assert [memo.local(digon, o, family, None) for o in (acyclic, cyclic)] == fresh
+        assert [memo.local(digon, o, family, DEFAULT_BUDGET) for o in (acyclic, cyclic)] == fresh
 
 
 def test_failure_witness_counts_problems(p8, monkeypatch):
