@@ -229,14 +229,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be a positive integer, not {text!r}")
-    return value
+def _at_least(low: int, what: str):
+    """argparse type: an integer of at least ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, not {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     parser.add_argument(
-        "--budget", type=_budget, default=DEFAULT_BUDGET,
+        "--budget", type=_at_least(1, "budget"), default=DEFAULT_BUDGET,
         help="work items one call may create: DP states of one counting-kernel "
         "call, or the 2^|E| orientations or edge subsets of one sweep "
         f"(default {DEFAULT_BUDGET}); past it a command exits 1",
@@ -293,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="verify all small multigraphs")
-    p_corpus.add_argument("--max-edges", type=int, required=True)
+    p_corpus.add_argument("--max-edges", type=_at_least(0, "max-edges"), required=True)
     p_corpus.add_argument("--loops", action="store_true")
     p_corpus.set_defaults(func=_cmd_corpus)
 

@@ -4,7 +4,6 @@ graph, plus a corpus sweep over all small multigraphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
@@ -130,10 +129,7 @@ class _Lazy:
 
 
 def _poly_sum(polys) -> BivariatePolynomial:
-    total = BivariatePolynomial()
-    for p in polys:
-        total = total + p
-    return total
+    return sum(polys, BivariatePolynomial())
 
 
 def _neg_vars(poly: BivariatePolynomial) -> BivariatePolynomial:
@@ -395,22 +391,16 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def pe(col):
         for o in orientations:
-            col.equal(
-                f"class sizes at {o.flip_string() or '-'}",
-                ce_size[o],
-                cu_size[o] * eu_size[o],
-            )
-            col.equal(
-                f"0-1 pair count at {o.flip_string() or '-'}",
-                Fraction(ce_size[o]),
-                poly.kappa_bar[o].evaluate(1, 1),
-            )
+            col.equal(f"class sizes at {o.flip_string() or '-'}",
+                      ce_size[o], cu_size[o] * eu_size[o])
+            col.equal(f"0-1 pair count at {o.flip_string() or '-'}",
+                      ce_size[o], poly.kappa_bar[o].evaluate(1, 1))
 
     def t3(col):
         col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
         for p, q in product((1, 2, 3), repeat=2):
             triples = table.total("kappa_bar_mod", reps, p - 1, q - 1)
-            col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), Fraction(triples))
+            col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples)
 
     def rpq(col):
         full = (1 << m) - 1
@@ -428,35 +418,20 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
                     positive += tcount * fcount * (1 << (kmask & ~smask & full).bit_count())
                     if smask == kmask:
                         alternating += tcount * fcount * (-1 if smask.bit_count() % 2 else 1)
-            col.equal(f"R({p},{q}) pair sum", rank_poly.evaluate(p, q), Fraction(positive))
+            col.equal(f"R({p},{q}) pair sum", rank_poly.evaluate(p, q), positive)
             r_sign = -1 if r % 2 else 1
-            col.equal(
-                f"R(-{p},-{q}) signed pair sum",
-                rank_poly.evaluate(-p, -q),
-                Fraction(r_sign * alternating),
-            )
+            col.equal(f"R(-{p},-{q}) signed pair sum",
+                      rank_poly.evaluate(-p, -q), r_sign * alternating)
 
     def im(col):
-        col.equal(
-            "kappa_int = weighted class sum",
-            poly.kappa_int,
-            _poly_sum(ce_size[o] * poly.kappa[o] for o in reps),
-        )
-        col.equal(
-            "kappa_bar_int = weighted class sum",
-            poly.kappa_bar_int,
-            _poly_sum(ce_size[o] * poly.kappa_bar[o] for o in reps),
-        )
-        col.equal(
-            "tau_int = weighted acyclic class sum",
-            poly.tau_int,
-            _poly_sum(ce_size[o] * poly.tau_open[o] for o in acyclic_reps),
-        )
-        col.equal(
-            "phi_int = weighted totally cyclic class sum",
-            poly.phi_int,
-            _poly_sum(ce_size[o] * poly.phi_open[o] for o in tc_reps),
-        )
+        col.equal("kappa_int = weighted class sum", poly.kappa_int,
+                  _poly_sum(ce_size[o] * poly.kappa[o] for o in reps))
+        col.equal("kappa_bar_int = weighted class sum", poly.kappa_bar_int,
+                  _poly_sum(ce_size[o] * poly.kappa_bar[o] for o in reps))
+        col.equal("tau_int = weighted acyclic class sum", poly.tau_int,
+                  _poly_sum(ce_size[o] * poly.tau_open[o] for o in acyclic_reps))
+        col.equal("phi_int = weighted totally cyclic class sum", poly.phi_int,
+                  _poly_sum(ce_size[o] * poly.phi_open[o] for o in tc_reps))
 
     def cs(col):
         n_or = len(orientations)
@@ -466,64 +441,50 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         n_eu = len(self_reverse["eulerian"])
         n_ce = len(self_reverse["cut_eulerian"])
         kz, kbz = poly.kappa_int, poly.kappa_bar_int
-        col.equal("kappa_bar_int(0,0)", kbz.evaluate(0, 0), Fraction(n_or))
-        col.equal("|kappa_int(1,0)|", abs(kz.evaluate(1, 0)), Fraction(n_tc))
-        col.equal("kappa_bar_int(-1,0)", kbz.evaluate(-1, 0), Fraction(n_tc))
-        col.equal("|kappa_int(0,1)|", abs(kz.evaluate(0, 1)), Fraction(n_ac))
-        col.equal("kappa_bar_int(0,-1)", kbz.evaluate(0, -1), Fraction(n_ac))
+        col.equal("kappa_bar_int(0,0)", kbz.evaluate(0, 0), n_or)
+        col.equal("|kappa_int(1,0)|", abs(kz.evaluate(1, 0)), n_tc)
+        col.equal("kappa_bar_int(-1,0)", kbz.evaluate(-1, 0), n_tc)
+        col.equal("|kappa_int(0,1)|", abs(kz.evaluate(0, 1)), n_ac)
+        col.equal("kappa_bar_int(0,-1)", kbz.evaluate(0, -1), n_ac)
         col.equal("kappa_int(1,1)", kz.evaluate(1, 1), kbz.evaluate(-1, -1))
         if m:
-            col.equal("kappa_int(1,1) = 0", kz.evaluate(1, 1), Fraction(0))
-        col.equal("kappa_int(2,1)", kz.evaluate(2, 1), Fraction(n_cu))
-        col.equal("|kappa_bar_int(-2,-1)|", abs(kbz.evaluate(-2, -1)), Fraction(n_cu))
-        col.equal("kappa_int(1,2)", kz.evaluate(1, 2), Fraction(n_eu))
-        col.equal("|kappa_bar_int(-1,-2)|", abs(kbz.evaluate(-1, -2)), Fraction(n_eu))
-        col.equal("kappa_int(2,2)", kz.evaluate(2, 2), Fraction(n_ce))
-        col.equal(
-            "kappa_bar_int(1,0)",
-            kbz.evaluate(1, 0),
-            Fraction(sum(cu_size[o] for o in orientations)),
-        )
-        col.equal(
-            "kappa_bar_int(0,1)",
-            kbz.evaluate(0, 1),
-            Fraction(sum(eu_size[o] for o in orientations)),
-        )
-        col.equal(
-            "kappa_bar_int(1,1)",
-            kbz.evaluate(1, 1),
-            Fraction(sum(ce_size[o] for o in orientations)),
-        )
+            col.equal("kappa_int(1,1) = 0", kz.evaluate(1, 1), 0)
+        col.equal("kappa_int(2,1)", kz.evaluate(2, 1), n_cu)
+        col.equal("|kappa_bar_int(-2,-1)|", abs(kbz.evaluate(-2, -1)), n_cu)
+        col.equal("kappa_int(1,2)", kz.evaluate(1, 2), n_eu)
+        col.equal("|kappa_bar_int(-1,-2)|", abs(kbz.evaluate(-1, -2)), n_eu)
+        col.equal("kappa_int(2,2)", kz.evaluate(2, 2), n_ce)
+        col.equal("kappa_bar_int(1,0)", kbz.evaluate(1, 0), sum(cu_size.values()))
+        col.equal("kappa_bar_int(0,1)", kbz.evaluate(0, 1), sum(eu_size.values()))
+        col.equal("kappa_bar_int(1,1)", kbz.evaluate(1, 1), sum(ce_size.values()))
 
         k, kb, t = poly.kappa_mod, poly.kappa_bar_mod, tutte_poly
         classes_in = lambda relation: sum(1 for o in reps if o in self_reverse[relation])
         col.equal("T(0,0) chain", t.evaluate(0, 0), kb.evaluate(-1, -1))
         col.equal("kappa_mod(1,1) chain", k.evaluate(1, 1), kb.evaluate(-1, -1))
         if m:
-            col.equal("kappa_mod(1,1) = 0", k.evaluate(1, 1), Fraction(0))
-        col.equal("T(1,1) = class count", t.evaluate(1, 1), Fraction(len(reps)))
-        col.equal("kappa_bar_mod(0,0)", kb.evaluate(0, 0), Fraction(len(reps)))
-        col.equal("T(2,2) = orientation count", t.evaluate(2, 2), Fraction(n_or))
-        col.equal("kappa_bar_mod(1,1)", kb.evaluate(1, 1), Fraction(n_or))
-        col.equal("kappa_mod(2,2)", k.evaluate(2, 2), Fraction(classes_in("cut_eulerian")))
-        col.equal("|T(0,-1)|", abs(t.evaluate(0, -1)), Fraction(classes_in("eulerian")))
-        col.equal("|kappa_bar_mod(-1,-2)|", abs(kb.evaluate(-1, -2)),
-                  Fraction(classes_in("eulerian")))
-        col.equal("kappa_mod(1,2)", k.evaluate(1, 2), Fraction(classes_in("eulerian")))
-        col.equal("|T(-1,0)|", abs(t.evaluate(-1, 0)), Fraction(classes_in("cut")))
-        col.equal("|kappa_bar_mod(-2,-1)|", abs(kb.evaluate(-2, -1)),
-                  Fraction(classes_in("cut")))
-        col.equal("kappa_mod(2,1)", k.evaluate(2, 1), Fraction(classes_in("cut")))
-        col.equal("T(1,0)", t.evaluate(1, 0), Fraction(len(acyclic_reps)))
-        col.equal("kappa_bar_mod(0,-1)", kb.evaluate(0, -1), Fraction(len(acyclic_reps)))
-        col.equal("|kappa_mod(0,1)|", abs(k.evaluate(0, 1)), Fraction(len(acyclic_reps)))
-        col.equal("T(0,1)", t.evaluate(0, 1), Fraction(len(tc_reps)))
-        col.equal("kappa_bar_mod(-1,0)", kb.evaluate(-1, 0), Fraction(len(tc_reps)))
-        col.equal("|kappa_mod(1,0)|", abs(k.evaluate(1, 0)), Fraction(len(tc_reps)))
-        col.equal("T(1,2) = cut classes", t.evaluate(1, 2), Fraction(len(part_cu.classes)))
-        col.equal("kappa_bar_mod(0,1)", kb.evaluate(0, 1), Fraction(len(part_cu.classes)))
-        col.equal("T(2,1) = Eulerian classes", t.evaluate(2, 1), Fraction(len(part_eu.classes)))
-        col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), Fraction(len(part_eu.classes)))
+            col.equal("kappa_mod(1,1) = 0", k.evaluate(1, 1), 0)
+        col.equal("T(1,1) = class count", t.evaluate(1, 1), len(reps))
+        col.equal("kappa_bar_mod(0,0)", kb.evaluate(0, 0), len(reps))
+        col.equal("T(2,2) = orientation count", t.evaluate(2, 2), n_or)
+        col.equal("kappa_bar_mod(1,1)", kb.evaluate(1, 1), n_or)
+        col.equal("kappa_mod(2,2)", k.evaluate(2, 2), classes_in("cut_eulerian"))
+        col.equal("|T(0,-1)|", abs(t.evaluate(0, -1)), classes_in("eulerian"))
+        col.equal("|kappa_bar_mod(-1,-2)|", abs(kb.evaluate(-1, -2)), classes_in("eulerian"))
+        col.equal("kappa_mod(1,2)", k.evaluate(1, 2), classes_in("eulerian"))
+        col.equal("|T(-1,0)|", abs(t.evaluate(-1, 0)), classes_in("cut"))
+        col.equal("|kappa_bar_mod(-2,-1)|", abs(kb.evaluate(-2, -1)), classes_in("cut"))
+        col.equal("kappa_mod(2,1)", k.evaluate(2, 1), classes_in("cut"))
+        col.equal("T(1,0)", t.evaluate(1, 0), len(acyclic_reps))
+        col.equal("kappa_bar_mod(0,-1)", kb.evaluate(0, -1), len(acyclic_reps))
+        col.equal("|kappa_mod(0,1)|", abs(k.evaluate(0, 1)), len(acyclic_reps))
+        col.equal("T(0,1)", t.evaluate(0, 1), len(tc_reps))
+        col.equal("kappa_bar_mod(-1,0)", kb.evaluate(-1, 0), len(tc_reps))
+        col.equal("|kappa_mod(1,0)|", abs(k.evaluate(1, 0)), len(tc_reps))
+        col.equal("T(1,2) = cut classes", t.evaluate(1, 2), len(part_cu.classes))
+        col.equal("kappa_bar_mod(0,1)", kb.evaluate(0, 1), len(part_cu.classes))
+        col.equal("T(2,1) = Eulerian classes", t.evaluate(2, 1), len(part_eu.classes))
+        col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(part_eu.classes))
 
     def tc(col):
         total = BivariatePolynomial()

@@ -3,10 +3,12 @@
 Nothing here uses the library's spanning-forest parametrizations: tensions
 come from explicit potential sweeps, flows from full-box sweeps filtered by
 the boundary condition at every vertex, and orientation classes from the
-pairwise closure of the equivalence relations.
+pairwise closure of the equivalence relations. Interpolation is the
+Lagrange formula in Fraction arithmetic, with no assumption on the grid.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 
@@ -272,3 +274,38 @@ def pairwise_classes(graph, relation, filter):
     for i, flips in enumerate(members):
         grouped.setdefault(find(i), []).append(flips)
     return tuple(sorted(tuple(cls) for cls in grouped.values()))
+
+
+def lagrange_basis(points):
+    """Coefficient lists (ascending powers) of the Lagrange basis polynomials
+    through the given distinct nodes, in Fraction arithmetic."""
+    basis = []
+    for a in points:
+        coeffs = [Fraction(1)]
+        denom = Fraction(1)
+        for b in points:
+            if b == a:
+                continue
+            denom *= a - b
+            # multiply by (t - b)
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for k, c in enumerate(coeffs):
+                nxt[k] -= c * b
+                nxt[k + 1] += c
+            coeffs = nxt
+        basis.append([c / denom for c in coeffs])
+    return basis
+
+
+def lagrange_interpolate(values, x_points, y_points):
+    """Monomial coefficients {(i, j): Fraction}, zeros left out, of the
+    polynomial through values[a][b] at (x_points[a], y_points[b]): the sum of
+    values times products of Lagrange basis polynomials."""
+    x_basis, y_basis = lagrange_basis(x_points), lagrange_basis(y_points)
+    coeffs = {}
+    for a, row in enumerate(values):
+        for b, value in enumerate(row):
+            for i, xc in enumerate(x_basis[a]):
+                for j, yc in enumerate(y_basis[b]):
+                    coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + value * xc * yc
+    return {key: c for key, c in coeffs.items() if c}

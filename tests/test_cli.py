@@ -209,6 +209,8 @@ def test_budget_reaches_every_command(tmp_path, capsys):
         ["--budget", "0", "example"],
         ["--budget", "many", "example"],
         ["polish"],
+        ["corpus", "--max-edges", "-1"],
+        ["corpus", "--max-edges", "three"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

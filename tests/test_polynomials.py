@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ctfpolys import (
     BivariatePolynomial,
     InterpolationError,
@@ -215,15 +217,81 @@ def test_evaluation_matches_naive_sum(coeffs, x, y):
     assert value == naive
 
 
-def test_cached_lagrange_bases_are_immutable():
-    from ctfpolys.polynomials import _lagrange_basis
-
-    basis = _lagrange_basis((0, 1, 2))
-    with pytest.raises(TypeError):
-        basis[0][0] = Fraction(5)
-    with pytest.raises((TypeError, AttributeError)):
-        basis[0].append(Fraction(5))
-    assert _lagrange_basis((0, 1, 2)) is basis
-    # the basis through 0, 1, 2 reproduces t^2 from its values 0, 1, 4
+def test_interpolation_reproduces_t_squared():
+    # the grid 0, 1, 2 with values 0, 1, 4 gives back t^2
     values = [[a * a] for a in (0, 1, 2)]
     assert interpolate(values, [0, 1, 2], [0]) == X * X
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 6), st.integers(1, 6), st.data()
+)
+def test_interpolate_matches_lagrange_oracle(x_lo, y_lo, nx, ny, data):
+    values = data.draw(st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=ny, max_size=ny),
+        min_size=nx, max_size=nx,
+    ))
+    xs, ys = list(range(x_lo, x_lo + nx)), list(range(y_lo, y_lo + ny))
+    poly = interpolate(values, xs, ys)
+    assert poly.coefficients == oracles.lagrange_interpolate(values, xs, ys)
+    assert all(poly.evaluate(a, b) == values[k][l]
+               for k, a in enumerate(xs) for l, b in enumerate(ys))
+
+
+@pytest.mark.parametrize("xs", [(0, 2), (1, 0), (2, 1, 0), (0, 1, 3), (0, 0)])
+def test_interpolate_needs_consecutive_points(xs):
+    values = [[v] for v in range(len(xs))]
+    with pytest.raises(ValueError, match="consecutive"):
+        interpolate(values, xs, (0,))
+    with pytest.raises(ValueError, match="consecutive"):
+        interpolate([list(range(len(xs)))], (0,), xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coefficients, _coefficients)
+def test_equal_polynomials_are_normalised_alike(a, b):
+    p, q = BivariatePolynomial(a), BivariatePolynomial(b)
+    for left, right in ((p * q, q * p), ((p + q) - q, p), (p - p, BivariatePolynomial())):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.to_json_dict() == right.to_json_dict()
+    # integer numerators over their common denominator, scaled back down:
+    # the same polynomial as the Fraction coefficients
+    den = lcm(*(c.denominator for c in p.coefficients.values()))
+    scaled = BivariatePolynomial({k: c * den for k, c in p.coefficients.items()})
+    assert scaled * Fraction(1, den) == p
+    assert hash(scaled * Fraction(1, den)) == hash(p)
+    assert scaled.has_integer_coefficients()
+
+
+def test_reducible_fraction_coefficients_compare_equal():
+    halves = BivariatePolynomial({(1, 0): Fraction(2, 4), (0, 2): Fraction(3, 6)})
+    assert halves == BivariatePolynomial({(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
+    assert halves == Fraction(1, 2) * (X + Y * Y)
+    assert hash(halves) == hash(Fraction(1, 2) * (X + Y * Y))
+    assert 2 * halves == X + Y * Y and (2 * halves).has_integer_coefficients()
+    assert (X * Fraction(2, 3) * 3).to_json_dict() == (2 * X).to_json_dict()
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        BivariatePolynomial({(0, 0): 0.1})
+    with pytest.raises(TypeError):
+        BivariatePolynomial.constant(0.5)
+    with pytest.raises(TypeError):
+        X.evaluate(0.5, 1)
+    with pytest.raises(TypeError):
+        X.evaluate(1, 0.5)
+    with pytest.raises(TypeError):
+        X * 0.5
+    with pytest.raises(TypeError):
+        X + 0.5
+    with pytest.raises(TypeError):
+        X.substitute(0.5)
+    with pytest.raises(TypeError):
+        X.set_x(0.5)
+    with pytest.raises(TypeError):
+        X.set_y(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        interpolate([[0.5]], (0,), (0,))
