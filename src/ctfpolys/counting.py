@@ -151,7 +151,9 @@ class CountQuery:
 @lru_cache(maxsize=None)
 def _structure(graph: MultiGraph):
     """(forest positions, cotree circuit table, flow coefficient table,
-    component roots)."""
+    component roots, block map). The block map gives each position the first
+    position of its block, a component of the cycle matroid (a 2-connected
+    piece, a bridge or a loop): the fundamental circuits join each block."""
     cotree = _circuit_table(graph)
     cotree_pos = {e for e, _ in cotree}
     forest_pos = tuple(p for p in range(graph.edge_count) if p not in cotree_pos)
@@ -163,11 +165,16 @@ def _structure(graph: MultiGraph):
     for u, v in graph.edges:
         uf.union(u, v)
     roots = frozenset(uf.find(v) for v in range(graph.vertex_count))
+    blocks = _UnionFind(graph.edge_count)  # the smallest position is the root
+    for e_pos, rest in cotree:
+        for t_pos, _ in rest:
+            blocks.union(e_pos, t_pos)
     return (
         forest_pos,
         cotree,
         tuple((t, tuple(flow_coeffs[t])) for t in forest_pos),
         roots,
+        tuple(blocks.find(pos) for pos in range(graph.edge_count)),
     )
 
 
@@ -194,7 +201,7 @@ def _normalize_ranges(
 def _tension_coeffs(orientation: Orientation):
     """Per cotree edge: (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t)."""
     signs = _flip_signs(orientation)
-    _, cotree, _, _ = _structure(orientation.graph)
+    _, cotree, _, _, _ = _structure(orientation.graph)
     return tuple(
         (e, tuple((t, -signs[e] * d * signs[t]) for t, d in rest))
         for e, rest in cotree
@@ -204,7 +211,7 @@ def _tension_coeffs(orientation: Orientation):
 def _flow_coeffs(orientation: Orientation):
     """Per forest edge: (t_pos, ((e_pos, c), ...)) with g(t) = sum c*g(e)."""
     signs = _flip_signs(orientation)
-    _, _, flow_tab, _ = _structure(orientation.graph)
+    _, _, flow_tab, _, _ = _structure(orientation.graph)
     return tuple(
         (t, tuple((e, d * signs[t] * signs[e]) for e, d in coeffs))
         for t, coeffs in flow_tab
@@ -215,7 +222,7 @@ def _iter_tensions(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
     """Integer tensions of the digraph with per-position inclusive bounds,
     parametrized by spanning-forest values."""
     graph = orientation.graph
-    forest_pos, _, _, _ = _structure(graph)
+    forest_pos, _, _, _, _ = _structure(graph)
     dependent = _tension_coeffs(orientation)
     spans = [range(ranges[t][0], ranges[t][1] + 1) for t in forest_pos]
     _check_budget(prod(len(s) for s in spans), budget, "candidates")
@@ -240,7 +247,7 @@ def _iter_flows(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
     """Integer flows with per-position inclusive bounds, parametrized by
     cotree values."""
     graph = orientation.graph
-    _, cotree, _, _ = _structure(graph)
+    _, cotree, _, _, _ = _structure(graph)
     cotree_pos = [e for e, _ in cotree]
     dependent = _flow_coeffs(orientation)
     spans = [range(ranges[e][0], ranges[e][1] + 1) for e in cotree_pos]
@@ -404,13 +411,13 @@ def _count_tensions(orientation, values, budget, zeros: str = "allowed"):
     """Tensions of the digraph with values in per-position integer ranges or
     in a group, counted by the partial-sum DP over spanning-forest values;
     see _partial_sum_dp for ``zeros``."""
-    forest_pos, _, _, _ = _structure(orientation.graph)
+    forest_pos, _, _, _, _ = _structure(orientation.graph)
     return _partial_sum_dp(forest_pos, _tension_coeffs(orientation), values, zeros, budget)
 
 
 def _count_flows(orientation, values, budget, zeros: str = "allowed"):
     """Flows, counted like _count_tensions over cotree values."""
-    _, cotree, _, _ = _structure(orientation.graph)
+    _, cotree, _, _, _ = _structure(orientation.graph)
     return _partial_sum_dp(
         [e for e, _ in cotree], _flow_coeffs(orientation), values, zeros, budget
     )
@@ -452,7 +459,7 @@ def enum_modular_tensions(
     per potential with the smallest vertex of each component pinned to 0."""
     grp = CyclicProduct(tuple(group))
     graph = orientation.graph
-    _, _, _, roots = _structure(graph)
+    _, _, _, roots, _ = _structure(graph)
     free = [v for v in range(graph.vertex_count) if v not in roots]
     _check_budget(grp.order ** len(free), budget, "candidates")
     arrows = orientation.arrows()
@@ -476,7 +483,7 @@ def enum_modular_flows(
     values extended through the fundamental circuits."""
     grp = CyclicProduct(tuple(group))
     graph = orientation.graph
-    _, cotree, _, _ = _structure(graph)
+    _, cotree, _, _, _ = _structure(graph)
     cotree_pos = [e for e, _ in cotree]
     dependent = _flow_coeffs(orientation)
     _check_budget(grp.order ** len(cotree_pos), budget, "candidates")
@@ -506,9 +513,7 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
 
 def _box_count(orientation, side, box, value, budget) -> int:
     """Tensions (side "tension") or flows (side "flow") of the orientation in
-    one box of ORIENTATION_SUMS at p or q; 1 for the box None."""
-    if box is None:
-        return 1
+    one box of ORIENTATION_SUMS at p or q."""
     inside = (0, value) if box == "closed" else (1, value - 1)
     m = orientation.graph.edge_count
     if box == "support":
@@ -537,18 +542,36 @@ def sum_members(
     return tuple(o for o in enumerate_orientations(graph, budget) if in_filter(o, filter_name))
 
 
+def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
+    """The orientation's block-reversal orbit: each flip bit XOR the flip of
+    the first edge of its block. Reversing a block changes no kernel input:
+    the coefficients read only sign products within fundamental circuits,
+    and a reversed directed circuit is still one."""
+    flips = orientation.flips
+    blocks = _structure(orientation.graph)[4]
+    return tuple([flips[pos] ^ flips[first] for pos, first in enumerate(blocks)])
+
+
 class CountTable:
-    """Box counts of the orientations of one graph, each computed once, and
-    the sums the orientation-sum families read from them. A table lives for
-    one count, one polynomial, one ``polys`` report (all six graph-level
-    orientation-sum families) or one identity-ledger computation."""
+    """Box counts of the orientations of one graph, each computed once per
+    block-reversal orbit (``_orbit_key``), and the sums the orientation-sum
+    families read from them. A table lives for one count, one polynomial,
+    one ``polys`` report (all six graph-level orientation-sum families) or
+    one identity-ledger computation."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
         self.budget = budget
         self._counts: dict = {}
+        self._orbits: dict = {}  # flips -> orbit key
 
     def side(self, orientation: Orientation, side: str, box, value) -> int:
-        key = (orientation.flips, side, box, value)
+        """The count in one box at p or q; 1 for the box None."""
+        if box is None:
+            return 1
+        orbit = self._orbits.get(orientation.flips)
+        if orbit is None:
+            orbit = self._orbits[orientation.flips] = _orbit_key(orientation)
+        key = (orbit, side, box, value)
         found = self._counts.get(key)
         if found is None:
             found = self._counts[key] = _box_count(orientation, side, box, value, self.budget)
@@ -596,6 +619,10 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
     if family not in _X_ONLY:
         _require(q is not None and q >= lowest, f"{family} needs q >= {lowest}")
 
+    _require(query.group_a is None or family in ("tau_mod", "kappa_mod"),
+             f"{family} reads no tension-side group")
+    _require(query.group_b is None or family in ("phi_mod", "kappa_mod"),
+             f"{family} reads no flow-side group")
     m = graph.edge_count
 
     # the definition-level families count nowhere-zero tensions or flows,

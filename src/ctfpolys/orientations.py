@@ -283,7 +283,8 @@ def _circuit_part(orientation: Orientation) -> frozenset[int]:
     """Positions of the circuit-part edges: loops and the edges inside a
     strongly connected component. ``_circuit_part_positions`` keeps it per
     orientation for the count table and the ledger, which read it many
-    times; a one-pass sweep such as ``enumerate_classes`` calls it uncached."""
+    times; a one-pass sweep such as ``enumerate_classes`` or ``in_filter``
+    calls it uncached, so no sweep over the orientations of a minor is kept."""
     graph = orientation.graph
     comp = _strong_components(orientation)
     return frozenset(
@@ -310,9 +311,7 @@ def in_filter(orientation: Orientation, filter: str) -> bool:
     circuit part) and "totally_cyclic" (empty bond part)."""
     if filter == "all":
         return True
-    return _circuit_filter(
-        _circuit_part_positions(orientation), orientation.graph.edge_count, filter
-    )
+    return _circuit_filter(_circuit_part(orientation), orientation.graph.edge_count, filter)
 
 
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:

@@ -13,6 +13,7 @@ from .counting import (
     CyclicProduct,
     _count_flows,
     _count_tensions,
+    _orbit_key,
     count,
 )
 from .multigraph import MultiGraph, build_graph
@@ -215,8 +216,14 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     def swept(family, members) -> BivariatePolynomial:
         return orientation_sum_polynomial(table, family, members, r, n)
 
-    def per_orientation(family):
-        return {o: swept(family, [o]) for o in orientations}
+    # box counts are constant on block-reversal orbits, so each
+    # per-orientation polynomial is made once, at the orbit's first member
+    first: dict = {}
+    rep = {o: first.setdefault(_orbit_key(o), o) for o in orientations}
+
+    def per_orientation(make):
+        made = {o: make(o) for o in first.values()}
+        return {o: made[rep[o]] for o in orientations}
 
     circuit = {o: _circuit_part_positions(o) for o in orientations}
     sign = {o: -1 if (r + len(circuit[o])) % 2 else 1 for o in orientations}
@@ -224,15 +231,13 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     # the counted polynomials, each computed when an identity first reads it,
     # so that a resource limit skips only the identities that need it
     poly = _Lazy(
-        kappa=lambda: per_orientation("kappa_local"),
-        tau_open=lambda: per_orientation("tau_local"),
-        phi_open=lambda: per_orientation("phi_local"),
-        tau_closed=lambda: per_orientation("tau_bar_local"),
-        phi_closed=lambda: per_orientation("phi_bar_local"),
+        kappa=lambda: per_orientation(lambda o: swept("kappa_local", [o])),
+        tau_open=lambda: per_orientation(lambda o: swept("tau_local", [o])),
+        phi_open=lambda: per_orientation(lambda o: swept("phi_local", [o])),
+        tau_closed=lambda: per_orientation(lambda o: swept("tau_bar_local", [o])),
+        phi_closed=lambda: per_orientation(lambda o: swept("phi_bar_local", [o])),
         # kappa_bar_local is the product of the two closed-box counts
-        kappa_bar=lambda: {
-            o: poly.tau_closed[o] * poly.phi_closed[o] for o in orientations
-        },
+        kappa_bar=lambda: per_orientation(lambda o: poly.tau_closed[o] * poly.phi_closed[o]),
         kappa_bar_int=lambda: swept("kappa_bar_int", orientations),
         kappa_bar_mod=lambda: swept("kappa_bar_mod", reps),
         tau_bar_int=lambda: swept("tau_bar_int", acyclic),

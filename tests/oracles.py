@@ -229,6 +229,40 @@ def circuit_part(graph, flips):
     )
 
 
+def _is_cycle(graph, subset):
+    """A nonempty connected edge set with every vertex of degree 0 or 2 (a
+    loop adds 2): a loop, two parallel edges or a simple cycle."""
+    degree = Counter()
+    comp = {}
+
+    def find(x):
+        while comp.setdefault(x, x) != x:
+            x = comp[x]
+        return x
+
+    for pos in subset:
+        u, v = graph.edges[pos]
+        degree[u] += 1
+        degree[v] += 1
+        comp[find(u)] = find(v)
+    return bool(subset) and set(degree.values()) == {2} and len({find(v) for v in degree}) == 1
+
+
+def blocks(graph):
+    """Per edge position, the smallest position it shares a block with: two
+    edges share a block iff they are equal or some cycle contains both."""
+    m = graph.edge_count
+    cycles = [
+        subset
+        for mask in range(1, 1 << m)
+        if _is_cycle(graph, subset := [pos for pos in range(m) if mask >> pos & 1])
+    ]
+    return tuple(
+        min([pos] + [other for cycle in cycles if pos in cycle for other in cycle])
+        for pos in range(m)
+    )
+
+
 def equivalent_by_definition(graph, first, second, relation):
     """Cut / Eulerian / cut-Eulerian equivalence of two flip vectors: the
     disagreement indicator is a tension / a flow / a tension on the bond part

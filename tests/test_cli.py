@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctfpolys
 from ctfpolys import IdentityCheck, IdentityReport, build_graph, format_graph_text, tutte
 from ctfpolys.cli import main
 
@@ -211,14 +216,38 @@ def test_budget_reaches_every_command(tmp_path, capsys):
         ["polish"],
         ["corpus", "--max-edges", "-1"],
         ["corpus", "--max-edges", "three"],
+        # a group the family does not read
+        ["count", "graph.g", "--family", "tau_int", "--p", "3", "--group", "7"],
+        ["count", "graph.g", "--family", "tau_mod", "--p", "3", "--group-b", "7"],
+        ["count", "graph.g", "--family", "phi_mod", "--q", "3", "--group", "3"],
+        ["count", "graph.g", "--family", "kappa_bar_mod", "--p", "1", "--q", "1",
+         "--group", "9"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
-    # exit code 2 is kept for a failed identity
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    # exit code 2 is kept for a failed identity; argparse errors exit, the
+    # others return, and "graph.g" names a real graph so that only the
+    # usage is wrong
+    graph = tmp_path / "graph.g"
+    graph.write_text(format_graph_text(build_graph(2, [(0, 1)])))
+    argv = [str(graph) if arg == "graph.g" else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(ctfpolys.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "ctfpolys", "example"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("built-in example graph")
 
 
 def test_help_exits_0(capsys):

@@ -23,6 +23,17 @@ from ctfpolys import (
     reorient_p,
     reorient_q,
 )
+from ctfpolys.counting import (
+    CountTable,
+    _box_count,
+    _flow_coeffs,
+    _orbit_key,
+    _structure,
+    _tension_coeffs,
+)
+from ctfpolys.orientations import _circuit_part_positions
+from ctfpolys.polynomials import counting_polynomial
+from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
 
 
@@ -387,6 +398,17 @@ def test_count_validation(p8):
         count(p8, "kappa_mod", p=0, q=2)  # open family at 0
     with pytest.raises(ValueError):
         count(p8, "tau_mod", p=3, group_a=(2, 2))  # wrong group order
+    # a group the family does not read is an error, not ignored
+    with pytest.raises(ValueError, match="tau_int reads no tension-side group"):
+        count(p8, "tau_int", p=3, group_a=(7,))
+    with pytest.raises(ValueError, match="tau_mod reads no flow-side group"):
+        count(p8, "tau_mod", p=3, group_b=(7,))
+    with pytest.raises(ValueError, match="phi_mod reads no tension-side group"):
+        count(p8, "phi_mod", q=3, group_a=(3,))
+    with pytest.raises(ValueError, match="kappa_bar_mod reads no tension-side group"):
+        count(p8, "kappa_bar_mod", p=1, q=1, group_a=(9,))
+    with pytest.raises(ValueError, match="phi_bar_local reads no flow-side group"):
+        count(p8, "phi_bar_local", q=1, orientation=ref, group_b=(1,))
     assert count(p8, "kappa_bar_local", p=0, q=0, orientation=ref) == 1
 
 
@@ -497,3 +519,72 @@ def test_default_budget_is_not_a_candidate_product():
     # 19^8 assignments of the free values, but one DP state per step
     path = build_graph(9, [(k, k + 1) for k in range(8)])
     assert count(path, "tau_int", p=10) == 18 ** 8
+
+
+@pytest.fixture(scope="module")
+def corpus5_graphs():
+    return list(small_multigraphs(5, True))
+
+
+def test_block_map_matches_oracle(corpus5_graphs):
+    for graph in corpus5_graphs:
+        assert _structure(graph)[4] == oracles.blocks(graph), graph.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_block_map_matches_oracle_random(graph):
+    assert _structure(graph)[4] == oracles.blocks(graph)
+
+
+def test_orbit_key_is_exact(corpus5_graphs):
+    # two orientations share a key iff the kernel gets the same inputs from
+    # them: the same coefficients and the same circuit part
+    for graph in corpus5_graphs:
+        keys, inputs, both = set(), set(), set()
+        for o in enumerate_orientations(graph):
+            key = _orbit_key(o)
+            kernel_inputs = (
+                _tension_coeffs(o), _flow_coeffs(o), oracles.circuit_part(graph, o.flips)
+            )
+            keys.add(key)
+            inputs.add(kernel_inputs)
+            both.add((key, kernel_inputs))
+        assert len(keys) == len(inputs) == len(both), graph.edges
+        # b blocks leave 2^(|E| - b) orbits
+        assert len(keys) == 2 ** (graph.edge_count - len(set(oracles.blocks(graph))))
+
+
+def test_orbit_key_examples(digon_loop):
+    # the digon's acyclic and cyclic orientations stay apart; reversing the
+    # digon or flipping the loop stays in the orbit
+    acyclic = Orientation.reference(digon_loop)
+    cyclic = acyclic.with_flipped([1])
+    assert _orbit_key(acyclic) != _orbit_key(cyclic)
+    assert _orbit_key(acyclic) == _orbit_key(acyclic.with_flipped([0, 1]))
+    assert _orbit_key(acyclic) == _orbit_key(acyclic.with_flipped([2]))
+    assert _orbit_key(cyclic) == _orbit_key(cyclic.reversed())
+
+
+def test_count_table_matches_direct_counts():
+    # each table entry, shared by an orbit, equals the count made on the
+    # orientation itself
+    for graph in small_multigraphs(4, True):
+        table = CountTable()
+        for o in enumerate_orientations(graph):
+            for side, box, value in product(
+                ("tension", "flow"), ("closed", "open", "support"), (0, 1, 2)
+            ):
+                assert table.side(o, side, box, value) == _box_count(
+                    o, side, box, value, table.budget
+                ), (graph.edges, o.flips, side, box, value)
+
+
+def test_orientation_sums_keep_no_circuit_parts():
+    # in_filter reads each circuit part once, so the polynomials of the
+    # many minors of a convolution leave the per-orientation cache as it was
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])
+    before = _circuit_part_positions.cache_info().currsize
+    for family in ("tau_bar_int", "phi_bar_int", "kappa_bar_int"):
+        counting_polynomial(graph, family)
+    assert _circuit_part_positions.cache_info().currsize == before
