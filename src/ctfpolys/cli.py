@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .counting import CountQuery, FAMILIES, LOCAL_FAMILIES, count
@@ -159,13 +160,13 @@ def _cmd_example(args) -> int:
         return len(enumerate_classes(graph, relation, filter_name, budget).classes)
 
     orientations = list(enumerate_orientations(graph, budget))
-    n_acyclic = sum(1 for o in orientations if classify(o).is_acyclic)
-    n_tc = sum(1 for o in orientations if classify(o).is_totally_cyclic)
+    kinds = [classify(o) for o in orientations]
+    cut_eulerian = enumerate_classes(graph, "cut_eulerian", "all", budget)
     censuses = [
         ("orientations", len(orientations)),
-        ("acyclic orientations", n_acyclic),
-        ("totally cyclic orientations", n_tc),
-        ("cut-Eulerian classes", class_count("cut_eulerian")),
+        ("acyclic orientations", sum(k.is_acyclic for k in kinds)),
+        ("totally cyclic orientations", sum(k.is_totally_cyclic for k in kinds)),
+        ("cut-Eulerian classes", len(cut_eulerian.classes)),
         ("cut classes of acyclic orientations", class_count("cut", "acyclic")),
         ("Eulerian classes of totally cyclic orientations",
          class_count("eulerian", "totally_cyclic")),
@@ -179,8 +180,7 @@ def _cmd_example(args) -> int:
     # cut-Eulerian equivalent to it
     ce_members = [o for o in orientations if equivalent(o, o.reversed(), "cut_eulerian")]
     ce_class_count = sum(
-        1 for rep in enumerate_classes(graph, "cut_eulerian", "all", budget).representatives
-        if equivalent(rep, rep.reversed(), "cut_eulerian")
+        1 for rep in cut_eulerian.representatives if equivalent(rep, rep.reversed(), "cut_eulerian")
     )
 
     lines = [
@@ -312,7 +312,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): send the rest of the output
+        # to devnull, so the flush at exit fails no more, and exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         GraphFormatError,
         FileNotFoundError,

@@ -9,22 +9,22 @@ mixed radix as integers in [0, order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator, Sequence
 
-from .multigraph import MultiGraph, _UnionFind
+from .multigraph import MultiGraph, spanning_structure
 from .orientations import (
     DEFAULT_BUDGET,
     Orientation,
     _check_budget,
-    _circuit_table,
-    _circuit_part_positions,
+    _circuit_part,
     _flip_signs,
+    coupling,
     enumerate_classes,
     enumerate_orientations,
     in_filter,
+    indicator,
     is_flow,
     is_tension,
 )
@@ -148,36 +148,6 @@ class CountQuery:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-@lru_cache(maxsize=None)
-def _structure(graph: MultiGraph):
-    """(forest positions, cotree circuit table, flow coefficient table,
-    component roots, block map). The block map gives each position the first
-    position of its block, a component of the cycle matroid (a 2-connected
-    piece, a bridge or a loop): the fundamental circuits join each block."""
-    cotree = _circuit_table(graph)
-    cotree_pos = {e for e, _ in cotree}
-    forest_pos = tuple(p for p in range(graph.edge_count) if p not in cotree_pos)
-    flow_coeffs: dict[int, list[tuple[int, int]]] = {t: [] for t in forest_pos}
-    for e_pos, rest in cotree:
-        for t_pos, d in rest:
-            flow_coeffs[t_pos].append((e_pos, d))
-    uf = _UnionFind(graph.vertex_count)
-    for u, v in graph.edges:
-        uf.union(u, v)
-    roots = frozenset(uf.find(v) for v in range(graph.vertex_count))
-    blocks = _UnionFind(graph.edge_count)  # the smallest position is the root
-    for e_pos, rest in cotree:
-        for t_pos, _ in rest:
-            blocks.union(e_pos, t_pos)
-    return (
-        forest_pos,
-        cotree,
-        tuple((t, tuple(flow_coeffs[t])) for t in forest_pos),
-        roots,
-        tuple(blocks.find(pos) for pos in range(graph.edge_count)),
-    )
-
-
 def _normalize_ranges(
     graph: MultiGraph,
     lower,
@@ -198,74 +168,52 @@ def _normalize_ranges(
     return out
 
 
-def _tension_coeffs(orientation: Orientation):
-    """Per cotree edge: (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t)."""
+def _space(orientation: Orientation, side: str):
+    """(free positions, dependent sums) of the tensions (side "tension") or
+    the flows (side "flow") of the digraph: the inputs of _partial_sum_dp and
+    _iter_vectors. A tension is free on the spanning forest, and each cotree
+    edge gets (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t); a flow is
+    free on the cotree, and each forest edge gets (t_pos, ((e_pos, c), ...))
+    with g(t) = sum c*g(e)."""
     signs = _flip_signs(orientation)
-    _, cotree, _, _, _ = _structure(orientation.graph)
-    return tuple(
-        (e, tuple((t, -signs[e] * d * signs[t]) for t, d in rest))
-        for e, rest in cotree
-    )
-
-
-def _flow_coeffs(orientation: Orientation):
-    """Per forest edge: (t_pos, ((e_pos, c), ...)) with g(t) = sum c*g(e)."""
-    signs = _flip_signs(orientation)
-    _, _, flow_tab, _, _ = _structure(orientation.graph)
-    return tuple(
+    forest = spanning_structure(orientation.graph)
+    if side == "tension":
+        return forest.forest_positions, tuple(
+            (e, tuple((t, -signs[e] * d * signs[t]) for t, d in rest))
+            for e, rest in forest.circuit_table
+        )
+    return tuple(e for e, _ in forest.circuit_table), tuple(
         (t, tuple((e, d * signs[t] * signs[e]) for e, d in coeffs))
-        for t, coeffs in flow_tab
+        for t, coeffs in forest.flow_table
     )
 
 
-def _iter_tensions(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
-    """Integer tensions of the digraph with per-position inclusive bounds,
-    parametrized by spanning-forest values."""
-    graph = orientation.graph
-    forest_pos, _, _, _, _ = _structure(graph)
-    dependent = _tension_coeffs(orientation)
-    spans = [range(ranges[t][0], ranges[t][1] + 1) for t in forest_pos]
+def _iter_vectors(free, dependent, values, budget) -> Iterator[tuple[int, ...]]:
+    """The vectors _partial_sum_dp counts with zeros "allowed", listed: every
+    assignment of the free values, extended by the dependent sums and kept
+    if each sum lies in its range (a group takes every sum). The budget
+    counts the assignments."""
+    group = values if isinstance(values, CyclicProduct) else None
+    if group is None:
+        spans = [range(values[pos][0], values[pos][1] + 1) for pos in free]
+    else:
+        spans = [group.elements()] * len(free)
     _check_budget(prod(len(s) for s in spans), budget, "candidates")
-    vec = [0] * graph.edge_count
+    vec = [0] * (len(free) + len(dependent))
     for assignment in product(*spans):
-        for t, value in zip(forest_pos, assignment):
-            vec[t] = value
-        ok = True
-        for e, coeffs in dependent:
-            value = 0
-            for t, c in coeffs:
-                value += c * vec[t]
-            if not ranges[e][0] <= value <= ranges[e][1]:
-                ok = False
-                break
-            vec[e] = value
-        if ok:
-            yield tuple(vec)
-
-
-def _iter_flows(orientation, ranges, budget) -> Iterator[tuple[int, ...]]:
-    """Integer flows with per-position inclusive bounds, parametrized by
-    cotree values."""
-    graph = orientation.graph
-    _, cotree, _, _, _ = _structure(graph)
-    cotree_pos = [e for e, _ in cotree]
-    dependent = _flow_coeffs(orientation)
-    spans = [range(ranges[e][0], ranges[e][1] + 1) for e in cotree_pos]
-    _check_budget(prod(len(s) for s in spans), budget, "candidates")
-    vec = [0] * graph.edge_count
-    for assignment in product(*spans):
-        for e, value in zip(cotree_pos, assignment):
-            vec[e] = value
-        ok = True
-        for t, coeffs in dependent:
-            value = 0
-            for e, c in coeffs:
-                value += c * vec[e]
-            if not ranges[t][0] <= value <= ranges[t][1]:
-                ok = False
-                break
-            vec[t] = value
-        if ok:
+        for pos, value in zip(free, assignment):
+            vec[pos] = value
+        for pos, coeffs in dependent:
+            if group is None:
+                value = sum(c * vec[t] for t, c in coeffs)
+                if not values[pos][0] <= value <= values[pos][1]:
+                    break
+            else:
+                value = 0
+                for t, c in coeffs:
+                    value = group.add(value, vec[t] if c > 0 else group.neg(vec[t]))
+            vec[pos] = value
+        else:
             yield tuple(vec)
 
 
@@ -411,16 +359,12 @@ def _count_tensions(orientation, values, budget, zeros: str = "allowed"):
     """Tensions of the digraph with values in per-position integer ranges or
     in a group, counted by the partial-sum DP over spanning-forest values;
     see _partial_sum_dp for ``zeros``."""
-    forest_pos, _, _, _, _ = _structure(orientation.graph)
-    return _partial_sum_dp(forest_pos, _tension_coeffs(orientation), values, zeros, budget)
+    return _partial_sum_dp(*_space(orientation, "tension"), values, zeros, budget)
 
 
 def _count_flows(orientation, values, budget, zeros: str = "allowed"):
     """Flows, counted like _count_tensions over cotree values."""
-    _, cotree, _, _, _ = _structure(orientation.graph)
-    return _partial_sum_dp(
-        [e for e, _ in cotree], _flow_coeffs(orientation), values, zeros, budget
-    )
+    return _partial_sum_dp(*_space(orientation, "flow"), values, zeros, budget)
 
 
 def enum_integer_tensions_box(
@@ -434,7 +378,7 @@ def enum_integer_tensions_box(
     """All integer tensions with lower <= f(e) <= upper per edge (strict
     flags tighten either side). Bounds may be scalars or per-edge sequences."""
     ranges = _normalize_ranges(orientation.graph, lower, upper, strict_lower, strict_upper)
-    return list(_iter_tensions(orientation, ranges, budget))
+    return list(_iter_vectors(*_space(orientation, "tension"), ranges, budget))
 
 
 def enum_integer_flows_box(
@@ -447,7 +391,7 @@ def enum_integer_flows_box(
 ) -> list[tuple[int, ...]]:
     """Integer flows in a box; dual to the tension enumerator."""
     ranges = _normalize_ranges(orientation.graph, lower, upper, strict_lower, strict_upper)
-    return list(_iter_flows(orientation, ranges, budget))
+    return list(_iter_vectors(*_space(orientation, "flow"), ranges, budget))
 
 
 def enum_modular_tensions(
@@ -455,23 +399,10 @@ def enum_modular_tensions(
     group: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """The tension group over the given product of cyclic moduli: one vector
-    per potential with the smallest vertex of each component pinned to 0."""
+    """The tension group over the given product of cyclic moduli: free
+    spanning-forest values extended through the fundamental circuits."""
     grp = CyclicProduct(tuple(group))
-    graph = orientation.graph
-    _, _, _, roots, _ = _structure(graph)
-    free = [v for v in range(graph.vertex_count) if v not in roots]
-    _check_budget(grp.order ** len(free), budget, "candidates")
-    arrows = orientation.arrows()
-    out = []
-    potential = [0] * graph.vertex_count
-    for values in product(grp.elements(), repeat=len(free)):
-        for v, value in zip(free, values):
-            potential[v] = value
-        out.append(
-            tuple(grp.sub(potential[t], potential[h]) for t, h in arrows)
-        )
-    return out
+    return list(_iter_vectors(*_space(orientation, "tension"), grp, budget))
 
 
 def enum_modular_flows(
@@ -482,23 +413,7 @@ def enum_modular_flows(
     """The flow group over the given product of cyclic moduli: free cotree
     values extended through the fundamental circuits."""
     grp = CyclicProduct(tuple(group))
-    graph = orientation.graph
-    _, cotree, _, _, _ = _structure(graph)
-    cotree_pos = [e for e, _ in cotree]
-    dependent = _flow_coeffs(orientation)
-    _check_budget(grp.order ** len(cotree_pos), budget, "candidates")
-    out = []
-    vec = [0] * graph.edge_count
-    for values in product(grp.elements(), repeat=len(cotree_pos)):
-        for e, value in zip(cotree_pos, values):
-            vec[e] = value
-        for t, coeffs in dependent:
-            value = 0
-            for e, c in coeffs:
-                value = grp.add(value, vec[e] if c > 0 else grp.neg(vec[e]))
-            vec[t] = value
-        out.append(tuple(vec))
-    return out
+    return list(_iter_vectors(*_space(orientation, "flow"), grp, budget))
 
 
 def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], full: int) -> int:
@@ -517,7 +432,7 @@ def _box_count(orientation, side, box, value, budget) -> int:
     inside = (0, value) if box == "closed" else (1, value - 1)
     m = orientation.graph.edge_count
     if box == "support":
-        circuit = _circuit_part_positions(orientation)
+        circuit = _circuit_part(orientation)
         on_circuit = side == "flow"
         ranges = [inside if (pos in circuit) == on_circuit else (0, 0) for pos in range(m)]
     else:
@@ -548,7 +463,7 @@ def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
     the coefficients read only sign products within fundamental circuits,
     and a reversed directed circuit is still one."""
     flips = orientation.flips
-    blocks = _structure(orientation.graph)[4]
+    blocks = spanning_structure(orientation.graph).blocks
     return tuple([flips[pos] ^ flips[first] for pos, first in enumerate(blocks)])
 
 
@@ -678,8 +593,8 @@ def reorient_p(
 ) -> tuple[int, ...]:
     """Edgewise product with the coupling of the two orientations; an
     involution carrying tensions/flows of one digraph to the other."""
-    from .orientations import coupling
-
+    if len(values) != first.graph.edge_count:
+        raise ValueError("edge vector length mismatch")
     return tuple(c * x for c, x in zip(coupling(first, second), values))
 
 
@@ -695,11 +610,11 @@ def reorient_q(
     graph = first.graph
     if graph != second.graph:
         raise ValueError("orientations live on different graphs")
+    if len(values) != graph.edge_count:
+        raise ValueError("edge vector length mismatch")
     if any(not 0 <= x <= bound for x in values):
         raise ValueError("values must lie in [0, bound]")
     ids = graph._check_ids(subset)
-    from .orientations import indicator
-
     disagree = indicator(first, second)
     return tuple(
         bound - x if disagree[pos] and graph.edge_ids[pos] in ids else x

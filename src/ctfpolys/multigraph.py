@@ -20,17 +20,30 @@ class GraphStats:
 
 @dataclass(frozen=True)
 class ForestData:
-    """A spanning forest plus the fundamental circuit of every non-forest edge.
+    """A spanning forest plus the fundamental circuit of every non-forest edge,
+    by edge label and by edge position.
 
     ``forest_edges`` holds edge labels. Each circuit is a tuple of
     ``(edge_label, sign)`` pairs; the circuit of non-forest edge e starts with
     (e, +1) and the sign of a forest edge is +1 exactly when the circuit
     traversal crosses it along its reference direction. A loop's circuit is
     the loop alone.
+
+    The position view, read by the counting kernel: ``forest_positions``
+    ascending; ``circuit_table``, (e, ((t, sign), ...)) per non-forest
+    position e, its circuit without e itself; ``flow_table``, (t, ((e,
+    sign), ...)) per forest position t, the circuits through t; ``blocks``,
+    per position the first position of its block, a component of the cycle
+    matroid (a 2-connected piece, a bridge or a loop), which the fundamental
+    circuits join.
     """
 
     forest_edges: frozenset[int]
     fundamental_circuits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    forest_positions: tuple[int, ...]
+    circuit_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    flow_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    blocks: tuple[int, ...]
 
 
 class _UnionFind:
@@ -185,7 +198,8 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> Mul
 @lru_cache(maxsize=None)
 def spanning_structure(graph: MultiGraph) -> ForestData:
     """Deterministic spanning forest (first acyclic edge in label-scan order
-    wins) and the fundamental circuits of the remaining edges."""
+    wins) and the fundamental circuits of the remaining edges, built once per
+    graph; see ForestData."""
     uf = _UnionFind(graph.vertex_count)
     forest_pos: list[int] = []
     for pos, (u, v) in enumerate(graph.edges):
@@ -223,19 +237,30 @@ def spanning_structure(graph: MultiGraph) -> ForestData:
             frontier = nxt
         raise AssertionError("forest path lookup failed")
 
-    circuits: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    ids = graph.edge_ids
     forest_set = set(forest_pos)
-    for pos, (u, v) in enumerate(graph.edges):
-        if pos in forest_set:
-            continue
-        walk = [(graph.edge_ids[pos], 1)]
-        for fpos, sign in forest_path(v, u):
-            walk.append((graph.edge_ids[fpos], sign))
-        circuits.append((graph.edge_ids[pos], tuple(walk)))
+    table = tuple(
+        (pos, tuple(forest_path(v, u)))
+        for pos, (u, v) in enumerate(graph.edges)
+        if pos not in forest_set
+    )
+    through: dict[int, list[tuple[int, int]]] = {t: [] for t in forest_pos}
+    blocks = _UnionFind(graph.edge_count)  # the smallest position is the root
+    for e_pos, rest in table:
+        for t_pos, sign in rest:
+            through[t_pos].append((e_pos, sign))
+            blocks.union(e_pos, t_pos)
 
     return ForestData(
-        frozenset(graph.edge_ids[p] for p in forest_pos),
-        tuple(circuits),
+        forest_edges=frozenset(ids[p] for p in forest_pos),
+        fundamental_circuits=tuple(
+            (ids[e], ((ids[e], 1),) + tuple((ids[t], sign) for t, sign in rest))
+            for e, rest in table
+        ),
+        forest_positions=tuple(forest_pos),
+        circuit_table=table,
+        flow_table=tuple((t, tuple(through[t])) for t in forest_pos),
+        blocks=tuple(blocks.find(pos) for pos in range(graph.edge_count)),
     )
 
 

@@ -4,7 +4,6 @@ cut-Eulerian equivalence relations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -112,26 +111,6 @@ class ClassPartition:
     representatives: tuple[Orientation, ...]
 
 
-@lru_cache(maxsize=None)
-def _circuit_table(graph: MultiGraph) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Fundamental circuits converted to edge positions.
-
-    Entry (e_pos, ((t_pos, sign), ...)) lists the circuit of the non-forest
-    edge at e_pos with reference-direction signs, e_pos itself excluded (its
-    sign is +1 by construction).
-    """
-    forest = spanning_structure(graph)
-    table = []
-    for eid, circ in forest.fundamental_circuits:
-        e_pos = graph.position_of(eid)
-        rest = tuple(
-            (graph.position_of(tid), sign) for tid, sign in circ if tid != eid
-        )
-        table.append((e_pos, rest))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _flip_signs(orientation: Orientation) -> tuple[int, ...]:
     """Per-position sign: -1 on flipped edges, +1 elsewhere."""
     return tuple(-1 if b else 1 for b in orientation.flips)
@@ -181,7 +160,7 @@ def is_tension(orientation: Orientation, values: Sequence[int], modulus: int = 0
     if len(values) != graph.edge_count:
         raise ValueError("edge vector length mismatch")
     signs = _flip_signs(orientation)
-    for e_pos, rest in _circuit_table(graph):
+    for e_pos, rest in spanning_structure(graph).circuit_table:
         total = signs[e_pos] * values[e_pos]
         for t_pos, ref_sign in rest:
             total += ref_sign * signs[t_pos] * values[t_pos]
@@ -243,18 +222,29 @@ def _strong_components(orientation: Orientation) -> list[int]:
     return comp
 
 
+def _circuit_part(orientation: Orientation) -> frozenset[int]:
+    """Positions of the circuit-part edges: loops and the edges inside a
+    strongly connected component. It is recomputed on each call, so no
+    sweep over the orientations of a graph or its minors is kept."""
+    graph = orientation.graph
+    comp = _strong_components(orientation)
+    return frozenset(
+        pos
+        for pos, (u, v) in enumerate(graph.edges)
+        if u == v or comp[u] == comp[v]
+    )
+
+
 def minty_partition(orientation: Orientation) -> MintyPartition:
     """Split the edges into the directed-bond part and the directed-circuit
     part. A non-loop edge lies on a directed circuit iff its endpoints share
     a strongly connected component; loops always do."""
-    graph = orientation.graph
-    comp = _strong_components(orientation)
-    circuit = set()
-    for pos, (u, v) in enumerate(graph.edges):
-        if u == v or comp[u] == comp[v]:
-            circuit.add(graph.edge_ids[pos])
-    bond = set(graph.edge_ids) - circuit
-    return MintyPartition(frozenset(bond), frozenset(circuit))
+    circuit = _circuit_part(orientation)
+    ids = orientation.graph.edge_ids
+    return MintyPartition(
+        frozenset(i for pos, i in enumerate(ids) if pos not in circuit),
+        frozenset(ids[pos] for pos in circuit),
+    )
 
 
 def classify(orientation: Orientation) -> OrientationClassification:
@@ -277,24 +267,6 @@ def coupling(first: Orientation, second: Orientation) -> tuple[int, ...]:
 def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
     """0-1 disagreement vector: (1 - coupling) / 2 per edge."""
     return tuple((1 - c) // 2 for c in coupling(first, second))
-
-
-def _circuit_part(orientation: Orientation) -> frozenset[int]:
-    """Positions of the circuit-part edges: loops and the edges inside a
-    strongly connected component. ``_circuit_part_positions`` keeps it per
-    orientation for the count table and the ledger, which read it many
-    times; a one-pass sweep such as ``enumerate_classes`` or ``in_filter``
-    calls it uncached, so no sweep over the orientations of a minor is kept."""
-    graph = orientation.graph
-    comp = _strong_components(orientation)
-    return frozenset(
-        pos
-        for pos, (u, v) in enumerate(graph.edges)
-        if u == v or comp[u] == comp[v]
-    )
-
-
-_circuit_part_positions = lru_cache(maxsize=None)(_circuit_part)
 
 
 def _circuit_filter(circuit: frozenset[int] | None, edge_count: int, filter: str) -> bool:
@@ -329,7 +301,7 @@ def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
         return is_tension(first, ind, 0)
     if relation == "eulerian":
         return is_flow(first, ind, 0)
-    circuit = _circuit_part_positions(first)
+    circuit = _circuit_part(first)
     bond_vec = tuple(0 if p in circuit else ind[p] for p in range(len(ind)))
     circ_vec = tuple(ind[p] if p in circuit else 0 for p in range(len(ind)))
     return is_tension(first, bond_vec, 0) and is_flow(first, circ_vec, 0)
@@ -357,7 +329,9 @@ def _class_key(graph: MultiGraph, relation: str):
     """The key of an orientation's class under ``relation``, as a function of
     the orientation and its circuit part (read only by cut-Eulerian); see
     ``enumerate_classes``."""
-    circuits = tuple(((e_pos, 1),) + rest for e_pos, rest in _circuit_table(graph))
+    circuits = tuple(
+        ((e_pos, 1),) + rest for e_pos, rest in spanning_structure(graph).circuit_table
+    )
     nonloop = tuple((pos, graph.edges[pos]) for pos in graph.nonloop_positions)
 
     def circuit_sums(flips, skip=frozenset()):
@@ -415,7 +389,6 @@ def enumerate_classes(
         raise ValueError(f"unknown filter {filter!r}")
 
     key = _class_key(graph, relation)
-    # each circuit part is read once here, so none is kept for the process
     needs_circuit = relation == "cut_eulerian" or filter != "all"
     grouped: dict[object, list[Orientation]] = {}
     for o in enumerate_orientations(graph, budget):

@@ -22,7 +22,7 @@ from .orientations import (
     BudgetExceededError,
     Orientation,
     _check_budget,
-    _circuit_part_positions,
+    _circuit_part,
     enumerate_classes,
     enumerate_orientations,
     equivalent,
@@ -225,7 +225,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         made = {o: make(o) for o in first.values()}
         return {o: made[rep[o]] for o in orientations}
 
-    circuit = {o: _circuit_part_positions(o) for o in orientations}
+    circuit = {o: _circuit_part(o) for o in orientations}
     sign = {o: -1 if (r + len(circuit[o])) % 2 else 1 for o in orientations}
 
     # the counted polynomials, each computed when an identity first reads it,

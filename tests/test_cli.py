@@ -239,15 +239,33 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_python_m_runs_the_cli():
+def _cli_env():
     src = str(Path(ctfpolys.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "ctfpolys", "example"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_cli_env(),
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("built-in example graph")
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # as under ``ctfpolys corpus --max-edges 4 --loops | head -1``
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctfpolys", "corpus", "--max-edges", "4", "--loops"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+    )
+    assert proc.stdout.readline().startswith("pass")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == "", stderr
 
 
 def test_help_exits_0(capsys):

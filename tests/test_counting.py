@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ctfpolys
 import oracles
 from ctfpolys import (
     BudgetExceededError,
@@ -26,12 +30,11 @@ from ctfpolys import (
 from ctfpolys.counting import (
     CountTable,
     _box_count,
-    _flow_coeffs,
     _orbit_key,
-    _structure,
-    _tension_coeffs,
+    _space,
 )
-from ctfpolys.orientations import _circuit_part_positions
+from ctfpolys.multigraph import spanning_structure
+from ctfpolys.orientations import RELATIONS, equivalent
 from ctfpolys.polynomials import counting_polynomial
 from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
@@ -107,6 +110,28 @@ def test_integer_boxes_match_oracle(small_corpus):
             assert sorted(enum_integer_flows_box(ref, low, high)) == sorted(
                 oracles.integer_flows(g, ref.flips, low, high)
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(), st.data())
+def test_enumerators_match_oracle_random(graph, data):
+    m = graph.edge_count
+    flips = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    o = Orientation(graph, flips)
+    for low, high in ((-1, 1), (0, 1)):
+        assert sorted(enum_integer_tensions_box(o, low, high)) == oracles.integer_tensions(
+            graph, flips, low, high
+        )
+        assert sorted(enum_integer_flows_box(o, low, high)) == sorted(
+            oracles.integer_flows(graph, flips, low, high)
+        )
+    for moduli in ((2,), (3,), (2, 2)):
+        assert sorted(enum_modular_tensions(o, moduli)) == oracles.modular_tensions(
+            graph, flips, moduli
+        )
+        assert sorted(enum_modular_flows(o, moduli)) == oracles.modular_flows(
+            graph, flips, moduli
+        )
 
 
 def test_integer_box_examples(k2, l1, p8):
@@ -364,6 +389,17 @@ def test_reorient_q(p8):
         reorient_q(ref, other, set(p8.edge_ids), 2, values)
 
 
+def test_reorient_rejects_wrong_length(c3):
+    a = Orientation.reference(c3)
+    b = a.with_flipped([1])
+    for values in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="edge vector length mismatch"):
+            reorient_p(a, b, values)
+    for values in ((1, 2), (1, 2, 3, 0)):
+        with pytest.raises(ValueError, match="edge vector length mismatch"):
+            reorient_q(a, b, [0, 1, 2], 3, values)
+
+
 def test_reorient_q_transports_boxes(p8):
     # within a CE class, Q maps the closed-box pairs of one orientation
     # bijectively onto those of another
@@ -528,13 +564,13 @@ def corpus5_graphs():
 
 def test_block_map_matches_oracle(corpus5_graphs):
     for graph in corpus5_graphs:
-        assert _structure(graph)[4] == oracles.blocks(graph), graph.edges
+        assert spanning_structure(graph).blocks == oracles.blocks(graph), graph.edges
 
 
 @settings(max_examples=60, deadline=None)
 @given(multigraphs())
 def test_block_map_matches_oracle_random(graph):
-    assert _structure(graph)[4] == oracles.blocks(graph)
+    assert spanning_structure(graph).blocks == oracles.blocks(graph)
 
 
 def test_orbit_key_is_exact(corpus5_graphs):
@@ -545,7 +581,7 @@ def test_orbit_key_is_exact(corpus5_graphs):
         for o in enumerate_orientations(graph):
             key = _orbit_key(o)
             kernel_inputs = (
-                _tension_coeffs(o), _flow_coeffs(o), oracles.circuit_part(graph, o.flips)
+                _space(o, "tension"), _space(o, "flow"), oracles.circuit_part(graph, o.flips)
             )
             keys.add(key)
             inputs.add(kernel_inputs)
@@ -580,11 +616,38 @@ def test_count_table_matches_direct_counts():
                 ), (graph.edges, o.flips, side, box, value)
 
 
-def test_orientation_sums_keep_no_circuit_parts():
-    # in_filter reads each circuit part once, so the polynomials of the
-    # many minors of a convolution leave the per-orientation cache as it was
+def _package_caches():
+    """The package's module-level caches by name: each lru_cache found in
+    the namespace of one of its modules."""
+    caches = {}
+    for info in pkgutil.iter_modules(ctfpolys.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ctfpolys.{info.name}")
+        caches.update(
+            (name, obj) for name, obj in vars(module).items() if hasattr(obj, "cache_info")
+        )
+    return caches
+
+
+def test_package_caches_are_keyed_by_graph():
+    # the process-wide caches are keyed by graph, so sweeping the 64
+    # orientations of one graph adds at most one entry to each; a cache
+    # keyed by orientation would grow with the sweep
+    caches = _package_caches()
+    assert set(caches) == {"spanning_structure", "_tutte_by_key"}
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])
-    before = _circuit_part_positions.cache_info().currsize
-    for family in ("tau_bar_int", "phi_bar_int", "kappa_bar_int"):
+    before = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    for relation in RELATIONS:
+        for filt in ("all", "acyclic", "totally_cyclic"):
+            enumerate_classes(graph, relation, filt)
+    for family in ("tau_bar_int", "phi_bar_int", "kappa_bar_int", "kappa_bar_mod"):
         counting_polynomial(graph, family)
-    assert _circuit_part_positions.cache_info().currsize == before
+    for o in enumerate_orientations(graph):
+        assert is_tension(o, enum_integer_tensions_box(o, -1, 1)[0])
+        assert is_flow(o, enum_modular_flows(o, [2])[-1], 2)
+        count(graph, "kappa_local", p=2, q=2, orientation=o)
+        for relation in RELATIONS:
+            equivalent(o, o.reversed(), relation)
+    grown = {name: cache.cache_info().currsize - before[name] for name, cache in caches.items()}
+    assert all(n <= 1 for n in grown.values()), grown

@@ -137,6 +137,32 @@ def test_spanning_structure_invariants(small_corpus, p8):
                 assert circuit == ((eid, 1),)
 
 
+def test_spanning_structure_views_agree(small_corpus, p8):
+    # the label view and the position view describe the same forest and
+    # circuits; deleting the first edge makes labels differ from positions
+    graphs = list(small_corpus) + [p8]
+    graphs += [g.delete(g.edge_ids[0]) for g in graphs if g.edge_count]
+    for g in graphs:
+        forest = spanning_structure(g)
+        ids = g.edge_ids
+        assert forest.forest_edges == {ids[t] for t in forest.forest_positions}
+        assert list(forest.forest_positions) == sorted(forest.forest_positions)
+        assert forest.fundamental_circuits == tuple(
+            (ids[e], ((ids[e], 1),) + tuple((ids[t], sign) for t, sign in rest))
+            for e, rest in forest.circuit_table
+        )
+        # the flow table lists, per forest edge, the circuits through it
+        assert forest.flow_table == tuple(
+            (t, tuple(
+                (e, sign) for e, rest in forest.circuit_table for t2, sign in rest if t2 == t
+            ))
+            for t in forest.forest_positions
+        )
+        cotree = [e for e, _ in forest.circuit_table]
+        assert sorted(cotree + list(forest.forest_positions)) == list(range(g.edge_count))
+        assert len(forest.blocks) == g.edge_count
+
+
 def test_spanning_structure_examples(k2, l1):
     assert spanning_structure(k2).forest_edges == {0}
     assert spanning_structure(k2).fundamental_circuits == ()

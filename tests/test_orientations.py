@@ -274,16 +274,3 @@ def test_flip_string_roundtrip(p8):
     assert o.flip_string() == "01001"
     assert o.arrow(1) == (1, 0)
     assert o.arrow(0) == (0, 2)
-
-
-def test_class_sweep_keeps_no_circuit_parts():
-    # enumerate_classes reads each circuit part once, so the process-wide
-    # per-orientation cache must not grow with the sweep
-    from ctfpolys.orientations import _circuit_part_positions
-
-    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])
-    before = _circuit_part_positions.cache_info().currsize
-    for relation in RELATIONS:
-        for filt in ("all", "acyclic", "totally_cyclic"):
-            enumerate_classes(graph, relation, filt)
-    assert _circuit_part_positions.cache_info().currsize == before
