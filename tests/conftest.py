@@ -1,6 +1,38 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import ctfpolys
 from ctfpolys import build_graph
+
+
+@pytest.fixture(scope="session")
+def package_caches():
+    """The package's module-level caches by name: each lru_cache found in
+    the namespace of one of its modules."""
+    caches = {}
+    for info in pkgutil.iter_modules(ctfpolys.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ctfpolys.{info.name}")
+        caches.update(
+            (name, obj) for name, obj in vars(module).items() if hasattr(obj, "cache_info")
+        )
+    return caches
+
+
+@pytest.fixture
+def cache_growth(package_caches):
+    """A function that runs sweep() and returns how many entries each
+    package cache gained."""
+
+    def grow(sweep):
+        before = {name: c.cache_info().currsize for name, c in package_caches.items()}
+        sweep()
+        return {name: c.cache_info().currsize - before[name] for name, c in package_caches.items()}
+
+    return grow
 
 
 @pytest.fixture(scope="session")

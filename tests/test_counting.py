@@ -1,12 +1,9 @@
-import importlib
-import pkgutil
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ctfpolys
 import oracles
 from ctfpolys import (
     BudgetExceededError,
@@ -616,38 +613,34 @@ def test_count_table_matches_direct_counts():
                 ), (graph.edges, o.flips, side, box, value)
 
 
-def _package_caches():
-    """The package's module-level caches by name: each lru_cache found in
-    the namespace of one of its modules."""
-    caches = {}
-    for info in pkgutil.iter_modules(ctfpolys.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"ctfpolys.{info.name}")
-        caches.update(
-            (name, obj) for name, obj in vars(module).items() if hasattr(obj, "cache_info")
-        )
-    return caches
-
-
-def test_package_caches_are_keyed_by_graph():
+def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):
     # the process-wide caches are keyed by graph, so sweeping the 64
     # orientations of one graph adds at most one entry to each; a cache
     # keyed by orientation would grow with the sweep
-    caches = _package_caches()
-    assert set(caches) == {"spanning_structure", "_tutte_by_key"}
+    assert set(package_caches) == {"spanning_structure", "_tutte_by_key"}
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 2)])
+
+    def sweep():
+        for o in enumerate_orientations(graph):
+            assert is_tension(o, enum_integer_tensions_box(o, -1, 1)[0])
+            assert is_flow(o, enum_modular_flows(o, [2])[-1], 2)
+            count(graph, "kappa_local", p=2, q=2, orientation=o)
+            for relation in RELATIONS:
+                equivalent(o, o.reversed(), relation)
+
+    grown = cache_growth(sweep)
+    assert all(n <= 1 for n in grown.values()), grown
+
+
+def test_orientation_sums_keep_no_circuit_parts(cache_growth):
+    # in_filter reads each circuit part once, so the polynomials of the
+    # many minors of a convolution keep no circuit part, nor anything
+    # else, per orientation
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])
-    before = {name: cache.cache_info().currsize for name, cache in caches.items()}
-    for relation in RELATIONS:
-        for filt in ("all", "acyclic", "totally_cyclic"):
-            enumerate_classes(graph, relation, filt)
-    for family in ("tau_bar_int", "phi_bar_int", "kappa_bar_int", "kappa_bar_mod"):
-        counting_polynomial(graph, family)
-    for o in enumerate_orientations(graph):
-        assert is_tension(o, enum_integer_tensions_box(o, -1, 1)[0])
-        assert is_flow(o, enum_modular_flows(o, [2])[-1], 2)
-        count(graph, "kappa_local", p=2, q=2, orientation=o)
-        for relation in RELATIONS:
-            equivalent(o, o.reversed(), relation)
-    grown = {name: cache.cache_info().currsize - before[name] for name, cache in caches.items()}
+
+    def sweep():
+        for family in ("tau_bar_int", "phi_bar_int", "kappa_bar_int", "kappa_bar_mod"):
+            counting_polynomial(graph, family)
+
+    grown = cache_growth(sweep)
     assert all(n <= 1 for n in grown.values()), grown

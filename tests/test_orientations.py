@@ -269,6 +269,20 @@ def test_induced_orientation(p8):
     assert carried.flips == (0, 0, 0, 1)
 
 
+def test_class_sweep_keeps_no_circuit_parts(cache_growth):
+    # enumerate_classes reads each circuit part once, so the process-wide
+    # caches, keyed by graph, gain at most one entry from the sweep
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 0)])
+
+    def sweep():
+        for relation in RELATIONS:
+            for filt in ("all", "acyclic", "totally_cyclic"):
+                enumerate_classes(graph, relation, filt)
+
+    grown = cache_growth(sweep)
+    assert all(n <= 1 for n in grown.values()), grown
+
+
 def test_flip_string_roundtrip(p8):
     o = Orientation.from_string(p8, "01001")
     assert o.flip_string() == "01001"
