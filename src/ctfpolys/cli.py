@@ -13,9 +13,8 @@ from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_t
 from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    classify,
+    OrientationTable,
     enumerate_classes,
-    enumerate_orientations,
     equivalent,
 )
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
@@ -149,53 +148,65 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_example(args) -> int:
     graph, budget = _example_graph(), args.budget
-    t = tutte(graph)
-    r = rank_generating(graph)
-    kappa = counting_polynomial(graph, "kappa_mod", budget)
-    kappa_int = counting_polynomial(graph, "kappa_int", budget)
-    kappa_bar = counting_polynomial(graph, "kappa_bar_mod", budget)
-    kappa_bar_int = counting_polynomial(graph, "kappa_bar_int", budget)
+    polys = {
+        "T": tutte(graph),
+        "R": rank_generating(graph),
+        "kappa": counting_polynomial(graph, "kappa_mod", budget),
+        "kappa_int": counting_polynomial(graph, "kappa_int", budget),
+        "kappa_bar": counting_polynomial(graph, "kappa_bar_mod", budget),
+        "kappa_bar_int": counting_polynomial(graph, "kappa_bar_int", budget),
+    }
 
-    def class_count(relation, filter_name="all"):
-        return len(enumerate_classes(graph, relation, filter_name, budget).classes)
-
-    orientations = list(enumerate_orientations(graph, budget))
-    kinds = [classify(o) for o in orientations]
-    cut_eulerian = enumerate_classes(graph, "cut_eulerian", "all", budget)
+    table = OrientationTable(graph, budget)
     censuses = [
-        ("orientations", len(orientations)),
-        ("acyclic orientations", sum(k.is_acyclic for k in kinds)),
-        ("totally cyclic orientations", sum(k.is_totally_cyclic for k in kinds)),
-        ("cut-Eulerian classes", len(cut_eulerian.classes)),
-        ("cut classes of acyclic orientations", class_count("cut", "acyclic")),
+        ("orientations", len(table.orientations)),
+        ("acyclic orientations", len(table.members("acyclic"))),
+        ("totally cyclic orientations", len(table.members("totally_cyclic"))),
+        ("cut-Eulerian classes", len(table.classes("cut_eulerian").classes)),
+        ("cut classes of acyclic orientations", len(table.classes("cut", "acyclic").classes)),
         ("Eulerian classes of totally cyclic orientations",
-         class_count("eulerian", "totally_cyclic")),
-        ("cut classes", class_count("cut")),
-        ("Eulerian classes", class_count("eulerian")),
+         len(table.classes("eulerian", "totally_cyclic").classes)),
+        ("cut classes", len(table.classes("cut").classes)),
+        ("Eulerian classes", len(table.classes("eulerian").classes)),
     ]
 
     kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2), budget)
     kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2), budget)
     # an orientation is cut-Eulerian exactly when its reverse is
     # cut-Eulerian equivalent to it
-    ce_members = [o for o in orientations if equivalent(o, o.reversed(), "cut_eulerian")]
-    ce_class_count = sum(
-        1 for rep in cut_eulerian.representatives if equivalent(rep, rep.reversed(), "cut_eulerian")
-    )
+    ce_members = {o for o in table.orientations if equivalent(o, o.reversed(), "cut_eulerian")}
+    ce_class_count = sum(rep in ce_members for rep in table.classes("cut_eulerian").representatives)
+    notes = [
+        "the published worked example for this graph states "
+        "kappa(2,2) = #[O_ce] = 0; exhaustive enumeration gives "
+        f"kappa(2,2) = {kappa22}, |O_ce| = {len(ce_members)}, "
+        f"#[O_ce] = {ce_class_count}.",
+        "the published integral formula's token '2y-1' is read "
+        "as '2q-1'; the corrected polynomial matches brute-force counts "
+        "(the counts are authoritative either way).",
+    ]
+    if args.format == "json":
+        payload = {
+            "polynomials": {name: poly.to_json_dict() for name, poly in polys.items()},
+            "censuses": dict(censuses),
+            "special_values": {
+                "kappa(2,2)": kappa22,
+                "kappa_int(2,2)": kappa_int22,
+                "|O_ce|": len(ce_members),
+                "#[O_ce]": ce_class_count,
+            },
+            "notes": notes,
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
 
     lines = [
         "built-in example graph: 3 vertices, edges e1..e5 = "
         + " ".join(f"{u}->{v}" for u, v in graph.edges),
         "",
-        f"T = {t.to_text()}",
-        f"R = {r.to_text()}",
-        f"kappa = {kappa.to_text()}",
-        f"kappa_int = {kappa_int.to_text()}",
-        f"kappa_bar = {kappa_bar.to_text()}",
-        f"kappa_bar_int = {kappa_bar_int.to_text()}",
-        "",
-        "censuses:",
     ]
+    lines.extend(f"{name} = {poly.to_text()}" for name, poly in polys.items())
+    lines.extend(["", "censuses:"])
     lines.extend(f"  {name}: {value}" for name, value in censuses)
     lines.extend(
         [
@@ -207,15 +218,9 @@ def _cmd_example(args) -> int:
             f"  #[O_ce] = {ce_class_count}",
             "",
             "documented anomalies:",
-            "  note: the published worked example for this graph states "
-            "kappa(2,2) = #[O_ce] = 0; exhaustive enumeration gives "
-            f"kappa(2,2) = {kappa22}, |O_ce| = {len(ce_members)}, "
-            f"#[O_ce] = {ce_class_count}.",
-            "  note: the published integral formula's token '2y-1' is read "
-            "as '2q-1'; the corrected polynomial matches brute-force counts "
-            "(the counts are authoritative either way).",
         ]
     )
+    lines.extend(f"  note: {note}" for note in notes)
     print("\n".join(lines))
     return 0
 

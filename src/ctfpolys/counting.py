@@ -17,13 +17,10 @@ from .multigraph import MultiGraph, spanning_structure
 from .orientations import (
     DEFAULT_BUDGET,
     Orientation,
+    OrientationTable,
     _check_budget,
-    _circuit_part,
     _flip_signs,
     coupling,
-    enumerate_classes,
-    enumerate_orientations,
-    in_filter,
     indicator,
     is_flow,
     is_tension,
@@ -426,35 +423,19 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _box_count(orientation, side, box, value, budget) -> int:
+def _box_count(orientation, circuit, side, box, value, budget) -> int:
     """Tensions (side "tension") or flows (side "flow") of the orientation in
-    one box of ORIENTATION_SUMS at p or q."""
+    one box of ORIENTATION_SUMS at p or q; only the "support" box reads
+    ``circuit``, the positions of the orientation's circuit part."""
     inside = (0, value) if box == "closed" else (1, value - 1)
     m = orientation.graph.edge_count
     if box == "support":
-        circuit = _circuit_part(orientation)
         on_circuit = side == "flow"
         ranges = [inside if (pos in circuit) == on_circuit else (0, 0) for pos in range(m)]
     else:
         ranges = [inside] * m
     counter = _count_tensions if side == "tension" else _count_flows
     return counter(orientation, ranges, budget)
-
-
-def sum_members(
-    graph: MultiGraph,
-    family: str,
-    orientation: Orientation | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[Orientation, ...]:
-    """The orientations an orientation-sum family adds up."""
-    members = ORIENTATION_SUMS[family][0]
-    if members is None:
-        return (orientation,)
-    source, filter_name = members
-    if source == "representatives":
-        return enumerate_classes(graph, "cut_eulerian", filter_name, budget).representatives
-    return tuple(o for o in enumerate_orientations(graph, budget) if in_filter(o, filter_name))
 
 
 def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
@@ -467,17 +448,29 @@ def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
     return tuple([flips[pos] ^ flips[first] for pos, first in enumerate(blocks)])
 
 
-class CountTable:
-    """Box counts of the orientations of one graph, each computed once per
-    block-reversal orbit (``_orbit_key``), and the sums the orientation-sum
-    families read from them. A table lives for one count, one polynomial,
-    one ``polys`` report (all six graph-level orientation-sum families) or
-    one identity-ledger computation."""
+class CountTable(OrientationTable):
+    """An orientation table with the box counts of the orientations, each
+    computed once per block-reversal orbit (``_orbit_key``), and the sums the
+    orientation-sum families read from them. A table lives for one count, one
+    polynomial, one ``polys`` report (all six graph-level orientation-sum
+    families) or one identity-ledger computation."""
 
-    def __init__(self, budget: int = DEFAULT_BUDGET):
-        self.budget = budget
+    def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
+        super().__init__(graph, budget)
         self._counts: dict = {}
         self._orbits: dict = {}  # flips -> orbit key
+
+    def sum_members(
+        self, family: str, orientation: Orientation | None = None
+    ) -> tuple[Orientation, ...]:
+        """The orientations an orientation-sum family adds up."""
+        members = ORIENTATION_SUMS[family][0]
+        if members is None:
+            return (orientation,)
+        source, filter_name = members
+        if source == "representatives":
+            return self.classes("cut_eulerian", filter_name).representatives
+        return self.members(filter_name)
 
     def side(self, orientation: Orientation, side: str, box, value) -> int:
         """The count in one box at p or q; 1 for the box None."""
@@ -489,7 +482,8 @@ class CountTable:
         key = (orbit, side, box, value)
         found = self._counts.get(key)
         if found is None:
-            found = self._counts[key] = _box_count(orientation, side, box, value, self.budget)
+            circuit = self.circuit(orientation) if box == "support" else None
+            found = self._counts[key] = _box_count(orientation, circuit, side, box, value, self.budget)
         return found
 
     def total(self, family: str, members, p, q) -> int:
@@ -554,8 +548,8 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
         tensions = [(-(p - 1), p - 1)] * m if family != "phi_int" else None
         flows = [(-(q - 1), q - 1)] * m if family != "tau_int" else None
     else:
-        members = sum_members(graph, family, orientation, budget)
-        return CountTable(budget).total(family, members, p, q)
+        table = CountTable(graph, budget)
+        return table.total(family, table.sum_members(family, orientation), p, q)
 
     if flows is None:
         return _count_tensions(orientation, tensions, budget, "forbidden")

@@ -4,6 +4,7 @@ cut-Eulerian equivalence relations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -269,23 +270,6 @@ def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
     return tuple((1 - c) // 2 for c in coupling(first, second))
 
 
-def _circuit_filter(circuit: frozenset[int] | None, edge_count: int, filter: str) -> bool:
-    """``in_filter`` on a given circuit part, which "all" does not read."""
-    if filter == "acyclic":
-        return not circuit
-    if filter == "totally_cyclic":
-        return len(circuit) == edge_count
-    return True
-
-
-def in_filter(orientation: Orientation, filter: str) -> bool:
-    """Membership in one of the orientation sets "all", "acyclic" (empty
-    circuit part) and "totally_cyclic" (empty bond part)."""
-    if filter == "all":
-        return True
-    return _circuit_filter(_circuit_part(orientation), orientation.graph.edge_count, filter)
-
-
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """Test cut / Eulerian / cut-Eulerian equivalence of two orientations.
 
@@ -359,6 +343,60 @@ def _class_key(graph: MultiGraph, relation: str):
     return key
 
 
+class OrientationTable:
+    """The orientations of one graph in lex order, their circuit parts, the
+    acyclic and totally cyclic sets and the class partitions, each built on
+    first read and kept for the table's life. A table that serves one
+    orientation lists none, and the cut and Eulerian partitions find no
+    circuit part."""
+
+    def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
+        self.graph = graph
+        self.budget = budget
+        self._circuits: dict[tuple[int, ...], frozenset[int]] = {}  # by flips
+        self._members: dict[str, tuple[Orientation, ...]] = {}
+        self._classes: dict[tuple[str, str], ClassPartition] = {}
+
+    @cached_property
+    def orientations(self) -> tuple[Orientation, ...]:
+        """All orientations, as ``enumerate_orientations`` lists them."""
+        return tuple(enumerate_orientations(self.graph, self.budget))
+
+    def circuit(self, orientation: Orientation) -> frozenset[int]:
+        """The positions of the orientation's circuit part."""
+        found = self._circuits.get(orientation.flips)
+        if found is None:
+            found = self._circuits[orientation.flips] = _circuit_part(orientation)
+        return found
+
+    def members(self, filter: str) -> tuple[Orientation, ...]:
+        """The orientation set "all", "acyclic" (empty circuit part) or
+        "totally_cyclic" (empty bond part), in lex order."""
+        if filter == "all":
+            return self.orientations
+        if filter not in self._members:
+            size = 0 if filter == "acyclic" else self.graph.edge_count
+            self._members[filter] = tuple(
+                o for o in self.orientations if len(self.circuit(o)) == size
+            )
+        return self._members[filter]
+
+    def classes(self, relation: str, filter: str = "all") -> ClassPartition:
+        """The classes of ``members(filter)`` under ``relation``; see
+        ``enumerate_classes``."""
+        if (relation, filter) not in self._classes:
+            key = _class_key(self.graph, relation)
+            grouped: dict[object, list[Orientation]] = {}
+            for o in self.members(filter):
+                circuit = self.circuit(o) if relation == "cut_eulerian" else None
+                grouped.setdefault(key(o, circuit), []).append(o)
+            classes = tuple(tuple(cls) for cls in grouped.values())
+            self._classes[relation, filter] = ClassPartition(
+                relation, classes, tuple(cls[0] for cls in classes)
+            )
+        return self._classes[relation, filter]
+
+
 def enumerate_classes(
     graph: MultiGraph,
     relation: str,
@@ -388,16 +426,4 @@ def enumerate_classes(
     if filter not in ("all", "acyclic", "totally_cyclic"):
         raise ValueError(f"unknown filter {filter!r}")
 
-    key = _class_key(graph, relation)
-    needs_circuit = relation == "cut_eulerian" or filter != "all"
-    grouped: dict[object, list[Orientation]] = {}
-    for o in enumerate_orientations(graph, budget):
-        circuit = _circuit_part(o) if needs_circuit else None
-        if _circuit_filter(circuit, graph.edge_count, filter):
-            grouped.setdefault(key(o, circuit), []).append(o)
-    classes = tuple(tuple(cls) for cls in grouped.values())
-    return ClassPartition(
-        relation=relation,
-        classes=classes,
-        representatives=tuple(cls[0] for cls in classes),
-    )
+    return OrientationTable(graph, budget).classes(relation, filter)

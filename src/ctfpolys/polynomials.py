@@ -20,7 +20,6 @@ from .counting import (
     _X_ONLY,
     _Y_ONLY,
     count,
-    sum_members,
 )
 from .multigraph import MultiGraph, _UnionFind
 from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
@@ -405,23 +404,22 @@ def orientation_sum_polynomial(
     table: CountTable,
     family: str,
     members: Sequence[Orientation],
-    rank: int,
-    nullity: int,
 ) -> BivariatePolynomial:
-    """Polynomial of an orientation-sum family over the given members, read
-    from the table: each member's tension counts are taken once per sampled
-    p and its flow counts once per sampled q."""
+    """Polynomial of an orientation-sum family over the given members of the
+    table's graph, read from the table: each member's tension counts are
+    taken once per sampled p and its flow counts once per sampled q."""
     return _interpolate_family(
-        family, lambda a, b: table.total(family, members, a, b), rank, nullity
+        family, lambda a, b: table.total(family, members, a, b), table.graph
     )
 
 
-def _interpolate_family(family: str, sampler, rank: int, nullity: int) -> BivariatePolynomial:
-    """Interpolate sampler(p, q) on the family's grid and verify its held-out
-    points (see counting_polynomial)."""
+def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:
+    """Interpolate sampler(p, q) on the family's grid for the graph's rank
+    and nullity, and verify its held-out points (see counting_polynomial)."""
+    stats = graph.stats()
     lo = 0 if family in BAR_FAMILIES else 1
-    xs = list(range(lo, lo + rank + 1))
-    ys = list(range(lo, lo + nullity + 1))
+    xs = list(range(lo, lo + stats.rank + 1))
+    ys = list(range(lo, lo + stats.nullity + 1))
     held_x = [xs[-1] + 1, xs[-1] + 2]
     held_y = [ys[-1] + 1, ys[-1] + 2]
     if family in _X_ONLY:
@@ -436,25 +434,15 @@ def _interpolate_family(family: str, sampler, rank: int, nullity: int) -> Bivari
     return poly
 
 
-def _polynomial(
-    graph: MultiGraph,
-    family: str,
-    orientation: Orientation | None,
-    budget: int,
-    table: CountTable | None = None,
-) -> BivariatePolynomial:
-    stats = graph.stats()
+def _polynomial(table: CountTable, family: str,
+                orientation: Orientation | None = None) -> BivariatePolynomial:
     if family in ORIENTATION_SUMS:
-        members = sum_members(graph, family, orientation, budget)
-        return orientation_sum_polynomial(
-            table if table is not None else CountTable(budget),
-            family, members, stats.rank, stats.nullity,
-        )
+        return orientation_sum_polynomial(table, family, table.sum_members(family, orientation))
 
     def sampler(a, b):
-        return count(graph, CountQuery(family, p=a, q=b), budget)
+        return count(table.graph, CountQuery(family, p=a, q=b), table.budget)
 
-    return _interpolate_family(family, sampler, stats.rank, stats.nullity)
+    return _interpolate_family(family, sampler, table.graph)
 
 
 def counting_polynomial(
@@ -473,7 +461,7 @@ def counting_polynomial(
         raise ValueError(f"unknown family {family!r}")
     if family in LOCAL_FAMILIES:
         raise ValueError(f"{family} needs an orientation; use local_polynomial")
-    return _polynomial(graph, family, None, budget)
+    return _polynomial(CountTable(graph, budget), family)
 
 
 def local_polynomial(
@@ -487,7 +475,7 @@ def local_polynomial(
         raise ValueError(f"{family} is not a per-orientation family")
     if orientation.graph != graph:
         raise ValueError("orientation belongs to a different graph")
-    return _polynomial(graph, family, orientation, budget)
+    return _polynomial(CountTable(graph, budget), family, orientation)
 
 
 REPORT_FAMILIES = (
@@ -517,9 +505,9 @@ def polynomial_report(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Polyno
     _check_budget(1 << graph.edge_count, budget, "edge subsets")
     # the orientation-sum families read one table, so the box counts made for
     # kappa_bar_int and kappa_bar_mod serve the tau and phi families too
-    table = CountTable(budget)
+    table = CountTable(graph, budget)
     return PolynomialReport(
         tutte=tutte(graph),
         rank_generating=rank_generating(graph),
-        families={f: _polynomial(graph, f, None, budget, table) for f in REPORT_FAMILIES},
+        families={f: _polynomial(table, f) for f in REPORT_FAMILIES},
     )

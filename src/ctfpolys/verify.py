@@ -22,11 +22,7 @@ from .orientations import (
     BudgetExceededError,
     Orientation,
     _check_budget,
-    _circuit_part,
-    enumerate_classes,
-    enumerate_orientations,
     equivalent,
-    in_filter,
     induced_orientation,
 )
 from .polynomials import (
@@ -108,10 +104,6 @@ class _Collector:
     def __init__(self):
         self.problems: list[str] = []
 
-    def expect(self, ok: bool, witness: str) -> None:
-        if not ok:
-            self.problems.append(witness)
-
     def equal(self, label: str, left, right) -> None:
         if left != right:
             self.problems.append(f"{label}: {left} != {right}")
@@ -185,10 +177,13 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     stats = graph.stats()
     r, n, m = stats.rank, stats.nullity, graph.edge_count
 
-    orientations = list(enumerate_orientations(graph, budget))
-    part_ce = enumerate_classes(graph, "cut_eulerian", "all", budget)
-    part_cu = enumerate_classes(graph, "cut", "all", budget)
-    part_eu = enumerate_classes(graph, "eulerian", "all", budget)
+    # every orientation set, partition and circuit part below, and every
+    # orientation-sum polynomial of the ledger, is read from this one table
+    table = CountTable(graph, budget)
+    orientations = table.orientations
+    part_ce = table.classes("cut_eulerian")
+    part_cu = table.classes("cut")
+    part_eu = table.classes("eulerian")
 
     def class_sizes(partition):
         return {o: len(cls) for cls in partition.classes for o in cls}
@@ -200,21 +195,15 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     # memberships; an orientation is cut, Eulerian or cut-Eulerian exactly
     # when its reverse is equivalent to it under that relation
     reps = part_ce.representatives
-    acyclic = [o for o in orientations if in_filter(o, "acyclic")]
-    totally_cyclic = [o for o in orientations if in_filter(o, "totally_cyclic")]
-    acyclic_reps = [o for o in reps if in_filter(o, "acyclic")]
-    tc_reps = [o for o in reps if in_filter(o, "totally_cyclic")]
+    acyclic_reps = table.classes("cut_eulerian", "acyclic").representatives
+    tc_reps = table.classes("cut_eulerian", "totally_cyclic").representatives
     self_reverse = {
         relation: {o for o in orientations if equivalent(o, o.reversed(), relation)}
         for relation in ("cut", "eulerian", "cut_eulerian")
     }
 
-    # every orientation-sum polynomial of the ledger is read from this one
-    # table of per-orientation box counts
-    table = CountTable(budget)
-
     def swept(family, members) -> BivariatePolynomial:
-        return orientation_sum_polynomial(table, family, members, r, n)
+        return orientation_sum_polynomial(table, family, members)
 
     # box counts are constant on block-reversal orbits, so each
     # per-orientation polynomial is made once, at the orbit's first member
@@ -225,8 +214,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         made = {o: make(o) for o in first.values()}
         return {o: made[rep[o]] for o in orientations}
 
-    circuit = {o: _circuit_part(o) for o in orientations}
-    sign = {o: -1 if (r + len(circuit[o])) % 2 else 1 for o in orientations}
+    sign = {o: -1 if (r + len(table.circuit(o))) % 2 else 1 for o in orientations}
 
     # the counted polynomials, each computed when an identity first reads it,
     # so that a resource limit skips only the identities that need it
@@ -240,8 +228,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         kappa_bar=lambda: per_orientation(lambda o: poly.tau_closed[o] * poly.phi_closed[o]),
         kappa_bar_int=lambda: swept("kappa_bar_int", orientations),
         kappa_bar_mod=lambda: swept("kappa_bar_mod", reps),
-        tau_bar_int=lambda: swept("tau_bar_int", acyclic),
-        phi_bar_int=lambda: swept("phi_bar_int", totally_cyclic),
+        tau_bar_int=lambda: swept("tau_bar_int", table.members("acyclic")),
+        phi_bar_int=lambda: swept("phi_bar_int", table.members("totally_cyclic")),
         tau_bar_mod=lambda: swept("tau_bar_mod", acyclic_reps),
         phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
         # the definition-level families, counted apart from the table
@@ -355,7 +343,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     def pl(col):
         zero = BivariatePolynomial()
         for o in orientations:
-            circuit_ids = frozenset(graph.edge_ids[pos] for pos in circuit[o])
+            circuit_ids = frozenset(graph.edge_ids[pos] for pos in table.circuit(o))
             quotient = graph.contract(circuit_ids)
             restriction = graph.restrict(circuit_ids)
             o_quot = induced_orientation(o, quotient)
@@ -386,12 +374,12 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
             col.equal(
                 f"{label} kappa_bar(x,-1)",
                 poly.kappa_bar[o].set_y(-1),
-                poly.tau_closed[o] if not circuit[o] else zero,
+                poly.tau_closed[o] if not table.circuit(o) else zero,
             )
             col.equal(
                 f"{label} kappa_bar(-1,y)",
                 poly.kappa_bar[o].set_x(-1),
-                poly.phi_closed[o] if len(circuit[o]) == m else zero,
+                poly.phi_closed[o] if len(table.circuit(o)) == m else zero,
             )
 
     def pe(col):
@@ -440,8 +428,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def cs(col):
         n_or = len(orientations)
-        n_ac = len(acyclic)
-        n_tc = len(totally_cyclic)
+        n_ac = len(table.members("acyclic"))
+        n_tc = len(table.members("totally_cyclic"))
         n_cu = len(self_reverse["cut"])
         n_eu = len(self_reverse["eulerian"])
         n_ce = len(self_reverse["cut_eulerian"])

@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import ctfpolys
-from ctfpolys import build_graph
+from ctfpolys import build_graph, orientations
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,27 @@ def cache_growth(package_caches):
         return {name: c.cache_info().currsize - before[name] for name, c in package_caches.items()}
 
     return grow
+
+
+@pytest.fixture
+def component_passes(monkeypatch):
+    """A function that runs sweep() and returns how many strong-components
+    passes (``orientations._strong_components`` calls) it made."""
+    calls = []
+    original = orientations._strong_components
+
+    def counted(orientation):
+        calls.append(orientation)
+        return original(orientation)
+
+    monkeypatch.setattr(orientations, "_strong_components", counted)
+
+    def passes(sweep):
+        before = len(calls)
+        sweep()
+        return len(calls) - before
+
+    return passes
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ctfpolys
-from ctfpolys import IdentityCheck, IdentityReport, build_graph, format_graph_text, tutte
+from ctfpolys import IdentityCheck, IdentityReport, build_graph, count, format_graph_text, tutte
 from ctfpolys.cli import main
 
 P8_TEXT = "v 3\ne 0 2\ne 0 1\ne 1 2\ne 0 1\ne 1 2\n"
@@ -152,6 +152,21 @@ def test_example_command(capsys):
     assert "|O_ce| = 8" in out
     assert "#[O_ce] = 2" in out
     assert "states kappa(2,2) = #[O_ce] = 0" in out
+
+
+def test_example_json_matches_text(p8, capsys):
+    assert main(["example"]) == 0
+    text = capsys.readouterr().out
+    assert main(["--format", "json", "example"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    census_lines = text.split("censuses:\n")[1].split("\n\n")[0].splitlines()
+    censuses = dict(line.strip().rsplit(": ", 1) for line in census_lines)
+    assert payload["censuses"] == {name: int(value) for name, value in censuses.items()}
+    kappa22 = payload["special_values"]["kappa(2,2)"]
+    assert kappa22 == count(p8, "kappa_mod", p=2, q=2)
+    assert f"kappa(2,2) = {kappa22}\n" in text
+    assert payload["polynomials"]["T"] == tutte(p8).to_json_dict()
+    assert all(f"note: {note}" in text for note in payload["notes"])
 
 
 def test_output_is_deterministic(p8_file, capsys):

@@ -31,8 +31,8 @@ from ctfpolys.counting import (
     _space,
 )
 from ctfpolys.multigraph import spanning_structure
-from ctfpolys.orientations import RELATIONS, equivalent
-from ctfpolys.polynomials import counting_polynomial
+from ctfpolys.orientations import RELATIONS, _circuit_part, equivalent
+from ctfpolys.polynomials import counting_polynomial, local_polynomial
 from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
 
@@ -603,13 +603,13 @@ def test_count_table_matches_direct_counts():
     # each table entry, shared by an orbit, equals the count made on the
     # orientation itself
     for graph in small_multigraphs(4, True):
-        table = CountTable()
+        table = CountTable(graph)
         for o in enumerate_orientations(graph):
             for side, box, value in product(
                 ("tension", "flow"), ("closed", "open", "support"), (0, 1, 2)
             ):
                 assert table.side(o, side, box, value) == _box_count(
-                    o, side, box, value, table.budget
+                    o, _circuit_part(o), side, box, value, table.budget
                 ), (graph.edges, o.flips, side, box, value)
 
 
@@ -644,3 +644,16 @@ def test_orientation_sums_keep_no_circuit_parts(cache_growth):
 
     grown = cache_growth(sweep)
     assert all(n <= 1 for n in grown.values()), grown
+
+
+def test_one_orientation_lists_no_orientations():
+    # the 21-edge star has 2^21 orientations, over the default budget: the
+    # per-orientation families read one of them, and only a family that
+    # sums over all of them lists them
+    star = build_graph(22, [(0, k) for k in range(1, 22)])
+    ref = Orientation.reference(star)
+    assert count(star, "tau_local", p=3, orientation=ref) == 2**21
+    assert count(star, "kappa_local", p=3, q=3, orientation=ref) == 2**21
+    assert local_polynomial(star, ref, "tau_bar_local").evaluate(2, 0) == 3**21
+    with pytest.raises(BudgetExceededError):
+        counting_polynomial(star, "tau_bar_int")

@@ -21,7 +21,7 @@ from ctfpolys import (
     is_tension,
     minty_partition,
 )
-from ctfpolys.orientations import RELATIONS
+from ctfpolys.orientations import RELATIONS, OrientationTable
 from strategies import multigraphs
 
 U, V, W = 0, 1, 2
@@ -288,3 +288,21 @@ def test_flip_string_roundtrip(p8):
     assert o.flip_string() == "01001"
     assert o.arrow(1) == (1, 0)
     assert o.arrow(0) == (0, 2)
+
+
+def test_cut_and_eulerian_classes_find_no_circuit_part(component_passes):
+    # the cut and Eulerian keys read no circuit part, so their partitions
+    # make no strong-components pass; the cut-Eulerian one makes one per
+    # orientation, and the filtered sets reuse them
+    w4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+    table = OrientationTable(w4)
+    assert component_passes(lambda: table.classes("cut")) == 0
+    assert component_passes(lambda: table.classes("eulerian")) == 0
+    assert component_passes(lambda: table.classes("cut_eulerian")) == 2**8
+
+    def filtered():
+        for relation in RELATIONS:
+            for filt in ("acyclic", "totally_cyclic"):
+                table.classes(relation, filt)
+
+    assert component_passes(filtered) == 0

@@ -19,6 +19,7 @@ from ctfpolys import (
     rank_generating,
     tutte,
 )
+from ctfpolys import orientations
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
@@ -295,3 +296,19 @@ def test_floats_are_refused():
         X.set_y(Fraction(1, 2))
     with pytest.raises(TypeError):
         interpolate([[0.5]], (0,), (0,))
+
+
+def test_report_finds_each_circuit_part_once(component_passes, monkeypatch):
+    # the six orientation-sum families of a report read one table: the 2^6
+    # orientations of K4 are listed once and each circuit part found once
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    listings = []
+    original = orientations.enumerate_orientations
+
+    def counted(*args, **kwargs):
+        listings.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orientations, "enumerate_orientations", counted)
+    assert component_passes(lambda: polynomial_report(k4)) == 2**6
+    assert len(listings) == 1
