@@ -15,7 +15,6 @@ from .orientations import (
     BudgetExceededError,
     OrientationTable,
     enumerate_classes,
-    equivalent,
 )
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
 from .verify import IdentityReport, verify_corpus, verify_graph
@@ -172,9 +171,7 @@ def _cmd_example(args) -> int:
 
     kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2), budget)
     kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2), budget)
-    # an orientation is cut-Eulerian exactly when its reverse is
-    # cut-Eulerian equivalent to it
-    ce_members = {o for o in table.orientations if equivalent(o, o.reversed(), "cut_eulerian")}
+    ce_members = table.self_reverse("cut_eulerian")
     ce_class_count = sum(rep in ce_members for rep in table.classes("cut_eulerian").representatives)
     notes = [
         "the published worked example for this graph states "

@@ -39,12 +39,12 @@ FAMILIES = frozenset(
 #: The twelve families that are sums over orientations of (tension count in
 #: a box at p) x (flow count in a box at q): family -> (orientation set,
 #: tension box, flow box). The orientation set is None for the one given
-#: orientation, else (source, filter): every orientation passing the filter
-#: ("orientations"), or the cut-Eulerian class representatives of the
-#: filtered orientations ("representatives"). A box is "closed" [0, p],
-#: "open" [1, p-1], "support" (open on the bond part for tensions and on the
-#: circuit part for flows, zero elsewhere), or None for a side the family
-#: does not count.
+#: orientation, else (weight, filter): the cut-Eulerian class representatives
+#: of the filtered orientations, weighted by class size ("size") or by 1. A
+#: closed-box count is constant on a class, so "size" sums every filtered
+#: orientation. A box is "closed" [0, p], "open" [1, p-1], "support" (open on
+#: the bond part for tensions and on the circuit part for flows, zero
+#: elsewhere), or None for a side the family does not count.
 ORIENTATION_SUMS = {
     "tau_local": (None, "open", None),
     "phi_local": (None, None, "open"),
@@ -52,12 +52,12 @@ ORIENTATION_SUMS = {
     "tau_bar_local": (None, "closed", None),
     "phi_bar_local": (None, None, "closed"),
     "kappa_bar_local": (None, "closed", "closed"),
-    "tau_bar_int": (("orientations", "acyclic"), "closed", None),
-    "phi_bar_int": (("orientations", "totally_cyclic"), None, "closed"),
-    "kappa_bar_int": (("orientations", "all"), "closed", "closed"),
-    "tau_bar_mod": (("representatives", "acyclic"), "closed", None),
-    "phi_bar_mod": (("representatives", "totally_cyclic"), None, "closed"),
-    "kappa_bar_mod": (("representatives", "all"), "closed", "closed"),
+    "tau_bar_int": (("size", "acyclic"), "closed", None),
+    "phi_bar_int": (("size", "totally_cyclic"), None, "closed"),
+    "kappa_bar_int": (("size", "all"), "closed", "closed"),
+    "tau_bar_mod": ((1, "acyclic"), "closed", None),
+    "phi_bar_mod": ((1, "totally_cyclic"), None, "closed"),
+    "kappa_bar_mod": ((1, "all"), "closed", "closed"),
 }
 
 #: Families whose counts need an orientation argument.
@@ -462,36 +462,41 @@ class CountTable(OrientationTable):
 
     def sum_members(
         self, family: str, orientation: Orientation | None = None
-    ) -> tuple[Orientation, ...]:
-        """The orientations an orientation-sum family adds up."""
+    ) -> tuple[tuple[Orientation, int], ...]:
+        """The (orientation, weight) pairs an orientation-sum family adds up."""
         members = ORIENTATION_SUMS[family][0]
         if members is None:
-            return (orientation,)
-        source, filter_name = members
-        if source == "representatives":
-            return self.classes("cut_eulerian", filter_name).representatives
-        return self.members(filter_name)
+            return ((orientation, 1),)
+        weight, filter_name = members
+        partition = self.classes("cut_eulerian", filter_name)
+        return tuple(
+            (cls[0], len(cls) if weight == "size" else weight) for cls in partition.classes
+        )
+
+    def orbit(self, orientation: Orientation) -> tuple[int, ...]:
+        """The orientation's block-reversal orbit key (``_orbit_key``)."""
+        found = self._orbits.get(orientation.flips)
+        if found is None:
+            found = self._orbits[orientation.flips] = _orbit_key(orientation)
+        return found
 
     def side(self, orientation: Orientation, side: str, box, value) -> int:
         """The count in one box at p or q; 1 for the box None."""
         if box is None:
             return 1
-        orbit = self._orbits.get(orientation.flips)
-        if orbit is None:
-            orbit = self._orbits[orientation.flips] = _orbit_key(orientation)
-        key = (orbit, side, box, value)
+        key = (self.orbit(orientation), side, box, value)
         found = self._counts.get(key)
         if found is None:
             circuit = self.circuit(orientation) if box == "support" else None
             found = self._counts[key] = _box_count(orientation, circuit, side, box, value, self.budget)
         return found
 
-    def total(self, family: str, members, p, q) -> int:
-        """The family's sum over the given member orientations at (p, q)."""
+    def total(self, family: str, pairs, p, q) -> int:
+        """The family's weighted sum over (orientation, weight) pairs at (p, q)."""
         _, t_box, f_box = ORIENTATION_SUMS[family]
         return sum(
-            self.side(o, "tension", t_box, p) * self.side(o, "flow", f_box, q)
-            for o in members
+            w * self.side(o, "tension", t_box, p) * self.side(o, "flow", f_box, q)
+            for o, w in pairs
         )
 
 

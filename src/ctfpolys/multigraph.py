@@ -99,16 +99,9 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, position: int) -> tuple[int, int]:
-        return self.edges[position]
-
     def is_loop(self, position: int) -> bool:
         u, v = self.edges[position]
         return u == v
-
-    @property
-    def loop_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges) if u == v)
 
     @property
     def nonloop_positions(self) -> tuple[int, ...]:

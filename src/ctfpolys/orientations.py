@@ -59,9 +59,6 @@ class Orientation:
     def flip_string(self) -> str:
         return "".join(str(b) for b in self.flips)
 
-    def is_flipped(self, position: int) -> bool:
-        return self.flips[position] == 1
-
     def arrow(self, position: int) -> tuple[int, int]:
         """(tail, head) of the edge at ``position``; loops give (v, v)."""
         u, v = self.graph.edges[position]
@@ -345,10 +342,10 @@ def _class_key(graph: MultiGraph, relation: str):
 
 class OrientationTable:
     """The orientations of one graph in lex order, their circuit parts, the
-    acyclic and totally cyclic sets and the class partitions, each built on
-    first read and kept for the table's life. A table that serves one
-    orientation lists none, and the cut and Eulerian partitions find no
-    circuit part."""
+    acyclic and totally cyclic sets, the class partitions and the
+    self-reverse sets, each built on first read and kept for the table's
+    life. A table that serves one orientation lists none, and the cut and
+    Eulerian partitions find no circuit part."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         self.graph = graph
@@ -356,6 +353,7 @@ class OrientationTable:
         self._circuits: dict[tuple[int, ...], frozenset[int]] = {}  # by flips
         self._members: dict[str, tuple[Orientation, ...]] = {}
         self._classes: dict[tuple[str, str], ClassPartition] = {}
+        self._self_reverse: dict[str, frozenset[Orientation]] = {}
 
     @cached_property
     def orientations(self) -> tuple[Orientation, ...]:
@@ -380,6 +378,16 @@ class OrientationTable:
                 o for o in self.orientations if len(self.circuit(o)) == size
             )
         return self._members[filter]
+
+    def self_reverse(self, relation: str) -> frozenset[Orientation]:
+        """The orientations that are cut, Eulerian or cut-Eulerian: those
+        whose reverse is equivalent to them under ``relation``, decided by
+        ``equivalent`` and not by the class keys."""
+        if relation not in self._self_reverse:
+            self._self_reverse[relation] = frozenset(
+                o for o in self.orientations if equivalent(o, o.reversed(), relation)
+            )
+        return self._self_reverse[relation]
 
     def classes(self, relation: str, filter: str = "all") -> ClassPartition:
         """The classes of ``members(filter)`` under ``relation``; see

@@ -403,13 +403,13 @@ INTEGER_COEFFICIENT_FAMILIES = frozenset(
 def orientation_sum_polynomial(
     table: CountTable,
     family: str,
-    members: Sequence[Orientation],
+    pairs: Sequence[tuple[Orientation, int]],
 ) -> BivariatePolynomial:
-    """Polynomial of an orientation-sum family over the given members of the
-    table's graph, read from the table: each member's tension counts are
-    taken once per sampled p and its flow counts once per sampled q."""
+    """Polynomial of an orientation-sum family over (orientation, weight)
+    pairs of the table's graph, read from the table: each orientation's
+    tension and flow counts are taken once per sampled p and q."""
     return _interpolate_family(
-        family, lambda a, b: table.total(family, members, a, b), table.graph
+        family, lambda a, b: table.total(family, pairs, a, b), table.graph
     )
 
 
@@ -503,8 +503,8 @@ def polynomial_report(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Polyno
     # the rank-generating polynomial and the orientation sums sweep 2^|E|
     # subsets: an oversized graph stops here, before any of them runs
     _check_budget(1 << graph.edge_count, budget, "edge subsets")
-    # the orientation-sum families read one table, so the box counts made for
-    # kappa_bar_int and kappa_bar_mod serve the tau and phi families too
+    # the orientation-sum families read one table and the same class
+    # representatives, so kappa_bar_mod's box counts serve the other five
     table = CountTable(graph, budget)
     return PolynomialReport(
         tutte=tutte(graph),

@@ -13,7 +13,6 @@ from .counting import (
     CyclicProduct,
     _count_flows,
     _count_tensions,
-    _orbit_key,
     count,
 )
 from .multigraph import MultiGraph, build_graph
@@ -22,7 +21,6 @@ from .orientations import (
     BudgetExceededError,
     Orientation,
     _check_budget,
-    equivalent,
     induced_orientation,
 )
 from .polynomials import (
@@ -192,23 +190,19 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     cu_size = class_sizes(part_cu)
     eu_size = class_sizes(part_eu)
 
-    # memberships; an orientation is cut, Eulerian or cut-Eulerian exactly
-    # when its reverse is equivalent to it under that relation
     reps = part_ce.representatives
     acyclic_reps = table.classes("cut_eulerian", "acyclic").representatives
     tc_reps = table.classes("cut_eulerian", "totally_cyclic").representatives
-    self_reverse = {
-        relation: {o for o in orientations if equivalent(o, o.reversed(), relation)}
-        for relation in ("cut", "eulerian", "cut_eulerian")
-    }
 
     def swept(family, members) -> BivariatePolynomial:
-        return orientation_sum_polynomial(table, family, members)
+        # each member once: the library weights class representatives by
+        # class size, and IM checks that weighting instead of assuming it
+        return orientation_sum_polynomial(table, family, [(o, 1) for o in members])
 
     # box counts are constant on block-reversal orbits, so each
     # per-orientation polynomial is made once, at the orbit's first member
     first: dict = {}
-    rep = {o: first.setdefault(_orbit_key(o), o) for o in orientations}
+    rep = {o: first.setdefault(table.orbit(o), o) for o in orientations}
 
     def per_orientation(make):
         made = {o: make(o) for o in first.values()}
@@ -392,7 +386,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     def t3(col):
         col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
         for p, q in product((1, 2, 3), repeat=2):
-            triples = table.total("kappa_bar_mod", reps, p - 1, q - 1)
+            triples = table.total("kappa_bar_mod", [(o, 1) for o in reps], p - 1, q - 1)
             col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples)
 
     def rpq(col):
@@ -430,9 +424,9 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         n_or = len(orientations)
         n_ac = len(table.members("acyclic"))
         n_tc = len(table.members("totally_cyclic"))
-        n_cu = len(self_reverse["cut"])
-        n_eu = len(self_reverse["eulerian"])
-        n_ce = len(self_reverse["cut_eulerian"])
+        n_cu = len(table.self_reverse("cut"))
+        n_eu = len(table.self_reverse("eulerian"))
+        n_ce = len(table.self_reverse("cut_eulerian"))
         kz, kbz = poly.kappa_int, poly.kappa_bar_int
         col.equal("kappa_bar_int(0,0)", kbz.evaluate(0, 0), n_or)
         col.equal("|kappa_int(1,0)|", abs(kz.evaluate(1, 0)), n_tc)
@@ -452,7 +446,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         col.equal("kappa_bar_int(1,1)", kbz.evaluate(1, 1), sum(ce_size.values()))
 
         k, kb, t = poly.kappa_mod, poly.kappa_bar_mod, tutte_poly
-        classes_in = lambda relation: sum(1 for o in reps if o in self_reverse[relation])
+        classes_in = lambda relation: sum(1 for o in reps if o in table.self_reverse(relation))
         col.equal("T(0,0) chain", t.evaluate(0, 0), kb.evaluate(-1, -1))
         col.equal("kappa_mod(1,1) chain", k.evaluate(1, 1), kb.evaluate(-1, -1))
         if m:

@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import ctfpolys
-from ctfpolys import build_graph, orientations
+from ctfpolys import build_graph, counting, orientations
 
 
 @pytest.fixture(scope="session")
@@ -35,25 +35,38 @@ def cache_growth(package_caches):
     return grow
 
 
-@pytest.fixture
-def component_passes(monkeypatch):
-    """A function that runs sweep() and returns how many strong-components
-    passes (``orientations._strong_components`` calls) it made."""
+def _call_counter(monkeypatch, module, name):
+    """A function that runs sweep() and returns how many calls of
+    ``module.name`` it made."""
     calls = []
-    original = orientations._strong_components
+    original = getattr(module, name)
 
-    def counted(orientation):
-        calls.append(orientation)
-        return original(orientation)
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(orientations, "_strong_components", counted)
+    monkeypatch.setattr(module, name, counted)
 
-    def passes(sweep):
+    def made(sweep):
         before = len(calls)
         sweep()
         return len(calls) - before
 
-    return passes
+    return made
+
+
+@pytest.fixture
+def component_passes(monkeypatch):
+    """A function that runs sweep() and returns how many strong-components
+    passes (``orientations._strong_components`` calls) it made."""
+    return _call_counter(monkeypatch, orientations, "_strong_components")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A function that runs sweep() and returns how many counting-kernel
+    calls (``counting._partial_sum_dp`` calls) it made."""
+    return _call_counter(monkeypatch, counting, "_partial_sum_dp")
 
 
 @pytest.fixture(scope="session")

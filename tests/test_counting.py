@@ -588,6 +588,23 @@ def test_orbit_key_is_exact(corpus5_graphs):
         assert len(keys) == 2 ** (graph.edge_count - len(set(oracles.blocks(graph))))
 
 
+def test_class_weighted_sums_match_orientation_sums(corpus5_graphs):
+    # a closed-box count is constant on a cut-Eulerian class, so each _int
+    # family's representatives weighted by class size sum to its sum over
+    # every orientation of its filter, each counted on its own orbit
+    filters = {"tau_bar_int": "acyclic", "phi_bar_int": "totally_cyclic", "kappa_bar_int": "all"}
+    for graph in corpus5_graphs:
+        table = CountTable(graph)
+        for family, filter_name in filters.items():
+            pairs = table.sum_members(family)
+            every = [(o, 1) for o in table.members(filter_name)]
+            assert sum(w for _, w in pairs) == len(every)
+            for p, q in product(range(4), repeat=2):
+                assert table.total(family, pairs, p, q) == table.total(family, every, p, q), (
+                    graph.edges, family, p, q
+                )
+
+
 def test_orbit_key_examples(digon_loop):
     # the digon's acyclic and cyclic orientations stay apart; reversing the
     # digon or flipping the loop stays in the orbit
@@ -633,7 +650,7 @@ def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):
 
 
 def test_orientation_sums_keep_no_circuit_parts(cache_growth):
-    # in_filter reads each circuit part once, so the polynomials of the
+    # the table reads each circuit part once, so the polynomials of the
     # many minors of a convolution keep no circuit part, nor anything
     # else, per orientation
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])

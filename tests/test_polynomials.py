@@ -20,6 +20,8 @@ from ctfpolys import (
     tutte,
 )
 from ctfpolys import orientations
+from ctfpolys.counting import CountTable
+from ctfpolys.polynomials import _polynomial
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
@@ -312,3 +314,19 @@ def test_report_finds_each_circuit_part_once(component_passes, monkeypatch):
     monkeypatch.setattr(orientations, "enumerate_orientations", counted)
     assert component_passes(lambda: polynomial_report(k4)) == 2**6
     assert len(listings) == 1
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),  # K4
+        (3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 0)]),  # worked example plus a loop
+    ],
+)
+def test_int_duals_cost_no_kernel_call(kernel_calls, vertex_count, edges):
+    # the _int duals weight the class representatives whose counts the _mod
+    # duals made, at the same grid points, so they need no further count
+    table = CountTable(build_graph(vertex_count, edges))
+    built = lambda *families: [_polynomial(table, f) for f in families]
+    assert kernel_calls(lambda: built("kappa_bar_mod", "tau_bar_mod", "phi_bar_mod")) > 0
+    assert kernel_calls(lambda: built("kappa_bar_int", "tau_bar_int", "phi_bar_int")) == 0
