@@ -26,55 +26,51 @@ from .orientations import (
     is_tension,
 )
 
-FAMILIES = frozenset(
-    {
-        "tau_mod", "phi_mod", "tau_int", "phi_int",
-        "tau_local", "phi_local", "tau_bar_local", "phi_bar_local",
-        "tau_bar_int", "phi_bar_int", "tau_bar_mod", "phi_bar_mod",
-        "kappa_mod", "kappa_int", "kappa_local", "kappa_bar_local",
-        "kappa_bar_int", "kappa_bar_mod",
-    }
-)
-
-#: The twelve families that are sums over orientations of (tension count in
-#: a box at p) x (flow count in a box at q): family -> (orientation set,
-#: tension box, flow box). The orientation set is None for the one given
-#: orientation, else (weight, filter): the cut-Eulerian class representatives
-#: of the filtered orientations, weighted by class size ("size") or by 1. A
+#: Every counting family: family -> (tension box, flow box, orientation set).
+#: A family counts tensions in its tension box at p, flows in its flow box at
+#: q, or pairs of the two. A box is "group" (nowhere zero in a group of order
+#: p or q), "int" (nowhere zero with |v| < p or q), "closed" [0, p], "open"
+#: [1, p-1], "support" (open on the bond part for tensions and on the circuit
+#: part for flows, zero elsewhere) or None (the side is not counted). A family
+#: with a closed box starts at 0, every other one at 1 (Ehrhart reciprocity;
+#: Beck and Zaslavsky, Adv. Math. 205, 2006). The orientation set is "one"
+#: for the definition-level families: the given or the reference orientation,
+#: with complementary pairs (ker f = supp g) matched by zero set when both
+#: sides count. It is None for the given orientation, which the family then
+#: needs, and else (weight, filter): the cut-Eulerian class representatives
+#: of the filtered orientations weighted by class size ("size") or by 1. A
 #: closed-box count is constant on a class, so "size" sums every filtered
-#: orientation. A box is "closed" [0, p], "open" [1, p-1], "support" (open on
-#: the bond part for tensions and on the circuit part for flows, zero
-#: elsewhere), or None for a side the family does not count.
-ORIENTATION_SUMS = {
-    "tau_local": (None, "open", None),
-    "phi_local": (None, None, "open"),
-    "kappa_local": (None, "support", "support"),
-    "tau_bar_local": (None, "closed", None),
-    "phi_bar_local": (None, None, "closed"),
-    "kappa_bar_local": (None, "closed", "closed"),
-    "tau_bar_int": (("size", "acyclic"), "closed", None),
-    "phi_bar_int": (("size", "totally_cyclic"), None, "closed"),
-    "kappa_bar_int": (("size", "all"), "closed", "closed"),
-    "tau_bar_mod": ((1, "acyclic"), "closed", None),
-    "phi_bar_mod": ((1, "totally_cyclic"), None, "closed"),
-    "kappa_bar_mod": ((1, "all"), "closed", "closed"),
+#: orientation. The graph-level rows come in the order of the polys report.
+FAMILY_TABLE = {
+    "kappa_mod": ("group", "group", "one"),
+    "kappa_int": ("int", "int", "one"),
+    "kappa_bar_mod": ("closed", "closed", (1, "all")),
+    "kappa_bar_int": ("closed", "closed", ("size", "all")),
+    "tau_mod": ("group", None, "one"),
+    "tau_int": ("int", None, "one"),
+    "tau_bar_mod": ("closed", None, (1, "acyclic")),
+    "tau_bar_int": ("closed", None, ("size", "acyclic")),
+    "phi_mod": (None, "group", "one"),
+    "phi_int": (None, "int", "one"),
+    "phi_bar_mod": (None, "closed", (1, "totally_cyclic")),
+    "phi_bar_int": (None, "closed", ("size", "totally_cyclic")),
+    "kappa_local": ("support", "support", None),
+    "kappa_bar_local": ("closed", "closed", None),
+    "tau_local": ("open", None, None),
+    "tau_bar_local": ("closed", None, None),
+    "phi_local": (None, "open", None),
+    "phi_bar_local": (None, "closed", None),
 }
 
+FAMILIES = frozenset(FAMILY_TABLE)
+
 #: Families whose counts need an orientation argument.
-LOCAL_FAMILIES = frozenset(
-    family for family, (members, _, _) in ORIENTATION_SUMS.items() if members is None
-)
+LOCAL_FAMILIES = frozenset(f for f, row in FAMILY_TABLE.items() if row[2] is None)
 
-#: Families defined on closed boxes; they accept p = 0 / q = 0.
-BAR_FAMILIES = frozenset(
-    family for family, (_, t_box, f_box) in ORIENTATION_SUMS.items()
-    if "closed" in (t_box, f_box)
-)
 
-_X_ONLY = frozenset({"tau_mod", "tau_int", "tau_local", "tau_bar_local",
-                     "tau_bar_int", "tau_bar_mod"})
-_Y_ONLY = frozenset({"phi_mod", "phi_int", "phi_local", "phi_bar_local",
-                     "phi_bar_int", "phi_bar_mod"})
+def lowest_argument(family: str) -> int:
+    """The family's smallest p and q: 0 on a closed box, else 1."""
+    return 0 if "closed" in FAMILY_TABLE[family][:2] else 1
 
 
 @dataclass(frozen=True)
@@ -425,7 +421,7 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
 
 def _box_count(orientation, circuit, side, box, value, budget) -> int:
     """Tensions (side "tension") or flows (side "flow") of the orientation in
-    one box of ORIENTATION_SUMS at p or q; only the "support" box reads
+    one box of FAMILY_TABLE at p or q; only the "support" box reads
     ``circuit``, the positions of the orientation's circuit part."""
     inside = (0, value) if box == "closed" else (1, value - 1)
     m = orientation.graph.edge_count
@@ -464,7 +460,7 @@ class CountTable(OrientationTable):
         self, family: str, orientation: Orientation | None = None
     ) -> tuple[tuple[Orientation, int], ...]:
         """The (orientation, weight) pairs an orientation-sum family adds up."""
-        members = ORIENTATION_SUMS[family][0]
+        members = FAMILY_TABLE[family][2]
         if members is None:
             return ((orientation, 1),)
         weight, filter_name = members
@@ -493,7 +489,7 @@ class CountTable(OrientationTable):
 
     def total(self, family: str, pairs, p, q) -> int:
         """The family's weighted sum over (orientation, weight) pairs at (p, q)."""
-        _, t_box, f_box = ORIENTATION_SUMS[family]
+        t_box, f_box, _ = FAMILY_TABLE[family]
         return sum(
             w * self.side(o, "tension", t_box, p) * self.side(o, "flow", f_box, q)
             for o, w in pairs
@@ -517,8 +513,9 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
     elif kwargs:
         raise ValueError("pass arguments inside the CountQuery")
     family, p, q = query.family, query.p, query.q
+    t_box, f_box, members = FAMILY_TABLE[family]
 
-    if family in LOCAL_FAMILIES:
+    if members is None:
         _require(query.orientation is not None, f"{family} needs an orientation")
     orientation = query.orientation or Orientation.reference(graph)
     _require(
@@ -526,36 +523,35 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
         "orientation belongs to a different graph",
     )
 
-    bar = family in BAR_FAMILIES
-    lowest = 0 if bar else 1
-    if family not in _Y_ONLY:
+    lowest = lowest_argument(family)
+    if t_box is not None:
         _require(p is not None and p >= lowest, f"{family} needs p >= {lowest}")
-    if family not in _X_ONLY:
+    if f_box is not None:
         _require(q is not None and q >= lowest, f"{family} needs q >= {lowest}")
 
-    _require(query.group_a is None or family in ("tau_mod", "kappa_mod"),
+    _require(query.group_a is None or t_box == "group",
              f"{family} reads no tension-side group")
-    _require(query.group_b is None or family in ("phi_mod", "kappa_mod"),
+    _require(query.group_b is None or f_box == "group",
              f"{family} reads no flow-side group")
-    m = graph.edge_count
-
-    # the definition-level families count nowhere-zero tensions or flows,
-    # or complementary pairs (ker f = supp g) matched by zero set; each side
-    # takes values in a group or in an open integer box, or is not counted
-    if family in ("tau_mod", "phi_mod", "kappa_mod"):
-        tensions = CyclicProduct(query.group_a or (p,)) if family != "phi_mod" else None
-        flows = CyclicProduct(query.group_b or (q,)) if family != "tau_mod" else None
-        _require(
-            (tensions is None or tensions.order == p) and (flows is None or flows.order == q),
-            "group order must match the argument",
-        )
-    elif family in ("tau_int", "phi_int", "kappa_int"):
-        tensions = [(-(p - 1), p - 1)] * m if family != "phi_int" else None
-        flows = [(-(q - 1), q - 1)] * m if family != "tau_int" else None
-    else:
+    if members != "one":
         table = CountTable(graph, budget)
         return table.total(family, table.sum_members(family, orientation), p, q)
 
+    # a definition-level family: nowhere-zero vectors on one side, or
+    # complementary pairs (ker f = supp g) matched by zero set on two
+    m = graph.edge_count
+
+    def values(box, value, group):
+        if box == "int":
+            return [(1 - value, value - 1)] * m
+        return CyclicProduct(group or (value,)) if box == "group" else None
+
+    tensions, flows = values(t_box, p, query.group_a), values(f_box, q, query.group_b)
+    _require(
+        all(side.order == value for side, value in ((tensions, p), (flows, q))
+            if isinstance(side, CyclicProduct)),
+        "group order must match the argument",
+    )
     if flows is None:
         return _count_tensions(orientation, tensions, budget, "forbidden")
     if tensions is None:

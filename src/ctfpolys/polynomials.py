@@ -11,15 +11,13 @@ from numbers import Rational
 from typing import Mapping, Sequence
 
 from .counting import (
-    BAR_FAMILIES,
     CountQuery,
     CountTable,
     FAMILIES,
+    FAMILY_TABLE,
     LOCAL_FAMILIES,
-    ORIENTATION_SUMS,
-    _X_ONLY,
-    _Y_ONLY,
     count,
+    lowest_argument,
 )
 from .multigraph import MultiGraph, _UnionFind
 from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
@@ -43,7 +41,9 @@ class BivariatePolynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | None = None):
-        ratios = {(int(i), int(j)): _ratio(c) for (i, j), c in (coeffs or {}).items()}
+        ratios = {(i, j): _ratio(c) for (i, j), c in (coeffs or {}).items()}
+        if not all(isinstance(e, int) and e >= 0 for key in ratios for e in key):
+            raise ValueError("exponents must be non-negative integers")
         den = lcm(*(d for _, d in ratios.values()))
         self._num, self._den = _normalised(
             {k: n * (den // d) for k, (n, d) in ratios.items()}, den
@@ -394,12 +394,6 @@ def tutte(graph: MultiGraph) -> BivariatePolynomial:
     return _tutte_by_key(_compact_key(graph))
 
 
-#: Families whose polynomials provably carry integer coefficients.
-INTEGER_COEFFICIENT_FAMILIES = frozenset(
-    {"tau_mod", "phi_mod", "tau_bar_mod", "phi_bar_mod", "kappa_mod", "kappa_bar_mod"}
-)
-
-
 def orientation_sum_polynomial(
     table: CountTable,
     family: str,
@@ -416,27 +410,24 @@ def orientation_sum_polynomial(
 def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:
     """Interpolate sampler(p, q) on the family's grid for the graph's rank
     and nullity, and verify its held-out points (see counting_polynomial)."""
-    stats = graph.stats()
-    lo = 0 if family in BAR_FAMILIES else 1
-    xs = list(range(lo, lo + stats.rank + 1))
-    ys = list(range(lo, lo + stats.nullity + 1))
-    held_x = [xs[-1] + 1, xs[-1] + 2]
-    held_y = [ys[-1] + 1, ys[-1] + 2]
-    if family in _X_ONLY:
-        ys, held = [lo], [(h, lo) for h in held_x]
-    elif family in _Y_ONLY:
-        xs, held = [lo], [(lo, h) for h in held_y]
-    else:
-        held = list(zip(held_x, held_y))
+    t_box, f_box, members = FAMILY_TABLE[family]
+    stats, lo = graph.stats(), lowest_argument(family)
+    # a side the family does not count stays at lo
+    xs = list(range(lo, lo + stats.rank + 1)) if t_box else [lo]
+    ys = list(range(lo, lo + stats.nullity + 1)) if f_box else [lo]
+    held = [(xs[-1] + k if t_box else lo, ys[-1] + k if f_box else lo) for k in (1, 2)]
     poly = interpolate_checked(sampler, xs, ys, held)
-    if family in INTEGER_COEFFICIENT_FAMILIES and not poly.has_integer_coefficients():
+    # the modular families (over a group, or over class representatives
+    # weighted by 1) provably have integer coefficients
+    modular = "group" in (t_box, f_box) or (isinstance(members, tuple) and members[0] == 1)
+    if modular and not poly.has_integer_coefficients():
         raise InterpolationError(f"{family} interpolated to non-integer coefficients")
     return poly
 
 
 def _polynomial(table: CountTable, family: str,
                 orientation: Orientation | None = None) -> BivariatePolynomial:
-    if family in ORIENTATION_SUMS:
+    if FAMILY_TABLE[family][2] != "one":
         return orientation_sum_polynomial(table, family, table.sum_members(family, orientation))
 
     def sampler(a, b):
@@ -478,11 +469,8 @@ def local_polynomial(
     return _polynomial(CountTable(graph, budget), family, orientation)
 
 
-REPORT_FAMILIES = (
-    "kappa_mod", "kappa_int", "kappa_bar_mod", "kappa_bar_int",
-    "tau_mod", "tau_int", "tau_bar_mod", "tau_bar_int",
-    "phi_mod", "phi_int", "phi_bar_mod", "phi_bar_int",
-)
+#: The graph-level families, in the order the polys report computes them.
+REPORT_FAMILIES = tuple(f for f, row in FAMILY_TABLE.items() if row[2] is not None)
 
 
 @dataclass(frozen=True)

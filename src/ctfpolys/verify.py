@@ -26,8 +26,8 @@ from .orientations import (
 from .polynomials import (
     BivariatePolynomial,
     _compact_key,
+    _interpolate_family,
     counting_polynomial,
-    interpolate_checked,
     local_polynomial,
     orientation_sum_polynomial,
     rank_generating,
@@ -172,8 +172,7 @@ def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityRep
 def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> IdentityReport:
     # the orientation and edge-subset sweeps below all have 2^|E| items
     _check_budget(1 << graph.edge_count, budget, "edge subsets")
-    stats = graph.stats()
-    r, n, m = stats.rank, stats.nullity, graph.edge_count
+    r, m = graph.stats().rank, graph.edge_count
 
     # every orientation set, partition and circuit part below, and every
     # orientation-sum polynomial of the ledger, is read from this one table
@@ -484,14 +483,10 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def ind(col):
         alternate = Orientation.reference(graph).reversed()
-        xs = list(range(1, r + 2))
-        ys = list(range(1, n + 2))
         sampler = lambda a, b: count(
             graph, CountQuery("kappa_int", p=a, q=b, orientation=alternate), budget
         )
-        recomputed = interpolate_checked(
-            sampler, xs, ys, [(r + 2, n + 2), (r + 3, n + 3)]
-        )
+        recomputed = _interpolate_family("kappa_int", sampler, graph)
         col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
         lex_largest = [cls[-1] for cls in part_ce.classes]
         col.equal(
@@ -568,6 +563,9 @@ def verify_corpus(
     include_loops: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[MultiGraph, IdentityReport]]:
+    # the sweep reaches a graph with max_edges edges and its 2^|E| subsets:
+    # an oversized sweep stops here, before it yields anything
+    _check_budget(1 << max(max_edges, 0), budget, "edge subsets")
     # one memo for the whole sweep: the minors of small graphs repeat
     memo = _PolynomialMemo()
     for graph in small_multigraphs(max_edges, include_loops):

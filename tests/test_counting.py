@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from ctfpolys import (
     reorient_q,
 )
 from ctfpolys.counting import (
+    FAMILIES,
+    LOCAL_FAMILIES,
     CountTable,
     _box_count,
     _orbit_key,
@@ -32,7 +35,13 @@ from ctfpolys.counting import (
 )
 from ctfpolys.multigraph import spanning_structure
 from ctfpolys.orientations import RELATIONS, _circuit_part, equivalent
-from ctfpolys.polynomials import counting_polynomial, local_polynomial
+from ctfpolys.polynomials import (
+    REPORT_FAMILIES,
+    InterpolationError,
+    _interpolate_family,
+    counting_polynomial,
+    local_polynomial,
+)
 from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
 
@@ -443,6 +452,74 @@ def test_count_validation(p8):
     with pytest.raises(ValueError, match="phi_bar_local reads no flow-side group"):
         count(p8, "phi_bar_local", q=1, orientation=ref, group_b=(1,))
     assert count(p8, "kappa_bar_local", p=0, q=0, orientation=ref) == 1
+
+
+#: family -> (variables read, lowest argument, needs an orientation,
+#: integer coefficients), written out so that a wrong FAMILY_TABLE row fails
+#: here and not only in a count
+FAMILY_PREDICATES = {
+    "tau_mod": ("p", 1, False, True),
+    "phi_mod": ("q", 1, False, True),
+    "kappa_mod": ("pq", 1, False, True),
+    "tau_int": ("p", 1, False, False),
+    "phi_int": ("q", 1, False, False),
+    "kappa_int": ("pq", 1, False, False),
+    "tau_local": ("p", 1, True, False),
+    "phi_local": ("q", 1, True, False),
+    "kappa_local": ("pq", 1, True, False),
+    "tau_bar_local": ("p", 0, True, False),
+    "phi_bar_local": ("q", 0, True, False),
+    "kappa_bar_local": ("pq", 0, True, False),
+    "tau_bar_int": ("p", 0, False, False),
+    "phi_bar_int": ("q", 0, False, False),
+    "kappa_bar_int": ("pq", 0, False, False),
+    "tau_bar_mod": ("p", 0, False, True),
+    "phi_bar_mod": ("q", 0, False, True),
+    "kappa_bar_mod": ("pq", 0, False, True),
+}
+
+
+def test_family_predicates(p8):
+    assert FAMILIES == set(FAMILY_PREDICATES)
+    assert LOCAL_FAMILIES == {f for f, row in FAMILY_PREDICATES.items() if row[2]}
+    assert REPORT_FAMILIES == (
+        "kappa_mod", "kappa_int", "kappa_bar_mod", "kappa_bar_int",
+        "tau_mod", "tau_int", "tau_bar_mod", "tau_bar_int",
+        "phi_mod", "phi_int", "phi_bar_mod", "phi_bar_int",
+    )
+    ref = Orientation.reference(p8)  # rank 2, nullity 3
+    for family, (reads, lowest, local, integral) in FAMILY_PREDICATES.items():
+        args = {"orientation": ref} if local else {}
+        # count: the orientation and the arguments it asks for
+        if local:
+            with pytest.raises(ValueError, match="needs an orientation"):
+                count(p8, family, p=lowest, q=lowest)
+        for name in ("p", "q"):
+            low = {"p": lowest, "q": lowest, name: lowest - 1}
+            if name in reads:
+                with pytest.raises(ValueError, match=f"needs {name} >= {lowest}"):
+                    count(p8, family, **low, **args)
+                with pytest.raises(ValueError, match=f"needs {name} >= {lowest}"):
+                    count(p8, family, **{**low, name: None}, **args)
+            else:
+                assert count(p8, family, **low, **args) == count(
+                    p8, family, p=lowest, q=lowest, **args)
+        # interpolation: the grid, and the integer-coefficient check on
+        # C(p, 2) + C(q, 2), which fits the grid but has halves
+        seen = []
+
+        def sampler(a, b):
+            seen.append((a, b))
+            return comb(a, 2) + comb(b, 2)
+
+        if integral:
+            with pytest.raises(InterpolationError, match="non-integer"):
+                _interpolate_family(family, sampler, p8)
+        else:
+            _interpolate_family(family, sampler, p8)
+        xs, ys = {a for a, _ in seen}, {b for _, b in seen}
+        assert xs == ({*range(lowest, lowest + 5)} if "p" in reads else {lowest}), family
+        assert ys == ({*range(lowest, lowest + 6)} if "q" in reads else {lowest}), family
 
 
 def test_budget_guard():

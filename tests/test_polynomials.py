@@ -277,6 +277,16 @@ def test_reducible_fraction_coefficients_compare_equal():
     assert (X * Fraction(2, 3) * 3).to_json_dict() == (2 * X).to_json_dict()
 
 
+def test_exponents_must_be_non_negative_integers():
+    # x^-1 would print, report degree -1 and fail in evaluate and substitute;
+    # x^1.5 would be truncated to x
+    for key in ((-1, 0), (0, -1), (-2, 3), (1.5, 0), (0, "2")):
+        with pytest.raises(ValueError, match="non-negative"):
+            BivariatePolynomial({key: 1})
+    with pytest.raises(ValueError, match="non-negative"):
+        BivariatePolynomial({(1, 0): 1, (0, -1): 0})  # a zero coefficient too
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         BivariatePolynomial({(0, 0): 0.1})

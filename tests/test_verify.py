@@ -145,6 +145,14 @@ def test_verify_corpus_edgeless_only():
     assert report.all_passed
 
 
+def test_corpus_budget_stops_before_the_first_graph():
+    # 3 edges give 2^3 edge subsets: the sweep refuses before the edgeless
+    # graphs, which alone would fit
+    with pytest.raises(BudgetExceededError, match="8 edge subsets exceed the budget of 4"):
+        next(verify_corpus(3, True, budget=4))
+    assert len(list(verify_corpus(2, True, budget=4))) == 11
+
+
 def test_sweep_memo_changes_no_report():
     # the sweep shares one memo across graphs; each report must equal the
     # one a fresh ledger run gives
