@@ -141,24 +141,13 @@ class CountQuery:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-def _normalize_ranges(
-    graph: MultiGraph,
-    lower,
-    upper,
-    strict_lower=None,
-    strict_upper=None,
-) -> list[tuple[int, int]]:
+def _normalize_ranges(graph: MultiGraph, lower, upper) -> list[tuple[int, int]]:
     m = graph.edge_count
     lows = [lower] * m if isinstance(lower, int) else list(lower)
     highs = [upper] * m if isinstance(upper, int) else list(upper)
     if len(lows) != m or len(highs) != m:
         raise ValueError("bounds must cover every edge")
-    slo = [strict_lower] * m if not isinstance(strict_lower, (list, tuple)) else list(strict_lower)
-    shi = [strict_upper] * m if not isinstance(strict_upper, (list, tuple)) else list(strict_upper)
-    out = []
-    for lo, hi, s_lo, s_hi in zip(lows, highs, slo, shi):
-        out.append((lo + 1 if s_lo else lo, hi - 1 if s_hi else hi))
-    return out
+    return list(zip(lows, highs))
 
 
 def _space(orientation: Orientation, side: str):
@@ -364,13 +353,11 @@ def enum_integer_tensions_box(
     orientation: Orientation,
     lower,
     upper,
-    strict_lower=None,
-    strict_upper=None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """All integer tensions with lower <= f(e) <= upper per edge (strict
-    flags tighten either side). Bounds may be scalars or per-edge sequences."""
-    ranges = _normalize_ranges(orientation.graph, lower, upper, strict_lower, strict_upper)
+    """All integer tensions with lower <= f(e) <= upper per edge. Bounds may
+    be scalars or per-edge sequences."""
+    ranges = _normalize_ranges(orientation.graph, lower, upper)
     return list(_iter_vectors(*_space(orientation, "tension"), ranges, budget))
 
 
@@ -378,12 +365,10 @@ def enum_integer_flows_box(
     orientation: Orientation,
     lower,
     upper,
-    strict_lower=None,
-    strict_upper=None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """Integer flows in a box; dual to the tension enumerator."""
-    ranges = _normalize_ranges(orientation.graph, lower, upper, strict_lower, strict_upper)
+    ranges = _normalize_ranges(orientation.graph, lower, upper)
     return list(_iter_vectors(*_space(orientation, "flow"), ranges, budget))
 
 
@@ -524,10 +509,13 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
     )
 
     lowest = lowest_argument(family)
-    if t_box is not None:
-        _require(p is not None and p >= lowest, f"{family} needs p >= {lowest}")
-    if f_box is not None:
-        _require(q is not None and q >= lowest, f"{family} needs q >= {lowest}")
+    for name, value, box in (("p", p, t_box), ("q", q, f_box)):
+        if box is not None:
+            # bool is an int subclass, but True is no argument
+            _require(
+                isinstance(value, int) and not isinstance(value, bool) and value >= lowest,
+                f"{family} needs {name} >= {lowest}",
+            )
 
     _require(query.group_a is None or t_box == "group",
              f"{family} reads no tension-side group")

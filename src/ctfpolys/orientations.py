@@ -373,6 +373,8 @@ class OrientationTable:
         if filter == "all":
             return self.orientations
         if filter not in self._members:
+            if filter not in ("acyclic", "totally_cyclic"):
+                raise ValueError(f"unknown filter {filter!r}")
             size = 0 if filter == "acyclic" else self.graph.edge_count
             self._members[filter] = tuple(
                 o for o in self.orientations if len(self.circuit(o)) == size
@@ -393,6 +395,8 @@ class OrientationTable:
         """The classes of ``members(filter)`` under ``relation``; see
         ``enumerate_classes``."""
         if (relation, filter) not in self._classes:
+            if relation not in RELATIONS:
+                raise ValueError(f"unknown relation {relation!r}")
             key = _class_key(self.graph, relation)
             grouped: dict[object, list[Orientation]] = {}
             for o in self.members(filter):
@@ -429,9 +433,4 @@ def enumerate_classes(
     Orientations are visited in lex order, so classes are ordered by their
     lex-smallest member and list their members in lex order.
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    if filter not in ("all", "acyclic", "totally_cyclic"):
-        raise ValueError(f"unknown filter {filter!r}")
-
     return OrientationTable(graph, budget).classes(relation, filter)

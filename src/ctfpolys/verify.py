@@ -173,6 +173,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     # the orientation and edge-subset sweeps below all have 2^|E| items
     _check_budget(1 << graph.edge_count, budget, "edge subsets")
     r, m = graph.stats().rank, graph.edge_count
+    full = (1 << m) - 1
 
     # every orientation set, partition and circuit part below, and every
     # orientation-sum polynomial of the ledger, is read from this one table
@@ -259,78 +260,52 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         else:
             checks.append(IdentityCheck(identity, tags[identity], "pass"))
 
-    # ---- Theorem 1 (integral families) ----
-    def t1b(col):
-        col.equal("kappa_int = sum of local", poly.kappa_int,
-                  _poly_sum(poly.kappa[o] for o in orientations))
-        col.equal("kappa_bar_int = sum of local", poly.kappa_bar_int,
-                  _poly_sum(poly.kappa_bar[o] for o in orientations))
-
-    def t1c(col):
-        col.equal(
-            "kappa_int(-x,-y)",
-            _neg_vars(poly.kappa_int),
-            _poly_sum(sign[o] * poly.kappa_bar[o] for o in orientations),
-        )
-        col.equal(
-            "kappa_bar_int(-x,-y)",
-            _neg_vars(poly.kappa_bar_int),
-            _poly_sum(sign[o] * poly.kappa[o] for o in orientations),
+    def _minor_sum(term) -> BivariatePolynomial:
+        # the sum over edge subsets S of term(mask of S, edge ids of S); the
+        # term builds the minors G/S and G|S it reads
+        return _poly_sum(
+            term(mask, [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1])
+            for mask in range(1 << m)
         )
 
-    def t1d(col):
-        col.equal("kappa_int(x,1)", poly.kappa_int.set_y(1), poly.tau_int)
-        col.equal("kappa_int(1,y)", poly.kappa_int.set_x(1), poly.phi_int)
-        col.equal("kappa_bar_int(x,-1)", poly.kappa_bar_int.set_y(-1), poly.tau_bar_int)
-        col.equal("kappa_bar_int(-1,y)", poly.kappa_bar_int.set_x(-1), poly.phi_bar_int)
+    # ---- Theorems 1 and 2: one body per identity, read for the integral
+    # families (summed over every orientation) or the modular ones (summed
+    # over the cut-Eulerian class representatives) ----
+    def theorem(kind, members, summed):
+        # read("kappa") is the graph-level kappa_{kind}; poly.kappa and
+        # poly.kappa_bar hold the per-orientation polynomials
+        def read(family):
+            return getattr(poly, f"{family}_{kind}")
 
-    def _convolution(tau_family, phi_family):
-        # G/{} and G|E are G itself: those two factors are the ledger's own
-        total = BivariatePolynomial()
-        full = (1 << m) - 1
-        for mask in range(1 << m):
-            ids = [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1]
-            tau = getattr(poly, tau_family) if mask == 0 else \
-                memo.counting(graph.contract(ids), tau_family, budget)
-            phi = getattr(poly, phi_family) if mask == full else \
-                memo.counting(graph.restrict(ids), phi_family, budget)
-            total = total + tau * phi
-        return total
+        def b(col):
+            for family in ("kappa", "kappa_bar"):
+                col.equal(f"{family}_{kind} = {summed}", read(family),
+                          _poly_sum(getattr(poly, family)[o] for o in members))
 
-    def t1e(col):
-        col.equal("kappa_int convolution", poly.kappa_int, _convolution("tau_int", "phi_int"))
-        col.equal("kappa_bar_int convolution", poly.kappa_bar_int,
-                  _convolution("tau_bar_int", "phi_bar_int"))
+        def c(col):
+            for family, other in (("kappa", "kappa_bar"), ("kappa_bar", "kappa")):
+                col.equal(f"{family}_{kind}(-x,-y)", _neg_vars(read(family)),
+                          _poly_sum(sign[o] * getattr(poly, other)[o] for o in members))
 
-    # ---- Theorem 2 (modular families) ----
-    def t2b(col):
-        col.equal("kappa_mod = sum over reps", poly.kappa_mod,
-                  _poly_sum(poly.kappa[o] for o in reps))
-        col.equal("kappa_bar_mod = sum over reps", poly.kappa_bar_mod,
-                  _poly_sum(poly.kappa_bar[o] for o in reps))
+        def d(col):
+            col.equal(f"kappa_{kind}(x,1)", read("kappa").set_y(1), read("tau"))
+            col.equal(f"kappa_{kind}(1,y)", read("kappa").set_x(1), read("phi"))
+            col.equal(f"kappa_bar_{kind}(x,-1)", read("kappa_bar").set_y(-1), read("tau_bar"))
+            col.equal(f"kappa_bar_{kind}(-1,y)", read("kappa_bar").set_x(-1), read("phi_bar"))
 
-    def t2c(col):
-        col.equal(
-            "kappa_mod(-x,-y)",
-            _neg_vars(poly.kappa_mod),
-            _poly_sum(sign[o] * poly.kappa_bar[o] for o in reps),
-        )
-        col.equal(
-            "kappa_bar_mod(-x,-y)",
-            _neg_vars(poly.kappa_bar_mod),
-            _poly_sum(sign[o] * poly.kappa[o] for o in reps),
-        )
+        def e(col):
+            for bar in ("", "_bar"):
+                def term(mask, ids):
+                    # G/{} and G|E are G itself: those two factors are the ledger's own
+                    tau = read(f"tau{bar}") if mask == 0 else \
+                        memo.counting(graph.contract(ids), f"tau{bar}_{kind}", budget)
+                    phi = read(f"phi{bar}") if mask == full else \
+                        memo.counting(graph.restrict(ids), f"phi{bar}_{kind}", budget)
+                    return tau * phi
 
-    def t2d(col):
-        col.equal("kappa_mod(x,1)", poly.kappa_mod.set_y(1), poly.tau_mod)
-        col.equal("kappa_mod(1,y)", poly.kappa_mod.set_x(1), poly.phi_mod)
-        col.equal("kappa_bar_mod(x,-1)", poly.kappa_bar_mod.set_y(-1), poly.tau_bar_mod)
-        col.equal("kappa_bar_mod(-1,y)", poly.kappa_bar_mod.set_x(-1), poly.phi_bar_mod)
+                col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"), _minor_sum(term))
 
-    def t2e(col):
-        col.equal("kappa_mod convolution", poly.kappa_mod, _convolution("tau_mod", "phi_mod"))
-        col.equal("kappa_bar_mod convolution", poly.kappa_bar_mod,
-                  _convolution("tau_bar_mod", "phi_bar_mod"))
+        return b, c, d, e
 
     # ---- per-orientation identities ----
     def pl(col):
@@ -389,7 +364,6 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
             col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples)
 
     def rpq(col):
-        full = (1 << m) - 1
         ref = Orientation.reference(graph)
         for p, q in product((1, 2, 3), repeat=2):
             tensions = _count_tensions(ref, CyclicProduct((p,)), budget, "masks")
@@ -473,12 +447,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(part_eu.classes))
 
     def tc(col):
-        total = BivariatePolynomial()
-        for mask in range(1 << m):
-            ids = [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1]
-            total = total + tutte(graph.contract(ids)).set_y(0) * tutte(
-                graph.restrict(ids)
-            ).set_x(0)
+        total = _minor_sum(lambda mask, ids: tutte(graph.contract(ids)).set_y(0)
+                           * tutte(graph.restrict(ids)).set_x(0))
         col.equal("Tutte convolution", tutte_poly, total)
 
     def ind(col):
@@ -495,6 +465,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
             swept("kappa_bar_mod", lex_largest),
         )
 
+    t1b, t1c, t1d, t1e = theorem("int", orientations, "sum of local")
+    t2b, t2c, t2d, t2e = theorem("mod", reps, "sum over reps")
     run("T1b", t1b)
     run("T1c", t1c)
     run("T1d", t1d)

@@ -165,14 +165,6 @@ def test_integer_box_examples(k2, l1, p8):
     assert len(strong_box) > 1
 
 
-def test_strict_bounds(p8):
-    ref = Orientation.reference(p8)
-    open_box = enum_integer_tensions_box(
-        ref, -2, 2, strict_lower=True, strict_upper=True
-    )
-    assert sorted(open_box) == sorted(enum_integer_tensions_box(ref, -1, 1))
-
-
 def test_orthogonality(small_corpus):
     # every integer tension is orthogonal to every integer flow
     for g in small_corpus:
@@ -452,6 +444,14 @@ def test_count_validation(p8):
     with pytest.raises(ValueError, match="phi_bar_local reads no flow-side group"):
         count(p8, "phi_bar_local", q=1, orientation=ref, group_b=(1,))
     assert count(p8, "kappa_bar_local", p=0, q=0, orientation=ref) == 1
+    # p and q are integers: a float or a bool is refused by name, not passed
+    # to the kernel (True would count as 1)
+    with pytest.raises(ValueError, match="tau_int needs p >= 1"):
+        count(p8, "tau_int", p=2.5)
+    with pytest.raises(ValueError, match="tau_bar_mod needs p >= 0"):
+        count(p8, "tau_bar_mod", p=1.5)
+    with pytest.raises(ValueError, match="kappa_bar_int needs p >= 0"):
+        count(p8, "kappa_bar_int", p=True, q=1)
 
 
 #: family -> (variables read, lowest argument, needs an orientation,

@@ -257,6 +257,26 @@ def test_enumeration_limit(p8):
         enumerate_classes(p8, "cut", "all", budget=31)
 
 
+def test_unknown_names_are_refused(c3):
+    # a misspelt filter or relation is an error, not some other set; the
+    # function checks through the table
+    table = OrientationTable(c3)
+    with pytest.raises(ValueError, match="unknown filter 'acylic'"):
+        table.members("acylic")
+    with pytest.raises(ValueError, match="unknown relation 'cutt'"):
+        table.classes("cutt")
+    with pytest.raises(ValueError, match="unknown filter 'acylic'"):
+        table.classes("cut", "acylic")
+    with pytest.raises(ValueError, match="unknown relation 'cutt'"):
+        enumerate_classes(c3, "cutt")
+    with pytest.raises(ValueError, match="unknown filter 'acylic'"):
+        enumerate_classes(c3, "cut", "acylic")
+    # the names are checked before any orientation is listed
+    with pytest.raises(ValueError, match="unknown relation 'cutt'"):
+        enumerate_classes(c3, "cutt", "acylic", budget=1)
+    assert len(table.members("acyclic")) == 6
+
+
 def test_induced_orientation(p8):
     o = Orientation.reference(p8).with_flipped([1, 4])
     sub = p8.restrict({1, 2, 4})

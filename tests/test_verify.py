@@ -193,3 +193,50 @@ def test_failure_witness_counts_problems(p8, monkeypatch):
     assert rpq.witness.endswith(" (+17 more)")
     assert report.outcome == "fail"
     assert set(report.to_json_list()[0]) == {"id", "tag", "status", "witness"}
+
+
+#: the label each Theorem 1/2 identity's first failing check starts with when
+#: the open (kappa) or the closed (kappa_bar) graph-level polynomial is wrong
+THEOREM_WITNESSES = {
+    "kappa": {
+        "T1b": "kappa_int = sum of local",
+        "T1c": "kappa_int(-x,-y)",
+        "T1d": "kappa_int(x,1)",
+        "T1e": "kappa_int convolution",
+        "T2b": "kappa_mod = sum over reps",
+        "T2c": "kappa_mod(-x,-y)",
+        "T2d": "kappa_mod(x,1)",
+        "T2e": "kappa_mod convolution",
+    },
+    "kappa_bar": {
+        "T1b": "kappa_bar_int = sum of local",
+        "T1c": "kappa_bar_int(-x,-y)",
+        "T1d": "kappa_bar_int(x,-1)",
+        "T1e": "kappa_bar_int convolution",
+        "T2b": "kappa_bar_mod = sum over reps",
+        "T2c": "kappa_bar_mod(-x,-y)",
+        "T2d": "kappa_bar_mod(x,-1)",
+        "T2e": "kappa_bar_mod convolution",
+    },
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(THEOREM_WITNESSES))
+def test_theorem_witnesses_name_the_wrong_polynomial(p8, monkeypatch, wrong):
+    # kappa_int/kappa_mod come from counting_polynomial, kappa_bar_int and
+    # kappa_bar_mod from orientation_sum_polynomial: one more than the true
+    # polynomial breaks every Theorem 1 and 2 identity that reads it
+    import ctfpolys.verify as verify
+
+    name = "counting_polynomial" if wrong == "kappa" else "orientation_sum_polynomial"
+    true = getattr(verify, name)
+
+    def off_by_one(source, family, *args):
+        poly = true(source, family, *args)
+        return poly + 1 if family in (f"{wrong}_int", f"{wrong}_mod") else poly
+
+    monkeypatch.setattr(verify, name, off_by_one)
+    checks = {c.identity: c for c in verify_graph(p8).checks}
+    for identity, label in THEOREM_WITNESSES[wrong].items():
+        assert checks[identity].status == "fail", identity
+        assert checks[identity].witness.startswith(label + ": "), checks[identity].witness
