@@ -324,7 +324,7 @@ def main(argv=None) -> int:
         return 1
     except (
         GraphFormatError,
-        FileNotFoundError,
+        OSError,  # a missing, unreadable or directory graph file
         ValueError,
         KeyError,
         BudgetExceededError,

@@ -404,19 +404,26 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _box_count(orientation, circuit, side, box, value, budget) -> int:
+def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed"):
     """Tensions (side "tension") or flows (side "flow") of the orientation in
-    one box of FAMILY_TABLE at p or q; only the "support" box reads
-    ``circuit``, the positions of the orientation's circuit part."""
-    inside = (0, value) if box == "closed" else (1, value - 1)
+    one box of FAMILY_TABLE at p or q, counted with ``zeros`` as in
+    _partial_sum_dp; a "group" box takes its moduli for ``value`` or the
+    cyclic group of that order. Only the "support" box reads ``circuit``,
+    the positions of the orientation's circuit part."""
     m = orientation.graph.edge_count
-    if box == "support":
-        on_circuit = side == "flow"
-        ranges = [inside if (pos in circuit) == on_circuit else (0, 0) for pos in range(m)]
+    if box == "group":
+        values = CyclicProduct(value if isinstance(value, tuple) else (value,))
+    elif box == "int":
+        values = [(1 - value, value - 1)] * m
     else:
-        ranges = [inside] * m
+        inside = (0, value) if box == "closed" else (1, value - 1)
+        if box == "support":
+            on_circuit = side == "flow"
+            values = [inside if (pos in circuit) == on_circuit else (0, 0) for pos in range(m)]
+        else:
+            values = [inside] * m
     counter = _count_tensions if side == "tension" else _count_flows
-    return counter(orientation, ranges, budget)
+    return counter(orientation, values, budget, zeros)
 
 
 def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
@@ -432,9 +439,9 @@ def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
 class CountTable(OrientationTable):
     """An orientation table with the box counts of the orientations, each
     computed once per block-reversal orbit (``_orbit_key``), and the sums the
-    orientation-sum families read from them. A table lives for one count, one
-    polynomial, one ``polys`` report (all six graph-level orientation-sum
-    families) or one identity-ledger computation."""
+    counting families read from them. A table lives for one count, one
+    polynomial, one ``polys`` report (all twelve graph-level families) or one
+    identity-ledger computation."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         super().__init__(graph, budget)
@@ -444,10 +451,12 @@ class CountTable(OrientationTable):
     def sum_members(
         self, family: str, orientation: Orientation | None = None
     ) -> tuple[tuple[Orientation, int], ...]:
-        """The (orientation, weight) pairs an orientation-sum family adds up."""
+        """The (orientation, weight) pairs a family adds up: the given one
+        for a per-orientation family, the given or the reference one for a
+        definition-level family."""
         members = FAMILY_TABLE[family][2]
-        if members is None:
-            return ((orientation, 1),)
+        if members is None or members == "one":
+            return ((orientation or Orientation.reference(self.graph), 1),)
         weight, filter_name = members
         partition = self.classes("cut_eulerian", filter_name)
         return tuple(
@@ -461,22 +470,38 @@ class CountTable(OrientationTable):
             found = self._orbits[orientation.flips] = _orbit_key(orientation)
         return found
 
-    def side(self, orientation: Orientation, side: str, box, value) -> int:
-        """The count in one box at p or q; 1 for the box None."""
+    def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
+        """The count in one box at p or q (a group's moduli on a "group"
+        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None."""
         if box is None:
             return 1
-        key = (self.orbit(orientation), side, box, value)
+        key = (self.orbit(orientation), side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
             circuit = self.circuit(orientation) if box == "support" else None
-            found = self._counts[key] = _box_count(orientation, circuit, side, box, value, self.budget)
+            found = self._counts[key] = _box_count(
+                orientation, circuit, side, box, value, self.budget, zeros
+            )
         return found
 
     def total(self, family: str, pairs, p, q) -> int:
-        """The family's weighted sum over (orientation, weight) pairs at (p, q)."""
-        t_box, f_box, _ = FAMILY_TABLE[family]
+        """The family's weighted sum over (orientation, weight) pairs at (p, q).
+
+        A definition-level family counts the nowhere-zero vectors of its one
+        side, or the complementary pairs (ker f = supp g) matched by zero
+        set; each zero mode is a kernel call of its own, so a one-side count
+        is never read off a zero-set histogram."""
+        t_box, f_box, members = FAMILY_TABLE[family]
+        if members == "one" and t_box and f_box:
+            full = (1 << self.graph.edge_count) - 1
+            return sum(
+                w * _matched_pairs(self.side(o, "tension", t_box, p, "masks"),
+                                   self.side(o, "flow", f_box, q, "masks"), full)
+                for o, w in pairs
+            )
+        zeros = "forbidden" if members == "one" else "allowed"
         return sum(
-            w * self.side(o, "tension", t_box, p) * self.side(o, "flow", f_box, q)
+            w * self.side(o, "tension", t_box, p, zeros) * self.side(o, "flow", f_box, q, zeros)
             for o, w in pairs
         )
 
@@ -521,34 +546,18 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
              f"{family} reads no tension-side group")
     _require(query.group_b is None or f_box == "group",
              f"{family} reads no flow-side group")
-    if members != "one":
-        table = CountTable(graph, budget)
-        return table.total(family, table.sum_members(family, orientation), p, q)
 
-    # a definition-level family: nowhere-zero vectors on one side, or
-    # complementary pairs (ker f = supp g) matched by zero set on two
-    m = graph.edge_count
+    def argument(value, group):
+        # a given group's moduli stand in for the argument on its side
+        if not group:
+            return value
+        moduli = CyclicProduct(tuple(group)).moduli
+        _require(prod(moduli) == value, "group order must match the argument")
+        return moduli
 
-    def values(box, value, group):
-        if box == "int":
-            return [(1 - value, value - 1)] * m
-        return CyclicProduct(group or (value,)) if box == "group" else None
-
-    tensions, flows = values(t_box, p, query.group_a), values(f_box, q, query.group_b)
-    _require(
-        all(side.order == value for side, value in ((tensions, p), (flows, q))
-            if isinstance(side, CyclicProduct)),
-        "group order must match the argument",
-    )
-    if flows is None:
-        return _count_tensions(orientation, tensions, budget, "forbidden")
-    if tensions is None:
-        return _count_flows(orientation, flows, budget, "forbidden")
-    return _matched_pairs(
-        _count_tensions(orientation, tensions, budget, "masks"),
-        _count_flows(orientation, flows, budget, "masks"),
-        (1 << m) - 1,
-    )
+    table = CountTable(graph, budget)
+    return table.total(family, table.sum_members(family, orientation),
+                       argument(p, query.group_a), argument(q, query.group_b))
 
 
 def mod_map(

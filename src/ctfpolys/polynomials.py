@@ -11,12 +11,10 @@ from numbers import Rational
 from typing import Mapping, Sequence
 
 from .counting import (
-    CountQuery,
     CountTable,
     FAMILIES,
     FAMILY_TABLE,
     LOCAL_FAMILIES,
-    count,
     lowest_argument,
 )
 from .multigraph import MultiGraph, _UnionFind
@@ -399,9 +397,10 @@ def orientation_sum_polynomial(
     family: str,
     pairs: Sequence[tuple[Orientation, int]],
 ) -> BivariatePolynomial:
-    """Polynomial of an orientation-sum family over (orientation, weight)
-    pairs of the table's graph, read from the table: each orientation's
-    tension and flow counts are taken once per sampled p and q."""
+    """Polynomial of a family over (orientation, weight) pairs of the
+    table's graph (for a definition-level family, its one orientation), read
+    from the table: each orientation's tension and flow counts are taken
+    once per sampled p and q."""
     return _interpolate_family(
         family, lambda a, b: table.total(family, pairs, a, b), table.graph
     )
@@ -427,13 +426,7 @@ def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePol
 
 def _polynomial(table: CountTable, family: str,
                 orientation: Orientation | None = None) -> BivariatePolynomial:
-    if FAMILY_TABLE[family][2] != "one":
-        return orientation_sum_polynomial(table, family, table.sum_members(family, orientation))
-
-    def sampler(a, b):
-        return count(table.graph, CountQuery(family, p=a, q=b), table.budget)
-
-    return _interpolate_family(family, sampler, table.graph)
+    return orientation_sum_polynomial(table, family, table.sum_members(family, orientation))
 
 
 def counting_polynomial(

@@ -114,6 +114,11 @@ def test_verify_operational_error_is_exit_1(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
+    # a directory is no graph file either (IsADirectoryError, an OSError
+    # like the PermissionError of an unreadable file)
+    assert main(["polys", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
     bad = tmp_path / "bad.g"
     bad.write_text("v x\n")
     assert main(["verify", str(bad)]) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ctfpolys import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CountQuery,
     CyclicProduct,
@@ -27,9 +28,13 @@ from ctfpolys import (
 )
 from ctfpolys.counting import (
     FAMILIES,
+    FAMILY_TABLE,
     LOCAL_FAMILIES,
     CountTable,
     _box_count,
+    _count_flows,
+    _count_tensions,
+    _matched_pairs,
     _orbit_key,
     _space,
 )
@@ -680,6 +685,48 @@ def test_class_weighted_sums_match_orientation_sums(corpus5_graphs):
                 assert table.total(family, pairs, p, q) == table.total(family, every, p, q), (
                     graph.edges, family, p, q
                 )
+
+
+def _direct_count(graph, family, p, q, group_a=None):
+    # a definition-level family counted by its own kernel calls: the
+    # nowhere-zero vectors of one side, or the complementary pairs matched
+    # by zero set when it counts both
+    o, m = Orientation.reference(graph), graph.edge_count
+    t_box, f_box, _ = FAMILY_TABLE[family]
+
+    def values(box, value, group):
+        if box == "int":
+            return [(1 - value, value - 1)] * m
+        return CyclicProduct(group or (value,)) if box == "group" else None
+
+    tensions, flows = values(t_box, p, group_a), values(f_box, q, None)
+    if flows is None:
+        return _count_tensions(o, tensions, DEFAULT_BUDGET, "forbidden")
+    if tensions is None:
+        return _count_flows(o, flows, DEFAULT_BUDGET, "forbidden")
+    return _matched_pairs(
+        _count_tensions(o, tensions, DEFAULT_BUDGET, "masks"),
+        _count_flows(o, flows, DEFAULT_BUDGET, "masks"),
+        (1 << m) - 1,
+    )
+
+
+def test_definition_level_counts_match_direct_kernel_calls(corpus5_graphs):
+    # count reads the definition-level families from a CountTable, and a
+    # polynomial's table serves every grid point; both match the kernel
+    # calls they replace
+    families = [f for f, row in FAMILY_TABLE.items() if row[2] == "one"]
+    for graph in corpus5_graphs:
+        shared = CountTable(graph)
+        pairs = shared.sum_members("kappa_mod")
+        for family, (p, q) in product(families, product(range(1, 4), repeat=2)):
+            direct = _direct_count(graph, family, p, q)
+            assert count(graph, family, p=p, q=q) == direct, (graph.edges, family, p, q)
+            assert shared.total(family, pairs, p, q) == direct, (graph.edges, family, p, q)
+        # a product group: its moduli, not only its order, key the table
+        direct = _direct_count(graph, "kappa_mod", 4, 2, group_a=(2, 2))
+        assert count(graph, "kappa_mod", p=4, q=2, group_a=(2, 2)) == direct, graph.edges
+        assert shared.total("kappa_mod", pairs, (2, 2), 2) == direct, graph.edges
 
 
 def test_orbit_key_examples(digon_loop):

@@ -340,3 +340,23 @@ def test_int_duals_cost_no_kernel_call(kernel_calls, vertex_count, edges):
     built = lambda *families: [_polynomial(table, f) for f in families]
     assert kernel_calls(lambda: built("kappa_bar_mod", "tau_bar_mod", "phi_bar_mod")) > 0
     assert kernel_calls(lambda: built("kappa_bar_int", "tau_bar_int", "phi_bar_int")) == 0
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges, calls",
+    [
+        # K4: rank 3, nullity 3
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+         {"kappa_mod": 12, "kappa_int": 12, "tau_mod": 6, "phi_int": 6}),
+        # the worked example: rank 2, nullity 3
+        (3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)],
+         {"kappa_mod": 11, "kappa_int": 11, "tau_mod": 5, "phi_int": 6}),
+    ],
+)
+def test_definition_level_sides_are_counted_once(kernel_calls, vertex_count, edges, calls):
+    # the grid and its two held-out points read one tension count per
+    # distinct p (rank + 3 of them) and one flow count per distinct q
+    # (nullity + 3) from the polynomial's table, not two per point
+    graph = build_graph(vertex_count, edges)
+    made = {f: kernel_calls(lambda: counting_polynomial(graph, f)) for f in calls}
+    assert made == calls

@@ -240,3 +240,32 @@ def test_theorem_witnesses_name_the_wrong_polynomial(p8, monkeypatch, wrong):
     for identity, label in THEOREM_WITNESSES[wrong].items():
         assert checks[identity].status == "fail", identity
         assert checks[identity].witness.startswith(label + ": "), checks[identity].witness
+
+
+def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
+    # the reversed reference orientation has the reference's orbit key: IND
+    # must count it with kernel calls of its own, never from a ledger table,
+    # or it would compare kappa_int with itself
+    import ctfpolys.verify as verify
+
+    true_count, made = verify.count, []
+
+    def counted(*args, **kwargs):
+        out = []
+        made.append(kernel_calls(lambda: out.append(true_count(*args, **kwargs))))
+        return out[0]
+
+    monkeypatch.setattr(verify, "count", counted)
+    assert verify_graph(p8).all_passed
+    assert made and min(made) >= 1, made
+
+    true_poly = verify.counting_polynomial
+
+    def off_by_one(graph, family, *args):
+        poly = true_poly(graph, family, *args)
+        return poly + 1 if family == "kappa_int" else poly
+
+    monkeypatch.setattr(verify, "counting_polynomial", off_by_one)
+    ind = next(c for c in verify_graph(p8).checks if c.identity == "IND")
+    assert ind.status == "fail"
+    assert ind.witness.startswith("kappa_int from reversed orientation: "), ind.witness
