@@ -152,19 +152,20 @@ def _normalize_ranges(graph: MultiGraph, lower, upper) -> list[tuple[int, int]]:
 
 def _space(orientation: Orientation, side: str):
     """(free positions, dependent sums) of the tensions (side "tension") or
-    the flows (side "flow") of the digraph: the inputs of _partial_sum_dp and
+    the flows (side "flow") of the digraph: the inputs of _dp_plan and
     _iter_vectors. A tension is free on the spanning forest, and each cotree
     edge gets (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t); a flow is
     free on the cotree, and each forest edge gets (t_pos, ((e_pos, c), ...))
-    with g(t) = sum c*g(e)."""
+    with g(t) = sum c*g(e). The free positions come in the forest's
+    assignment order (``tension_order`` or ``flow_order``)."""
     signs = _flip_signs(orientation)
     forest = spanning_structure(orientation.graph)
     if side == "tension":
-        return forest.forest_positions, tuple(
+        return forest.tension_order, tuple(
             (e, tuple((t, -signs[e] * d * signs[t]) for t, d in rest))
             for e, rest in forest.circuit_table
         )
-    return tuple(e for e, _ in forest.circuit_table), tuple(
+    return forest.flow_order, tuple(
         (t, tuple((e, d * signs[t] * signs[e]) for e, d in coeffs))
         for t, coeffs in forest.flow_table
     )
@@ -211,44 +212,27 @@ class _AdditionRows(dict):
         return row
 
 
-def _partial_sum_dp(free, dependent, values, zeros: str, budget):
-    """Count the vectors of a space parametrized by free values at the
-    positions ``free``: each dependent position (pos, ((free_pos, c), ...))
-    holds the sum of c * value over its free positions, c = +-1.
+def _dp_plan(free, dependent):
+    """The schedule of _partial_sum_dp for a space parametrized by free
+    values at the positions ``free``, assigned in that order: each dependent
+    position (pos, ((free_pos, c), ...)) holds the sum of c * value over its
+    free positions, c = +-1. It reads no box, so one plan serves them all.
 
-    ``values`` is a list of inclusive integer ranges per position, or a
-    CyclicProduct whose elements every position may take. ``zeros`` is
-    "allowed" (return the count), "forbidden" (return the count of the
-    nowhere-zero vectors) or "masks" (return {zero set as a bit mask of
-    positions: count}).
-
-    The free values are assigned in order (transfer-matrix method, Stanley,
-    EC1 4.7). The state is the tuple of partial sums of the dependent
-    positions that are open: some but not all of their free values are
-    assigned. A dependent position is checked and dropped when its last free
-    value is assigned; the ranges it allows cut that free value down to an
-    interval. A step that moves no open sum counts its values in bulk, and
-    only the few values that make a position zero are taken one by one.
-    The budget counts the states the steps create, checked after each step.
+    Returns (the dependent positions with no free value, identically zero:
+    a loop tension or a bridge flow; per free value a step: (position, zeros
+    for the sums it opens, kept sums as (slot, coefficient), closed sums as
+    (slot, coefficient, position))).
     """
-    group = values if isinstance(values, CyclicProduct) else None
-    if group is not None and free:  # the negation list costs the group's order
-        rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
-
     index = {pos: i for i, pos in enumerate(free)}
     opening = [[] for _ in free]
-    start_mask = 0
+    zero_positions = []
     for pos, coeffs in dependent:
-        if not coeffs:  # identically zero: a loop tension or a bridge flow
-            if zeros == "forbidden" or (group is None and not values[pos][0] <= 0 <= values[pos][1]):
-                return {} if zeros == "masks" else 0
-            start_mask |= 1 << pos
+        if not coeffs:
+            zero_positions.append(pos)
             continue
         by_step = {index[t]: c for t, c in coeffs}
         opening[min(by_step)].append((pos, by_step, max(by_step)))
 
-    # per free value: (position, zeros for the sums it opens, kept sums as
-    # (slot, coefficient), closed sums as (slot, coefficient, low, high, bit))
     steps = []
     live: list = []
     for i, pos in enumerate(free):
@@ -257,16 +241,48 @@ def _partial_sum_dp(free, dependent, values, zeros: str, budget):
         for slot, (dep, by_step, last) in enumerate(slots):
             c = by_step.get(i, 0)
             if last == i:
-                low, high = (0, 0) if group is not None else values[dep]
-                close.append((slot, c, low, high, 1 << dep))
+                close.append((slot, c, dep))
             else:
                 keep.append((slot, c))
         live = [slots[slot] for slot, _ in keep]
-        steps.append((pos, (0,) * len(opening[i]), keep, close))
+        steps.append((pos, (0,) * len(opening[i]), tuple(keep), tuple(close)))
+    return tuple(zero_positions), tuple(steps)
+
+
+def _partial_sum_dp(plan, values, zeros: str, budget):
+    """Count the vectors of the space of a _dp_plan with values in
+    ``values``: a list of inclusive integer ranges per position, or a
+    CyclicProduct whose elements every position may take. ``zeros`` is
+    "allowed" (return the count), "forbidden" (return the count of the
+    nowhere-zero vectors) or "masks" (return {zero set as a bit mask of
+    positions: count}).
+
+    The free values are assigned in the plan's order (transfer-matrix method,
+    Stanley, EC1 4.7). The state is the tuple of partial sums of the
+    dependent positions that are open: some but not all of their free values
+    are assigned. A dependent position is checked and dropped when its last
+    free value is assigned; the ranges it allows cut that free value down to
+    an interval. A step that moves no open sum counts its values in bulk, and
+    only the few values that make a position zero are taken one by one.
+    The budget counts the states the steps create, checked after each step.
+    """
+    zero_positions, plan_steps = plan
+    group = values if isinstance(values, CyclicProduct) else None
+    if group is not None and plan_steps:  # the negation list costs the group's order
+        rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
+
+    start_mask = 0
+    for pos in zero_positions:
+        if zeros == "forbidden" or (group is None and not values[pos][0] <= 0 <= values[pos][1]):
+            return {} if zeros == "masks" else 0
+        start_mask |= 1 << pos
 
     track, forbid = zeros != "allowed", zeros == "forbidden"
     states, created = {((), start_mask): 1}, 0
-    for pos, pad, keep, close in steps:
+    for pos, pad, keep, close in plan_steps:
+        # the closed sums with their ranges: (slot, coefficient, low, high, bit)
+        close = [(slot, c, *((0, 0) if group is not None else values[dep]), 1 << dep)
+                 for slot, c, dep in close]
         bit = 1 << pos
         moving = any(c for _, c in keep)
         new: dict = {}
@@ -337,16 +353,17 @@ def _partial_sum_dp(free, dependent, values, zeros: str, budget):
     return sum(states.values())
 
 
-def _count_tensions(orientation, values, budget, zeros: str = "allowed"):
+def _count_tensions(orientation, values, budget, zeros: str = "allowed", plan=None):
     """Tensions of the digraph with values in per-position integer ranges or
     in a group, counted by the partial-sum DP over spanning-forest values;
-    see _partial_sum_dp for ``zeros``."""
-    return _partial_sum_dp(*_space(orientation, "tension"), values, zeros, budget)
+    see _partial_sum_dp for ``zeros``. ``plan`` is the tension space's
+    _dp_plan, built here when not given."""
+    return _partial_sum_dp(plan or _dp_plan(*_space(orientation, "tension")), values, zeros, budget)
 
 
-def _count_flows(orientation, values, budget, zeros: str = "allowed"):
+def _count_flows(orientation, values, budget, zeros: str = "allowed", plan=None):
     """Flows, counted like _count_tensions over cotree values."""
-    return _partial_sum_dp(*_space(orientation, "flow"), values, zeros, budget)
+    return _partial_sum_dp(plan or _dp_plan(*_space(orientation, "flow")), values, zeros, budget)
 
 
 def enum_integer_tensions_box(
@@ -404,12 +421,13 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed"):
+def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed", plan=None):
     """Tensions (side "tension") or flows (side "flow") of the orientation in
     one box of FAMILY_TABLE at p or q, counted with ``zeros`` as in
-    _partial_sum_dp; a "group" box takes its moduli for ``value`` or the
-    cyclic group of that order. Only the "support" box reads ``circuit``,
-    the positions of the orientation's circuit part."""
+    _partial_sum_dp over ``plan``, the side's _dp_plan (built when not
+    given); a "group" box takes its moduli for ``value`` or the cyclic group
+    of that order. Only the "support" box reads ``circuit``, the positions
+    of the orientation's circuit part."""
     m = orientation.graph.edge_count
     if box == "group":
         values = CyclicProduct(value if isinstance(value, tuple) else (value,))
@@ -423,7 +441,7 @@ def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed"):
         else:
             values = [inside] * m
     counter = _count_tensions if side == "tension" else _count_flows
-    return counter(orientation, values, budget, zeros)
+    return counter(orientation, values, budget, zeros, plan)
 
 
 def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
@@ -438,14 +456,16 @@ def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
 
 class CountTable(OrientationTable):
     """An orientation table with the box counts of the orientations, each
-    computed once per block-reversal orbit (``_orbit_key``), and the sums the
-    counting families read from them. A table lives for one count, one
-    polynomial, one ``polys`` report (all twelve graph-level families) or one
-    identity-ledger computation."""
+    computed once per block-reversal orbit (``_orbit_key``) from one kernel
+    plan per orbit and side, and the sums the counting families read from
+    them. A table lives for one count, one polynomial, one ``polys`` report
+    (all twelve graph-level families) or one identity-ledger computation."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         super().__init__(graph, budget)
         self._counts: dict = {}
+        self._plans: dict = {}  # (orbit key, side) -> _dp_plan
+        self._steps: dict = {}  # one copy of each plan step: orbits share most
         self._orbits: dict = {}  # flips -> orbit key
 
     def sum_members(
@@ -475,12 +495,18 @@ class CountTable(OrientationTable):
         box), with ``zeros`` as in _partial_sum_dp; 1 for the box None."""
         if box is None:
             return 1
-        key = (self.orbit(orientation), side, box, value, zeros)
+        orbit = self.orbit(orientation)
+        key = (orbit, side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
+            plan = self._plans.get((orbit, side))
+            if plan is None:
+                zero_positions, steps = _dp_plan(*_space(orientation, side))
+                steps = tuple([self._steps.setdefault(step, step) for step in steps])
+                plan = self._plans[orbit, side] = zero_positions, steps
             circuit = self.circuit(orientation) if box == "support" else None
             found = self._counts[key] = _box_count(
-                orientation, circuit, side, box, value, self.budget, zeros
+                orientation, circuit, side, box, value, self.budget, zeros, plan
             )
         return found
 
@@ -548,8 +574,9 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
              f"{family} reads no flow-side group")
 
     def argument(value, group):
-        # a given group's moduli stand in for the argument on its side
-        if not group:
+        # a given group's moduli stand in for the argument on its side; ()
+        # is the trivial group, not no group
+        if group is None:
             return value
         moduli = CyclicProduct(tuple(group)).moduli
         _require(prod(moduli) == value, "group order must match the argument")

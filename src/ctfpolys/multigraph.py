@@ -23,6 +23,11 @@ class ForestData:
     """A spanning forest plus the fundamental circuit of every non-forest edge,
     by edge label and by edge position.
 
+    The forest is a breadth-first one: each component grows from a vertex of
+    highest degree (loops not counted, ties going to the lowest vertex), and
+    a vertex joins through the first edge position that reaches it. Its
+    fundamental circuits are short, so few free values share a circuit.
+
     ``forest_edges`` holds edge labels. Each circuit is a tuple of
     ``(edge_label, sign)`` pairs; the circuit of non-forest edge e starts with
     (e, +1) and the sign of a forest edge is +1 exactly when the circuit
@@ -36,6 +41,14 @@ class ForestData:
     per position the first position of its block, a component of the cycle
     matroid (a 2-connected piece, a bridge or a loop), which the fundamental
     circuits join.
+
+    ``tension_order`` and ``flow_order`` are the orders in which the counting
+    kernel assigns a tension's free values (the forest positions) and a
+    flow's (the other positions): greedily the one that leaves the fewest
+    dependent sums open (some but not all of their free values assigned),
+    ties going to the one that closes the most sums, then to the lowest
+    position. The kernel keeps one partial sum per open sum, so its state
+    stays narrow whatever the edge order of the graph file.
     """
 
     forest_edges: frozenset[int]
@@ -44,6 +57,8 @@ class ForestData:
     circuit_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     flow_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     blocks: tuple[int, ...]
+    tension_order: tuple[int, ...]
+    flow_order: tuple[int, ...]
 
 
 class _UnionFind:
@@ -188,47 +203,78 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> Mul
     )
 
 
+def _assignment_order(free: Sequence[int], sums) -> tuple[int, ...]:
+    """``free`` in the greedy order of ForestData's ``tension_order`` and
+    ``flow_order``; ``sums`` are the sets of free positions of the sums."""
+    left = [len(members) for members in sums]  # per sum, values not yet assigned
+    containing = {x: [k for k, members in enumerate(sums) if x in members] for x in free}
+
+    def cost(x):
+        # (sums left open, minus sums closed, position) once x is assigned
+        opened = closed = 0
+        for k in containing[x]:
+            if left[k] == 1:
+                closed += 1
+                opened -= left[k] < len(sums[k])
+            else:
+                opened += left[k] == len(sums[k])
+        return opened, -closed, x
+
+    order, todo = [], set(free)
+    while todo:
+        x = min(todo, key=cost)
+        todo.remove(x)
+        order.append(x)
+        for k in containing[x]:
+            left[k] -= 1
+    return tuple(order)
+
+
 @lru_cache(maxsize=None)
 def spanning_structure(graph: MultiGraph) -> ForestData:
-    """Deterministic spanning forest (first acyclic edge in label-scan order
-    wins) and the fundamental circuits of the remaining edges, built once per
-    graph; see ForestData."""
-    uf = _UnionFind(graph.vertex_count)
-    forest_pos: list[int] = []
+    """The BFS spanning forest, the fundamental circuits of the remaining
+    edges and the kernel's assignment orders, built once per graph; see
+    ForestData."""
+    n = graph.vertex_count
+    incident: list[list[int]] = [[] for _ in range(n)]
     for pos, (u, v) in enumerate(graph.edges):
-        if u != v and uf.union(u, v):
-            forest_pos.append(pos)
+        if u != v:
+            incident[u].append(pos)
+            incident[v].append(pos)
 
-    # adjacency of the forest for path lookups: vertex -> [(neighbor, pos, dir)]
-    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(graph.vertex_count)}
-    for pos in forest_pos:
-        u, v = graph.edges[pos]
-        adj[u].append((v, pos, 1))
-        adj[v].append((u, pos, -1))
-
-    def forest_path(start: int, goal: int) -> list[tuple[int, int]]:
-        # BFS; returns [(pos, sign)] for the walk start -> goal
-        if start == goal:
-            return []
-        prev: dict[int, tuple[int, int, int]] = {start: (-1, -1, 0)}
-        frontier = [start]
+    # per vertex: (parent edge position, parent, depth); roots have no edge
+    tree: dict[int, tuple[int, int, int]] = {}
+    for root in sorted(range(n), key=lambda v: (-len(incident[v]), v)):
+        if root in tree:
+            continue
+        tree[root] = (-1, -1, 0)
+        frontier = [root]
         while frontier:
             nxt = []
             for x in frontier:
-                for y, pos, sign in adj[x]:
-                    if y not in prev:
-                        prev[y] = (x, pos, sign)
-                        if y == goal:
-                            path = []
-                            while y != start:
-                                x, pos, sign = prev[y]
-                                path.append((pos, sign))
-                                y = x
-                            path.reverse()
-                            return path
+                for pos in incident[x]:
+                    u, v = graph.edges[pos]
+                    y = v if u == x else u
+                    if y not in tree:
+                        tree[y] = (pos, x, tree[x][2] + 1)
                         nxt.append(y)
             frontier = nxt
-        raise AssertionError("forest path lookup failed")
+    forest_pos = sorted(pos for pos, _, _ in tree.values() if pos >= 0)
+
+    def forest_path(start: int, goal: int) -> list[tuple[int, int]]:
+        # [(pos, sign)] for the tree walk start -> goal; sign +1 where the
+        # walk crosses the edge from its tail to its head
+        up, down = [], []
+        while start != goal:
+            if tree[start][2] >= tree[goal][2]:
+                pos, start_parent, _ = tree[start]
+                up.append((pos, 1 if graph.edges[pos][0] == start else -1))
+                start = start_parent
+            else:
+                pos, goal_parent, _ = tree[goal]
+                down.append((pos, 1 if graph.edges[pos][1] == goal else -1))
+                goal = goal_parent
+        return up + down[::-1]
 
     ids = graph.edge_ids
     forest_set = set(forest_pos)
@@ -254,6 +300,12 @@ def spanning_structure(graph: MultiGraph) -> ForestData:
         circuit_table=table,
         flow_table=tuple((t, tuple(through[t])) for t in forest_pos),
         blocks=tuple(blocks.find(pos) for pos in range(graph.edge_count)),
+        tension_order=_assignment_order(
+            forest_pos, [{t for t, _ in rest} for _, rest in table if rest]
+        ),
+        flow_order=_assignment_order(
+            [e for e, _ in table], [{e for e, _ in through[t]} for t in forest_pos if through[t]]
+        ),
     )
 
 

@@ -25,6 +25,7 @@ from .orientations import (
 )
 from .polynomials import (
     BivariatePolynomial,
+    InterpolationError,
     _compact_key,
     _interpolate_family,
     counting_polynomial,
@@ -243,13 +244,16 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def run(identity: str, body: Callable[[_Collector], None]) -> None:
         # a resource limit is no verdict on the identity: it is skipped,
-        # unless a failure was found before the limit was hit
+        # unless a failure was found before the limit was hit; a polynomial
+        # that fails its interpolation checks fails the identity reading it
         col = _Collector()
         limit_hit = None
         try:
             body(col)
         except BudgetExceededError as exc:
             limit_hit = f"resource limit: {exc}"
+        except InterpolationError as exc:
+            col.problems.append(str(exc))
         if col.problems:
             witness = col.problems[0]
             if len(col.problems) > 1:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ctfpolys import counting
 from ctfpolys import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -437,6 +438,11 @@ def test_count_validation(p8):
         count(p8, "kappa_mod", p=0, q=2)  # open family at 0
     with pytest.raises(ValueError):
         count(p8, "tau_mod", p=3, group_a=(2, 2))  # wrong group order
+    # the empty product is the trivial group of order 1, not "no group"
+    with pytest.raises(ValueError, match="group order must match the argument"):
+        count(p8, "kappa_mod", p=3, q=2, group_a=())
+    with pytest.raises(ValueError, match="group order must match the argument"):
+        count(p8, "kappa_mod", p=3, q=2, group_b=())
     # a group the family does not read is an error, not ignored
     with pytest.raises(ValueError, match="tau_int reads no tension-side group"):
         count(p8, "tau_int", p=3, group_a=(7,))
@@ -752,6 +758,27 @@ def test_count_table_matches_direct_counts():
                 assert table.side(o, side, box, value) == _box_count(
                     o, _circuit_part(o), side, box, value, table.budget
                 ), (graph.edges, o.flips, side, box, value)
+
+
+def test_count_table_plans_each_orbit_and_side_once(kernel_calls, monkeypatch):
+    # a kernel plan reads no box, so every p or q of one orbit's side reuses
+    # the plan its first count made; each count is still a kernel call
+    plans = []
+    real = counting._dp_plan
+    monkeypatch.setattr(counting, "_dp_plan", lambda *args: plans.append(args) or real(*args))
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    table = CountTable(k4)
+    members = [o for o, _ in table.sum_members("kappa_bar_mod")]
+    orbits = {table.orbit(o) for o in members}
+
+    def sweep():
+        for o in members:
+            for value in range(4):
+                table.side(o, "tension", "closed", value)
+                table.side(o, "flow", "closed", value)
+
+    assert kernel_calls(sweep) == 2 * 4 * len(orbits)
+    assert len(plans) == 2 * len(orbits)
 
 
 def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):

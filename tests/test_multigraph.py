@@ -163,6 +163,21 @@ def test_spanning_structure_views_agree(small_corpus, p8):
         assert len(forest.blocks) == g.edge_count
 
 
+def test_assignment_orders_permute_the_free_positions(small_corpus, p8):
+    for g in small_corpus + [p8]:
+        forest = spanning_structure(g)
+        cotree = [e for e, _ in forest.circuit_table]
+        assert sorted(forest.tension_order) == list(forest.forest_positions)
+        assert sorted(forest.flow_order) == cotree
+
+
+def test_spanning_forest_grows_from_a_highest_degree_vertex():
+    # the hub of a wheel has the highest degree, so the forest is its star
+    # of spokes, wherever the hub and the spokes sit in the edge order
+    w4 = build_graph(5, [(0, 1), (1, 3), (3, 4), (4, 0), (2, 0), (1, 2), (2, 3), (4, 2)])
+    assert spanning_structure(w4).forest_edges == {4, 5, 6, 7}
+
+
 def test_spanning_structure_examples(k2, l1):
     assert spanning_structure(k2).forest_edges == {0}
     assert spanning_structure(k2).fundamental_circuits == ()

@@ -14,7 +14,10 @@ from ctfpolys import (
     verify_corpus,
     verify_graph,
 )
-from ctfpolys.polynomials import _compact_key
+from ctfpolys import verify
+from ctfpolys.cli import main
+from ctfpolys.multigraph import format_graph_text
+from ctfpolys.polynomials import InterpolationError, _compact_key
 from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
 
 ALL_IDS = [identity for identity, _ in IDENTITY_TAGS]
@@ -57,13 +60,13 @@ def test_verify_limit():
 
 def test_resource_limits_skip_identities(p8):
     # p8 has 5 edges, so a budget of 32 lets the ledger sweep its subsets
-    # and orientations. A budget of 64 DP states per kernel call covers the
+    # and orientations. A budget of 48 DP states per kernel call covers the
     # modular families and the box tables but not the integral counts behind
     # kappa_int and phi_int, so the identities reading them are skipped and
-    # the others still pass; at 32 only the modular zero-set histograms of
-    # RPQ and the Tutte convolution, which counts nothing, are left.
-    must_pass_at_64 = {"T2b", "T2c", "T2d", "T2e", "PL", "PE", "T3", "RPQ", "TC"}
-    for budget, must_pass in ((64, must_pass_at_64), (32, {"RPQ", "TC"})):
+    # the others still pass; at 32 the modular zero-set histograms of RPQ
+    # and the Tutte convolution, which counts nothing, are left among them.
+    must_pass_at_48 = {"T2b", "T2c", "T2d", "T2e", "PL", "PE", "T3", "RPQ", "TC"}
+    for budget, must_pass in ((48, must_pass_at_48), (32, {"RPQ", "TC"})):
         report = verify_graph(p8, budget=budget)
         status = {c.identity: c.status for c in report.checks}
         assert set(status.values()) == {"pass", "skip"}, status
@@ -73,6 +76,31 @@ def test_resource_limits_skip_identities(p8):
         for check in report.checks:
             if check.status == "skip":
                 assert check.witness.startswith("resource limit: ")
+
+
+def test_interpolation_failure_fails_its_identity(p8, tmp_path, monkeypatch, capsys):
+    # a polynomial that fails its interpolation checks is a verdict on the
+    # identities that read it: they fail, and the ledger still reports the rest
+    real = verify.orientation_sum_polynomial
+
+    def broken(table, family, pairs):
+        if family == "kappa_bar_mod":
+            raise InterpolationError("kappa_bar_mod interpolated to non-integer coefficients")
+        return real(table, family, pairs)
+
+    monkeypatch.setattr(verify, "orientation_sum_polynomial", broken)
+    report = verify_graph(p8)
+    assert [c.identity for c in report.checks] == ALL_IDS
+    t2b = next(c for c in report.checks if c.identity == "T2b")
+    assert t2b.status == "fail"
+    assert t2b.witness == "kappa_bar_mod interpolated to non-integer coefficients"
+    assert report.outcome == "fail"
+
+    path = tmp_path / "p8.g"
+    path.write_text(format_graph_text(p8))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert all(identity in out for identity in ALL_IDS)
 
 
 def test_report_serialization(k2):
