@@ -7,20 +7,7 @@ the identities relating them (decomposition, reciprocity, specialization,
 convolution, integral-modular relations) on small graphs.
 """
 
-from .counting import (
-    CountQuery,
-    CyclicProduct,
-    FAMILIES,
-    TensionFlowPair,
-    count,
-    enum_integer_flows_box,
-    enum_integer_tensions_box,
-    enum_modular_flows,
-    enum_modular_tensions,
-    mod_map,
-    reorient_p,
-    reorient_q,
-)
+from .counting import CyclicProduct, FAMILIES, count
 from .multigraph import (
     ForestData,
     GraphFormatError,
@@ -74,7 +61,6 @@ __all__ = [
     "BivariatePolynomial",
     "BudgetExceededError",
     "ClassPartition",
-    "CountQuery",
     "CyclicProduct",
     "DEFAULT_BUDGET",
     "FAMILIES",
@@ -89,17 +75,12 @@ __all__ = [
     "Orientation",
     "OrientationClassification",
     "PolynomialReport",
-    "TensionFlowPair",
     "boundary",
     "build_graph",
     "classify",
     "count",
     "counting_polynomial",
     "coupling",
-    "enum_integer_flows_box",
-    "enum_integer_tensions_box",
-    "enum_modular_flows",
-    "enum_modular_tensions",
     "enumerate_classes",
     "enumerate_orientations",
     "equivalent",
@@ -112,12 +93,9 @@ __all__ = [
     "is_tension",
     "local_polynomial",
     "minty_partition",
-    "mod_map",
     "parse_graph_text",
     "polynomial_report",
     "rank_generating",
-    "reorient_p",
-    "reorient_q",
     "small_multigraphs",
     "spanning_structure",
     "tutte",

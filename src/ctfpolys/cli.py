@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .counting import CountQuery, FAMILIES, LOCAL_FAMILIES, count
+from .counting import FAMILIES, LOCAL_FAMILIES, count
 from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_text
 from .orientations import (
     DEFAULT_BUDGET,
@@ -55,15 +55,8 @@ def _parse_group(text: str | None) -> tuple[int, ...] | None:
 
 def _cmd_count(args) -> int:
     graph = _load_graph(args.file)
-    query = CountQuery(
-        family=args.family,
-        p=args.p,
-        q=args.q,
-        orientation=None,
-        group_a=_parse_group(args.group),
-        group_b=_parse_group(args.group_b),
-    )
-    print(count(graph, query, args.budget))
+    print(count(graph, args.family, args.budget, p=args.p, q=args.q,
+                group_a=_parse_group(args.group), group_b=_parse_group(args.group_b)))
     return 0
 
 
@@ -169,8 +162,8 @@ def _cmd_example(args) -> int:
         ("Eulerian classes", len(table.classes("eulerian").classes)),
     ]
 
-    kappa22 = count(graph, CountQuery("kappa_mod", p=2, q=2), budget)
-    kappa_int22 = count(graph, CountQuery("kappa_int", p=2, q=2), budget)
+    kappa22 = count(graph, "kappa_mod", budget, p=2, q=2)
+    kappa_int22 = count(graph, "kappa_int", budget, p=2, q=2)
     ce_members = table.self_reverse("cut_eulerian")
     ce_class_count = sum(rep in ce_members for rep in table.classes("cut_eulerian").representatives)
     notes = [

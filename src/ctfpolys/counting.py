@@ -1,17 +1,16 @@
-"""Enumeration and counting of tensions, flows, and complementary
-tension-flow pairs, modular and integral.
+"""Counting of tensions, flows, and complementary tension-flow pairs,
+modular and integral, by one kernel (``_partial_sum_dp``).
 
-Edge vectors are plain tuples indexed by edge position. Modular values live
-in a finite abelian group given as a product of cyclic moduli, encoded in
-mixed radix as integers in [0, order).
+Edge values are indexed by edge position. Modular values live in a finite
+abelian group given as a product of cyclic moduli, encoded in mixed radix as
+integers in [0, order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .multigraph import MultiGraph, spanning_structure
 from .orientations import (
@@ -20,10 +19,6 @@ from .orientations import (
     OrientationTable,
     _check_budget,
     _flip_signs,
-    coupling,
-    indicator,
-    is_flow,
-    is_tension,
 )
 
 #: Every counting family: family -> (tension box, flow box, orientation set).
@@ -104,9 +99,6 @@ class CyclicProduct:
     def add(self, a: int, b: int) -> int:
         return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.encode([x - y for x, y in zip(self.decode(a), self.decode(b))])
-
     def neg(self, a: int) -> int:
         return self.encode([-x for x in self.decode(a)])
 
@@ -114,50 +106,14 @@ class CyclicProduct:
         return range(self.order)
 
 
-@dataclass(frozen=True)
-class TensionFlowPair:
-    """A tension and a flow on the same digraph."""
-
-    orientation: Orientation
-    tension: tuple[int, ...]
-    flow: tuple[int, ...]
-
-    def is_complementary(self) -> bool:
-        """ker f = supp g: exactly one of f(e), g(e) is nonzero per edge."""
-        return all((f == 0) != (g == 0) for f, g in zip(self.tension, self.flow))
-
-
-@dataclass(frozen=True)
-class CountQuery:
-    family: str
-    p: int | None = None
-    q: int | None = None
-    orientation: Orientation | None = None
-    group_a: tuple[int, ...] | None = None
-    group_b: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-
-def _normalize_ranges(graph: MultiGraph, lower, upper) -> list[tuple[int, int]]:
-    m = graph.edge_count
-    lows = [lower] * m if isinstance(lower, int) else list(lower)
-    highs = [upper] * m if isinstance(upper, int) else list(upper)
-    if len(lows) != m or len(highs) != m:
-        raise ValueError("bounds must cover every edge")
-    return list(zip(lows, highs))
-
-
 def _space(orientation: Orientation, side: str):
     """(free positions, dependent sums) of the tensions (side "tension") or
-    the flows (side "flow") of the digraph: the inputs of _dp_plan and
-    _iter_vectors. A tension is free on the spanning forest, and each cotree
-    edge gets (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t); a flow is
-    free on the cotree, and each forest edge gets (t_pos, ((e_pos, c), ...))
-    with g(t) = sum c*g(e). The free positions come in the forest's
-    assignment order (``tension_order`` or ``flow_order``)."""
+    the flows (side "flow") of the digraph: the input of _dp_plan. A tension
+    is free on the spanning forest, and each cotree edge gets
+    (e_pos, ((t_pos, c), ...)) with f(e) = sum c*f(t); a flow is free on the
+    cotree, and each forest edge gets (t_pos, ((e_pos, c), ...)) with
+    g(t) = sum c*g(e). The free positions come in the forest's assignment
+    order (``tension_order`` or ``flow_order``)."""
     signs = _flip_signs(orientation)
     forest = spanning_structure(orientation.graph)
     if side == "tension":
@@ -169,35 +125,6 @@ def _space(orientation: Orientation, side: str):
         (t, tuple((e, d * signs[t] * signs[e]) for e, d in coeffs))
         for t, coeffs in forest.flow_table
     )
-
-
-def _iter_vectors(free, dependent, values, budget) -> Iterator[tuple[int, ...]]:
-    """The vectors _partial_sum_dp counts with zeros "allowed", listed: every
-    assignment of the free values, extended by the dependent sums and kept
-    if each sum lies in its range (a group takes every sum). The budget
-    counts the assignments."""
-    group = values if isinstance(values, CyclicProduct) else None
-    if group is None:
-        spans = [range(values[pos][0], values[pos][1] + 1) for pos in free]
-    else:
-        spans = [group.elements()] * len(free)
-    _check_budget(prod(len(s) for s in spans), budget, "candidates")
-    vec = [0] * (len(free) + len(dependent))
-    for assignment in product(*spans):
-        for pos, value in zip(free, assignment):
-            vec[pos] = value
-        for pos, coeffs in dependent:
-            if group is None:
-                value = sum(c * vec[t] for t, c in coeffs)
-                if not values[pos][0] <= value <= values[pos][1]:
-                    break
-            else:
-                value = 0
-                for t, c in coeffs:
-                    value = group.add(value, vec[t] if c > 0 else group.neg(vec[t]))
-            vec[pos] = value
-        else:
-            yield tuple(vec)
 
 
 class _AdditionRows(dict):
@@ -353,62 +280,17 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
     return sum(states.values())
 
 
-def _count_tensions(orientation, values, budget, zeros: str = "allowed", plan=None):
-    """Tensions of the digraph with values in per-position integer ranges or
-    in a group, counted by the partial-sum DP over spanning-forest values;
-    see _partial_sum_dp for ``zeros``. ``plan`` is the tension space's
-    _dp_plan, built here when not given."""
-    return _partial_sum_dp(plan or _dp_plan(*_space(orientation, "tension")), values, zeros, budget)
+def _count_tensions(plan, values, budget, zeros: str = "allowed"):
+    """Tensions with values in per-position integer ranges or in a group,
+    counted by running ``plan``, the tension space's _dp_plan; see
+    _partial_sum_dp for ``zeros``. The two sides are separate functions so
+    that a profile tells them apart."""
+    return _partial_sum_dp(plan, values, zeros, budget)
 
 
-def _count_flows(orientation, values, budget, zeros: str = "allowed", plan=None):
-    """Flows, counted like _count_tensions over cotree values."""
-    return _partial_sum_dp(plan or _dp_plan(*_space(orientation, "flow")), values, zeros, budget)
-
-
-def enum_integer_tensions_box(
-    orientation: Orientation,
-    lower,
-    upper,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """All integer tensions with lower <= f(e) <= upper per edge. Bounds may
-    be scalars or per-edge sequences."""
-    ranges = _normalize_ranges(orientation.graph, lower, upper)
-    return list(_iter_vectors(*_space(orientation, "tension"), ranges, budget))
-
-
-def enum_integer_flows_box(
-    orientation: Orientation,
-    lower,
-    upper,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """Integer flows in a box; dual to the tension enumerator."""
-    ranges = _normalize_ranges(orientation.graph, lower, upper)
-    return list(_iter_vectors(*_space(orientation, "flow"), ranges, budget))
-
-
-def enum_modular_tensions(
-    orientation: Orientation,
-    group: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """The tension group over the given product of cyclic moduli: free
-    spanning-forest values extended through the fundamental circuits."""
-    grp = CyclicProduct(tuple(group))
-    return list(_iter_vectors(*_space(orientation, "tension"), grp, budget))
-
-
-def enum_modular_flows(
-    orientation: Orientation,
-    group: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """The flow group over the given product of cyclic moduli: free cotree
-    values extended through the fundamental circuits."""
-    grp = CyclicProduct(tuple(group))
-    return list(_iter_vectors(*_space(orientation, "flow"), grp, budget))
+def _count_flows(plan, values, budget, zeros: str = "allowed"):
+    """Flows, counted like _count_tensions over the flow space's plan."""
+    return _partial_sum_dp(plan, values, zeros, budget)
 
 
 def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], full: int) -> int:
@@ -421,14 +303,12 @@ def _matched_pairs(tension_masks: dict[int, int], flow_masks: dict[int, int], fu
     return total
 
 
-def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed", plan=None):
-    """Tensions (side "tension") or flows (side "flow") of the orientation in
-    one box of FAMILY_TABLE at p or q, counted with ``zeros`` as in
-    _partial_sum_dp over ``plan``, the side's _dp_plan (built when not
-    given); a "group" box takes its moduli for ``value`` or the cyclic group
-    of that order. Only the "support" box reads ``circuit``, the positions
-    of the orientation's circuit part."""
-    m = orientation.graph.edge_count
+def _box_count(plan, m, circuit, side, box, value, budget, zeros):
+    """Tensions (side "tension") or flows (side "flow") on m edges in one box
+    of FAMILY_TABLE at p or q, counted with ``zeros`` as in _partial_sum_dp
+    over ``plan``, the side's _dp_plan; a "group" box takes its moduli for
+    ``value`` or the cyclic group of that order. Only the "support" box
+    reads ``circuit``, the positions of the orientation's circuit part."""
     if box == "group":
         values = CyclicProduct(value if isinstance(value, tuple) else (value,))
     elif box == "int":
@@ -441,7 +321,7 @@ def _box_count(orientation, circuit, side, box, value, budget, zeros="allowed", 
         else:
             values = [inside] * m
     counter = _count_tensions if side == "tension" else _count_flows
-    return counter(orientation, values, budget, zeros, plan)
+    return counter(plan, values, budget, zeros)
 
 
 def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
@@ -506,7 +386,7 @@ class CountTable(OrientationTable):
                 plan = self._plans[orbit, side] = zero_positions, steps
             circuit = self.circuit(orientation) if box == "support" else None
             found = self._counts[key] = _box_count(
-                orientation, circuit, side, box, value, self.budget, zeros, plan
+                plan, self.graph.edge_count, circuit, side, box, value, self.budget, zeros
             )
         return found
 
@@ -537,23 +417,30 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> int:
-    """Exact value of one counting family at one argument point.
+def count(
+    graph: MultiGraph,
+    family: str,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    p: int | None = None,
+    q: int | None = None,
+    orientation: Orientation | None = None,
+    group_a: Sequence[int] | None = None,
+    group_b: Sequence[int] | None = None,
+) -> int:
+    """Exact value of one counting family at (p, q).
 
-    ``query`` is a CountQuery or a family name (extra arguments then come
-    from keyword arguments p, q, orientation, group_a, group_b). ``budget``
-    caps the work items of each kernel call and orientation sweep.
+    A per-orientation family needs ``orientation``; a definition-level one
+    counts on it, or on the reference orientation. ``group_a``/``group_b``
+    give the moduli of a product group of order p/q for a "group" box.
+    ``budget`` caps the work items of each kernel call and orientation sweep.
     """
-    if isinstance(query, str):
-        query = CountQuery(query, **kwargs)
-    elif kwargs:
-        raise ValueError("pass arguments inside the CountQuery")
-    family, p, q = query.family, query.p, query.q
+    _require(family in FAMILIES, f"unknown family {family!r}")
     t_box, f_box, members = FAMILY_TABLE[family]
 
     if members is None:
-        _require(query.orientation is not None, f"{family} needs an orientation")
-    orientation = query.orientation or Orientation.reference(graph)
+        _require(orientation is not None, f"{family} needs an orientation")
+    orientation = orientation or Orientation.reference(graph)
     _require(
         orientation.graph == graph,
         "orientation belongs to a different graph",
@@ -568,10 +455,8 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
                 f"{family} needs {name} >= {lowest}",
             )
 
-    _require(query.group_a is None or t_box == "group",
-             f"{family} reads no tension-side group")
-    _require(query.group_b is None or f_box == "group",
-             f"{family} reads no flow-side group")
+    _require(group_a is None or t_box == "group", f"{family} reads no tension-side group")
+    _require(group_b is None or f_box == "group", f"{family} reads no flow-side group")
 
     def argument(value, group):
         # a given group's moduli stand in for the argument on its side; ()
@@ -584,58 +469,4 @@ def count(graph: MultiGraph, query, budget: int = DEFAULT_BUDGET, **kwargs) -> i
 
     table = CountTable(graph, budget)
     return table.total(family, table.sum_members(family, orientation),
-                       argument(p, query.group_a), argument(q, query.group_b))
-
-
-def mod_map(
-    orientation: Orientation,
-    tension: Sequence[int],
-    flow: Sequence[int],
-    p: int,
-    q: int,
-) -> TensionFlowPair:
-    """Reduce an integer tension-flow pair componentwise mod (p, q)."""
-    _require(p >= 1 and q >= 1, "moduli must be >= 1")
-    if not is_tension(orientation, tension, 0):
-        raise ValueError("first vector is not an integer tension")
-    if not is_flow(orientation, flow, 0):
-        raise ValueError("second vector is not an integer flow")
-    return TensionFlowPair(
-        orientation,
-        tuple(x % p for x in tension),
-        tuple(x % q for x in flow),
-    )
-
-
-def reorient_p(
-    first: Orientation, second: Orientation, values: Sequence[int]
-) -> tuple[int, ...]:
-    """Edgewise product with the coupling of the two orientations; an
-    involution carrying tensions/flows of one digraph to the other."""
-    if len(values) != first.graph.edge_count:
-        raise ValueError("edge vector length mismatch")
-    return tuple(c * x for c, x in zip(coupling(first, second), values))
-
-
-def reorient_q(
-    first: Orientation,
-    second: Orientation,
-    subset: Sequence[int],
-    bound: int,
-    values: Sequence[int],
-) -> tuple[int, ...]:
-    """Replace v(e) by bound - v(e) on the labelled edges where the two
-    orientations disagree; identity elsewhere. Involution on [0, bound]^E."""
-    graph = first.graph
-    if graph != second.graph:
-        raise ValueError("orientations live on different graphs")
-    if len(values) != graph.edge_count:
-        raise ValueError("edge vector length mismatch")
-    if any(not 0 <= x <= bound for x in values):
-        raise ValueError("values must lie in [0, bound]")
-    ids = graph._check_ids(subset)
-    disagree = indicator(first, second)
-    return tuple(
-        bound - x if disagree[pos] and graph.edge_ids[pos] in ids else x
-        for pos, x in enumerate(values)
-    )
+                       argument(p, group_a), argument(q, group_b))

@@ -118,10 +118,6 @@ class MultiGraph:
         u, v = self.edges[position]
         return u == v
 
-    @property
-    def nonloop_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges) if u != v)
-
     def position_of(self, edge_id: int) -> int:
         try:
             return self.edge_ids.index(edge_id)

@@ -13,8 +13,7 @@ from .multigraph import MultiGraph, spanning_structure
 RELATIONS = ("cut", "eulerian", "cut_eulerian")
 
 #: Work items one call may create: the DP states of one counting-kernel call,
-#: the candidates of one ``enum_*`` call, or the 2^|E| orientations or edge
-#: subsets of one sweep.
+#: or the 2^|E| orientations or edge subsets of one sweep.
 DEFAULT_BUDGET = 1 << 20
 
 
@@ -171,9 +170,10 @@ def _strong_components(orientation: Orientation) -> list[int]:
     """Iterative Tarjan; returns a component id per vertex."""
     graph = orientation.graph
     succ: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
-    for pos in graph.nonloop_positions:
-        tail, head = orientation.arrow(pos)
-        succ[tail].append(head)
+    for (u, v), flip in zip(graph.edges, orientation.flips):
+        if u != v:  # a loop joins no two vertices
+            tail, head = (v, u) if flip else (u, v)
+            succ[tail].append(head)
 
     index = [-1] * graph.vertex_count
     low = [0] * graph.vertex_count
@@ -313,7 +313,7 @@ def _class_key(graph: MultiGraph, relation: str):
     circuits = tuple(
         ((e_pos, 1),) + rest for e_pos, rest in spanning_structure(graph).circuit_table
     )
-    nonloop = tuple((pos, graph.edges[pos]) for pos in graph.nonloop_positions)
+    nonloop = tuple((pos, (u, v)) for pos, (u, v) in enumerate(graph.edges) if u != v)
 
     def circuit_sums(flips, skip=frozenset()):
         # the signed count of flipped positions: the sum of ref_sign * s over

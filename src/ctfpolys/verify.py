@@ -7,14 +7,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
-from .counting import (
-    CountQuery,
-    CountTable,
-    CyclicProduct,
-    _count_flows,
-    _count_tensions,
-    count,
-)
+from .counting import CountTable, count
 from .multigraph import MultiGraph, build_graph
 from .orientations import (
     DEFAULT_BUDGET,
@@ -370,8 +363,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     def rpq(col):
         ref = Orientation.reference(graph)
         for p, q in product((1, 2, 3), repeat=2):
-            tensions = _count_tensions(ref, CyclicProduct((p,)), budget, "masks")
-            flows = _count_flows(ref, CyclicProduct((q,)), budget, "masks")
+            tensions = table.side(ref, "tension", "group", p, "masks")
+            flows = table.side(ref, "flow", "group", q, "masks")
             positive = 0
             alternating = 0
             for kmask, tcount in tensions.items():
@@ -457,9 +450,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def ind(col):
         alternate = Orientation.reference(graph).reversed()
-        sampler = lambda a, b: count(
-            graph, CountQuery("kappa_int", p=a, q=b, orientation=alternate), budget
-        )
+        sampler = lambda a, b: count(graph, "kappa_int", budget, p=a, q=b, orientation=alternate)
         recomputed = _interpolate_family("kappa_int", sampler, graph)
         col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
         lex_largest = [cls[-1] for cls in part_ce.classes]

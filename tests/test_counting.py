@@ -1,5 +1,6 @@
+from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +11,17 @@ from ctfpolys import counting
 from ctfpolys import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    CountQuery,
     CyclicProduct,
     Orientation,
     build_graph,
     count,
-    enum_integer_flows_box,
-    enum_integer_tensions_box,
-    enum_modular_flows,
-    enum_modular_tensions,
+    coupling,
     enumerate_classes,
     enumerate_orientations,
+    indicator,
     is_flow,
     is_tension,
-    mod_map,
-    reorient_p,
-    reorient_q,
+    minty_partition,
 )
 from ctfpolys.counting import (
     FAMILIES,
@@ -35,6 +31,7 @@ from ctfpolys.counting import (
     _box_count,
     _count_flows,
     _count_tensions,
+    _dp_plan,
     _matched_pairs,
     _orbit_key,
     _space,
@@ -52,48 +49,63 @@ from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
 
 
+def _zero_sets(vectors):
+    """{zero set as a bit mask of positions: how many of the vectors have it}."""
+    return dict(Counter(sum(1 << pos for pos, x in enumerate(v) if x == 0) for v in vectors))
+
+
+def _kernel(o, side, values, zeros="masks"):
+    """The counting kernel on the plan of one side ("tension" or "flow") of
+    the orientation, with ``values`` a range per position or a CyclicProduct;
+    by default the zero-set histogram of the vectors it counts."""
+    counter = _count_tensions if side == "tension" else _count_flows
+    return counter(_dp_plan(*_space(o, side)), values, DEFAULT_BUDGET, zeros)
+
+
 def test_cyclic_product_arithmetic():
     grp = CyclicProduct((2, 3))
     assert grp.order == 6
     assert grp.encode((1, 2)) == 5
     assert grp.decode(5) == (1, 2)
     for a, b in product(grp.elements(), repeat=2):
-        assert grp.sub(grp.add(a, b), b) == a
+        assert grp.add(grp.add(a, b), grp.neg(b)) == a
     assert grp.add(grp.encode((1, 2)), grp.encode((1, 1))) == grp.encode((0, 0))
 
 
 def test_modular_tension_examples(k2, l1, p8):
-    assert sorted(enum_modular_tensions(Orientation.reference(k2), [3])) == [(0,), (1,), (2,)]
-    assert enum_modular_tensions(Orientation.reference(l1), [5]) == [(0,)]
-    got = sorted(enum_modular_tensions(Orientation.reference(p8), [2]))
-    assert got == [(0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
+    def tensions(g, moduli):
+        return _kernel(Orientation.reference(g), "tension", CyclicProduct(moduli))
+
+    assert tensions(k2, (3,)) == _zero_sets([(0,), (1,), (2,)])
+    assert tensions(l1, (5,)) == _zero_sets([(0,)])
+    listed = [(0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
+    assert oracles.modular_tensions(p8, Orientation.reference(p8).flips, (2,)) == listed
+    assert tensions(p8, (2,)) == _zero_sets(listed)
 
 
 def test_modular_flow_examples(k2, l1, p8):
-    assert enum_modular_flows(Orientation.reference(k2), [4]) == [(0,)]
-    assert sorted(enum_modular_flows(Orientation.reference(l1), [3])) == [(0,), (1,), (2,)]
+    def flows(g, moduli):
+        return _kernel(Orientation.reference(g), "flow", CyclicProduct(moduli))
+
+    assert flows(k2, (4,)) == _zero_sets([(0,)])
+    assert flows(l1, (3,)) == _zero_sets([(0,), (1,), (2,)])
     ref = Orientation.reference(p8)
-    flows = enum_modular_flows(ref, [2])
-    assert len(flows) == 8
-    assert (1, 1, 1, 0, 0) in flows
-    for g in flows:
+    listed = oracles.modular_flows(p8, ref.flips, (2,))
+    assert len(listed) == 8
+    assert (1, 1, 1, 0, 0) in listed
+    for g in listed:
         assert is_flow(ref, g, modulus=2)
+    assert flows(p8, (2,)) == _zero_sets(listed)
 
 
 def test_modular_enumeration_sizes(small_corpus):
     for g in small_corpus:
         stats = g.stats()
         for moduli in ((1,), (2,), (3,), (2, 2)):
-            order = 1
-            for m in moduli:
-                order *= m
+            group, order = CyclicProduct(moduli), prod(moduli)
             for o in (Orientation.reference(g), Orientation.reference(g).reversed()):
-                tensions = enum_modular_tensions(o, moduli)
-                flows = enum_modular_flows(o, moduli)
-                assert len(tensions) == order ** stats.rank
-                assert len(set(tensions)) == len(tensions)
-                assert len(flows) == order ** stats.nullity
-                assert len(set(flows)) == len(flows)
+                assert _kernel(o, "tension", group, "allowed") == order ** stats.rank
+                assert _kernel(o, "flow", group, "allowed") == order ** stats.nullity
 
 
 def test_modular_enumeration_matches_oracle(small_corpus):
@@ -101,12 +113,13 @@ def test_modular_enumeration_matches_oracle(small_corpus):
         if g.edge_count > 3 or g.vertex_count > 3:
             continue
         for moduli in ((2,), (3,), (2, 2)):
+            group = CyclicProduct(moduli)
             for o in enumerate_orientations(g):
-                assert sorted(enum_modular_tensions(o, moduli)) == oracles.modular_tensions(
-                    g, o.flips, moduli
+                assert _kernel(o, "tension", group) == _zero_sets(
+                    oracles.modular_tensions(g, o.flips, moduli)
                 )
-                assert sorted(enum_modular_flows(o, moduli)) == oracles.modular_flows(
-                    g, o.flips, moduli
+                assert _kernel(o, "flow", group) == _zero_sets(
+                    oracles.modular_flows(g, o.flips, moduli)
                 )
 
 
@@ -116,89 +129,96 @@ def test_integer_boxes_match_oracle(small_corpus):
             continue
         ref = Orientation.reference(g)
         for low, high in ((-2, 2), (0, 1), (-1, 3)):
-            assert sorted(enum_integer_tensions_box(ref, low, high)) == oracles.integer_tensions(
-                g, ref.flips, low, high
+            box = [(low, high)] * g.edge_count
+            assert _kernel(ref, "tension", box) == _zero_sets(
+                oracles.integer_tensions(g, ref.flips, low, high)
             )
-            assert sorted(enum_integer_flows_box(ref, low, high)) == sorted(
+            assert _kernel(ref, "flow", box) == _zero_sets(
                 oracles.integer_flows(g, ref.flips, low, high)
             )
 
 
 @settings(max_examples=40, deadline=None)
 @given(multigraphs(), st.data())
-def test_enumerators_match_oracle_random(graph, data):
+def test_orientation_counts_match_oracle_random(graph, data):
+    # the per-orientation kernel inputs (_space of a drawn orientation) in
+    # the closed and open boxes and over cyclic and product groups
     m = graph.edge_count
     flips = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
     o = Orientation(graph, flips)
-    for low, high in ((-1, 1), (0, 1)):
-        assert sorted(enum_integer_tensions_box(o, low, high)) == oracles.integer_tensions(
-            graph, flips, low, high
-        )
-        assert sorted(enum_integer_flows_box(o, low, high)) == sorted(
-            oracles.integer_flows(graph, flips, low, high)
-        )
+    tensions = oracles.integer_tensions(graph, flips, 0, 2)
+    flows = oracles.integer_flows(graph, flips, 0, 2)
+
+    def within(vectors, low, high):
+        return sum(1 for v in vectors if all(low <= x <= high for x in v))
+
+    for a in (0, 1, 2):
+        assert count(graph, "tau_bar_local", p=a, orientation=o) == within(tensions, 0, a)
+        assert count(graph, "phi_bar_local", q=a, orientation=o) == within(flows, 0, a)
+    for a in (1, 2, 3):
+        assert count(graph, "tau_local", p=a, orientation=o) == within(tensions, 1, a - 1)
+        assert count(graph, "phi_local", q=a, orientation=o) == within(flows, 1, a - 1)
     for moduli in ((2,), (3,), (2, 2)):
-        assert sorted(enum_modular_tensions(o, moduli)) == oracles.modular_tensions(
-            graph, flips, moduli
+        order = prod(moduli)
+        assert count(graph, "tau_mod", p=order, orientation=o, group_a=moduli) == len(
+            oracles.nowhere_zero(oracles.modular_tensions(graph, flips, moduli))
         )
-        assert sorted(enum_modular_flows(o, moduli)) == oracles.modular_flows(
-            graph, flips, moduli
+        assert count(graph, "phi_mod", q=order, orientation=o, group_b=moduli) == len(
+            oracles.nowhere_zero(oracles.modular_flows(graph, flips, moduli))
         )
 
 
 def test_integer_box_examples(k2, l1, p8):
     k2_ref = Orientation.reference(k2)
-    assert sorted(enum_integer_tensions_box(k2_ref, -1, 1)) == [(-1,), (0,), (1,)]
+    assert _kernel(k2_ref, "tension", [(-1, 1)]) == _zero_sets([(-1,), (0,), (1,)])
     l1_ref = Orientation.reference(l1)
-    assert enum_integer_tensions_box(l1_ref, -4, 4) == [(0,)]
-    assert sorted(enum_integer_flows_box(l1_ref, 0, 3)) == [(0,), (1,), (2,), (3,)]
-    assert enum_integer_flows_box(k2_ref, -9, 9) == [(0,)]
+    assert _kernel(l1_ref, "tension", [(-4, 4)]) == _zero_sets([(0,)])
+    assert _kernel(l1_ref, "flow", [(0, 3)]) == _zero_sets([(0,), (1,), (2,), (3,)])
+    assert _kernel(k2_ref, "flow", [(-9, 9)]) == _zero_sets([(0,)])
 
-    ref = Orientation.reference(p8)
-    box = sorted(enum_integer_tensions_box(ref, 0, 1))
+    ref, box = Orientation.reference(p8), [(0, 1)] * 5
     # (0,1,1,1,1) is a mod-2 tension but no integer tension: 0 != 1 + 1
-    assert box == [(0, 0, 0, 0, 0), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
-    assert box == oracles.integer_tensions(p8, ref.flips, 0, 1)
+    listed = [(0, 0, 0, 0, 0), (1, 0, 1, 0, 1), (1, 1, 0, 1, 0)]
+    assert oracles.integer_tensions(p8, ref.flips, 0, 1) == listed
+    assert _kernel(ref, "tension", box) == _zero_sets(listed)
 
     # the reference orientation is acyclic, so the only nonnegative integer
     # flow is zero; (1,1,1,0,0) is a flow mod 2 only
-    flow_box = sorted(enum_integer_flows_box(ref, 0, 1))
-    assert flow_box == [(0, 0, 0, 0, 0)]
-    assert flow_box == sorted(oracles.integer_flows(p8, ref.flips, 0, 1))
+    assert oracles.integer_flows(p8, ref.flips, 0, 1) == [(0, 0, 0, 0, 0)]
+    assert _kernel(ref, "flow", box) == _zero_sets([(0, 0, 0, 0, 0)])
     strong = ref.with_flipped([0, 3, 4])  # totally cyclic: nonzero flows exist
-    strong_box = sorted(enum_integer_flows_box(strong, 0, 1))
-    assert strong_box == sorted(oracles.integer_flows(p8, strong.flips, 0, 1))
+    strong_box = oracles.integer_flows(p8, strong.flips, 0, 1)
     assert len(strong_box) > 1
+    assert _kernel(strong, "flow", box) == _zero_sets(strong_box)
 
 
 def test_orthogonality(small_corpus):
-    # every integer tension is orthogonal to every integer flow
+    # every integer tension is orthogonal to every integer flow: the oracles
+    # build the two from potentials and from the boundary condition
     for g in small_corpus:
         if g.edge_count > 3:
             continue
         for o in enumerate_orientations(g):
-            tensions = enum_integer_tensions_box(o, -2, 2)
-            flows = enum_integer_flows_box(o, -2, 2)
+            tensions = oracles.integer_tensions(g, o.flips, -2, 2)
+            flows = oracles.integer_flows(g, o.flips, -2, 2)
             for f in tensions:
                 for h in flows:
                     assert sum(a * b for a, b in zip(f, h)) == 0
 
 
 def test_nonnegative_vectors_vanish_off_support(small_corpus):
-    # tensions >= 0 vanish on the circuit part, flows >= 0 on the bond part
-    from ctfpolys import minty_partition
-
+    # tensions >= 0 vanish on the circuit part, flows >= 0 on the bond part:
+    # every zero set the kernel counts in [0, 3]^E covers that part
     for g in small_corpus:
         if g.edge_count > 3:
             continue
+        box = [(0, 3)] * g.edge_count
         for o in enumerate_orientations(g):
             part = minty_partition(o)
-            circuit = {g.position_of(i) for i in part.circuit_part}
-            bond = {g.position_of(i) for i in part.bond_part}
-            for f in enum_integer_tensions_box(o, 0, 3):
-                assert all(f[pos] == 0 for pos in circuit)
-            for h in enum_integer_flows_box(o, 0, 3):
-                assert all(h[pos] == 0 for pos in bond)
+            circuit = sum(1 << g.position_of(i) for i in part.circuit_part)
+            bond = sum(1 << g.position_of(i) for i in part.bond_part)
+            assert all(mask & circuit == circuit for mask in _kernel(o, "tension", box))
+            assert all(mask & bond == bond for mask in _kernel(o, "flow", box))
 
 
 def test_counts_match_oracles(small_corpus):
@@ -323,25 +343,18 @@ def test_tau_mod_triangle(c3):
     assert count(c3, "tau_mod", p=3) == 2
 
 
-def test_mod_map(p8):
-    ref = Orientation.reference(p8)
-    pair = mod_map(ref, (2, 1, 1, 1, 1), (0, 0, 0, 0, 0), 2, 2)
-    assert pair.tension == (0, 1, 1, 1, 1)
-    assert pair.flow == (0, 0, 0, 0, 0)
-    zero = mod_map(ref, (0,) * 5, (0,) * 5, 3, 3)
-    assert zero.tension == (0,) * 5 and zero.flow == (0,) * 5
-    with pytest.raises(ValueError):
-        mod_map(ref, (1, 0, 0, 0, 0), (0,) * 5, 2, 2)
+def _mod_map(f, g, p, q):  # the reduction of a tension-flow pair mod (p, q)
+    return tuple(x % p for x in f), tuple(x % q for x in g)
 
 
 def test_mod_map_hits_modular_pairs(p8):
     # every integral complementary (2,2)-pair reduces to a modular one
     ref = Orientation.reference(p8)
     for f, g in oracles.complementary_pairs_int(p8, ref.flips, 2, 2):
-        pair = mod_map(ref, f, g, 2, 2)
-        assert is_tension(ref, pair.tension, modulus=2)
-        assert is_flow(ref, pair.flow, modulus=2)
-        assert pair.is_complementary()
+        tension, flow = _mod_map(f, g, 2, 2)
+        assert is_tension(ref, tension, modulus=2)
+        assert is_flow(ref, flow, modulus=2)
+        assert all((a == 0) != (b == 0) for a, b in zip(tension, flow))
 
 
 def test_mod_map_surjective_with_ce_fibers(small_corpus, p8):
@@ -353,8 +366,7 @@ def test_mod_map_surjective_with_ce_fibers(small_corpus, p8):
         integral = oracles.complementary_pairs_int(g, ref.flips, 2, 2)
         fibers = {}
         for f, h in integral:
-            pair = mod_map(ref, f, h, 2, 2)
-            fibers.setdefault((pair.tension, pair.flow), []).append((f, h))
+            fibers.setdefault(_mod_map(f, h, 2, 2), []).append((f, h))
         modular = set(
             map(tuple, oracles.complementary_pairs_mod(g, ref.flips, 2, 2))
         )
@@ -370,68 +382,53 @@ def test_mod_map_surjective_with_ce_fibers(small_corpus, p8):
             assert len(members) == size_of[pattern]
 
 
+def _reorient_p(r, s, values):  # P: the edgewise product with the coupling
+    return tuple(c * x for c, x in zip(coupling(r, s), values))
+
+
 def test_reorient_p(c3):
     orients = list(enumerate_orientations(c3))
     for r in orients:
         f = (1, 2, 3)
-        assert reorient_p(r, r, f) == f
+        assert _reorient_p(r, r, f) == f
     for r, s in product(orients, repeat=2):
         f = (1, -2, 3)
-        assert reorient_p(r, s, reorient_p(r, s, f)) == f
-        for tension in enum_integer_tensions_box(s, -2, 2):
-            assert is_tension(r, reorient_p(r, s, tension))
+        assert _reorient_p(r, s, _reorient_p(r, s, f)) == f
+        for tension in oracles.integer_tensions(c3, s.flips, -2, 2):
+            assert is_tension(r, _reorient_p(r, s, tension))
 
 
-def test_reorient_q(p8):
-    ref = Orientation.reference(p8)
-    values = (0, 1, 2, 3, 1)
-    assert reorient_q(ref, ref, set(p8.edge_ids), 3, values) == values
-    other = ref.with_flipped([0, 3])
-    once = reorient_q(ref, other, set(p8.edge_ids), 3, values)
-    assert reorient_q(ref, other, set(p8.edge_ids), 3, once) == values
-    with pytest.raises(ValueError):
-        reorient_q(ref, other, set(p8.edge_ids), 2, values)
-
-
-def test_reorient_rejects_wrong_length(c3):
-    a = Orientation.reference(c3)
-    b = a.with_flipped([1])
-    for values in ((1, 2), (1, 2, 3, 4)):
-        with pytest.raises(ValueError, match="edge vector length mismatch"):
-            reorient_p(a, b, values)
-    for values in ((1, 2), (1, 2, 3, 0)):
-        with pytest.raises(ValueError, match="edge vector length mismatch"):
-            reorient_q(a, b, [0, 1, 2], 3, values)
+def _reorient_q(r, s, positions, bound, values):  # Q: bound - v where r, s disagree
+    return tuple(bound - x if d and pos in positions else x
+                 for pos, (d, x) in enumerate(zip(indicator(r, s), values)))
 
 
 def test_reorient_q_transports_boxes(p8):
     # within a CE class, Q maps the closed-box pairs of one orientation
-    # bijectively onto those of another
-    from ctfpolys import minty_partition
-
+    # bijectively onto those of another, and is an involution
     p, q = 2, 2
     partition = enumerate_classes(p8, "cut_eulerian", "all")
     cls = max(partition.classes, key=len)
     rho, sigma = cls[0], cls[1]
     part_sigma = minty_partition(sigma)
-    tensions_sigma = enum_integer_tensions_box(sigma, 0, p)
-    flows_sigma = enum_integer_flows_box(sigma, 0, q)
-    moved_t = {
-        reorient_q(rho, sigma, part_sigma.bond_part, p, f) for f in tensions_sigma
-    }
-    moved_f = {
-        reorient_q(rho, sigma, part_sigma.circuit_part, q, g) for g in flows_sigma
-    }
-    assert moved_t == set(enum_integer_tensions_box(rho, 0, p))
-    assert moved_f == set(enum_integer_flows_box(rho, 0, q))
+    bond = {p8.position_of(i) for i in part_sigma.bond_part}
+    circuit = {p8.position_of(i) for i in part_sigma.circuit_part}
+    tensions_sigma = oracles.integer_tensions(p8, sigma.flips, 0, p)
+    flows_sigma = oracles.integer_flows(p8, sigma.flips, 0, q)
+    moved_t = {_reorient_q(rho, sigma, bond, p, f) for f in tensions_sigma}
+    moved_f = {_reorient_q(rho, sigma, circuit, q, g) for g in flows_sigma}
+    assert moved_t == set(oracles.integer_tensions(p8, rho.flips, 0, p))
+    assert moved_f == set(oracles.integer_flows(p8, rho.flips, 0, q))
     assert len(moved_t) == len(tensions_sigma)
     assert len(moved_f) == len(flows_sigma)
+    assert all(_reorient_q(rho, sigma, bond, p, _reorient_q(rho, sigma, bond, p, f)) == f
+               for f in tensions_sigma)
 
 
 def test_count_validation(p8):
     ref = Orientation.reference(p8)
-    with pytest.raises(ValueError):
-        CountQuery("unknown_family")
+    with pytest.raises(ValueError, match="unknown family 'unknown_family'"):
+        count(p8, "unknown_family")
     with pytest.raises(ValueError):
         count(p8, "tau_local", p=2)  # missing orientation
     with pytest.raises(ValueError):
@@ -535,9 +532,6 @@ def test_family_predicates(p8):
 
 def test_budget_guard():
     big = build_graph(2, [(0, 1)] * 10)
-    ref = Orientation.reference(big)
-    with pytest.raises(BudgetExceededError):
-        enum_integer_flows_box(ref, -50, 50, budget=1000)
     with pytest.raises(BudgetExceededError):
         count(big, "phi_int", q=50, budget=1000)
 
@@ -707,14 +701,10 @@ def _direct_count(graph, family, p, q, group_a=None):
 
     tensions, flows = values(t_box, p, group_a), values(f_box, q, None)
     if flows is None:
-        return _count_tensions(o, tensions, DEFAULT_BUDGET, "forbidden")
+        return _kernel(o, "tension", tensions, "forbidden")
     if tensions is None:
-        return _count_flows(o, flows, DEFAULT_BUDGET, "forbidden")
-    return _matched_pairs(
-        _count_tensions(o, tensions, DEFAULT_BUDGET, "masks"),
-        _count_flows(o, flows, DEFAULT_BUDGET, "masks"),
-        (1 << m) - 1,
-    )
+        return _kernel(o, "flow", flows, "forbidden")
+    return _matched_pairs(_kernel(o, "tension", tensions), _kernel(o, "flow", flows), (1 << m) - 1)
 
 
 def test_definition_level_counts_match_direct_kernel_calls(corpus5_graphs):
@@ -755,8 +745,10 @@ def test_count_table_matches_direct_counts():
             for side, box, value in product(
                 ("tension", "flow"), ("closed", "open", "support"), (0, 1, 2)
             ):
+                plan = _dp_plan(*_space(o, side))
                 assert table.side(o, side, box, value) == _box_count(
-                    o, _circuit_part(o), side, box, value, table.budget
+                    plan, graph.edge_count, _circuit_part(o), side, box, value,
+                    table.budget, "allowed",
                 ), (graph.edges, o.flips, side, box, value)
 
 
@@ -790,8 +782,8 @@ def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):
 
     def sweep():
         for o in enumerate_orientations(graph):
-            assert is_tension(o, enum_integer_tensions_box(o, -1, 1)[0])
-            assert is_flow(o, enum_modular_flows(o, [2])[-1], 2)
+            count(graph, "tau_bar_local", p=1, orientation=o)
+            count(graph, "phi_mod", q=2, orientation=o)
             count(graph, "kappa_local", p=2, q=2, orientation=o)
             for relation in RELATIONS:
                 equivalent(o, o.reversed(), relation)
