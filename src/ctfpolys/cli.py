@@ -303,9 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built by the first ``main`` call of the process and reused by
+#: the rest: parse_args leaves it unchanged.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

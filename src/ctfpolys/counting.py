@@ -8,11 +8,10 @@ integers in [0, order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .multigraph import MultiGraph, spanning_structure
+from .multigraph import MultiGraph, _Record, spanning_structure
 from .orientations import (
     DEFAULT_BUDGET,
     Orientation,
@@ -68,15 +67,23 @@ def lowest_argument(family: str) -> int:
     return 0 if "closed" in FAMILY_TABLE[family][:2] else 1
 
 
-@dataclass(frozen=True)
-class CyclicProduct:
+class CyclicProduct(_Record):
     """Finite abelian group Z_m1 x ... x Z_mk with mixed-radix encoding."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
-    def __post_init__(self):
-        if not all(isinstance(m, int) and m >= 1 for m in self.moduli):
+    def __init__(self, moduli: tuple[int, ...]):
+        if not all(isinstance(m, int) and m >= 1 for m in moduli):
             raise ValueError("moduli must be integers >= 1")
+        object.__setattr__(self, "moduli", moduli)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.moduli == other.moduli
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.moduli,))
 
     @property
     def order(self) -> int:

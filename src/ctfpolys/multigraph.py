@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -11,15 +11,53 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph text input."""
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    components: int
-    rank: int
-    nullity: int
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``__slots__``, in constructor order, sets
+    them in ``__init__`` with ``object.__setattr__`` and defines ``==`` (only
+    between instances of its own class) and ``hash`` over them. Spelled out
+    per class, these read the fields with plain attribute loads, which cost
+    what generated methods do; a loop over ``__slots__`` costs more. The base
+    refuses assignment and deletion, prints a record as its keyword
+    constructor call and pickles it through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class ForestData:
+class GraphStats(_Record):
+    __slots__ = ("components", "rank", "nullity")
+
+    def __init__(self, components: int, rank: int, nullity: int):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "nullity", nullity)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.rank, self.nullity) == (
+                other.components, other.rank, other.nullity)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components, self.rank, self.nullity))
+
+
+class ForestData(_Record):
     """A spanning forest plus the fundamental circuit of every non-forest edge,
     by edge label and by edge position.
 
@@ -51,14 +89,50 @@ class ForestData:
     stays narrow whatever the edge order of the graph file.
     """
 
-    forest_edges: frozenset[int]
-    fundamental_circuits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    forest_positions: tuple[int, ...]
-    circuit_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    flow_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    blocks: tuple[int, ...]
-    tension_order: tuple[int, ...]
-    flow_order: tuple[int, ...]
+    __slots__ = (
+        "forest_edges", "fundamental_circuits", "forest_positions", "circuit_table",
+        "flow_table", "blocks", "tension_order", "flow_order",
+    )
+
+    def __init__(
+        self,
+        forest_edges: frozenset[int],
+        fundamental_circuits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+        forest_positions: tuple[int, ...],
+        circuit_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+        flow_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+        blocks: tuple[int, ...],
+        tension_order: tuple[int, ...],
+        flow_order: tuple[int, ...],
+    ):
+        object.__setattr__(self, "forest_edges", forest_edges)
+        object.__setattr__(self, "fundamental_circuits", fundamental_circuits)
+        object.__setattr__(self, "forest_positions", forest_positions)
+        object.__setattr__(self, "circuit_table", circuit_table)
+        object.__setattr__(self, "flow_table", flow_table)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "tension_order", tension_order)
+        object.__setattr__(self, "flow_order", flow_order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.forest_edges, self.fundamental_circuits, self.forest_positions,
+                self.circuit_table, self.flow_table, self.blocks, self.tension_order,
+                self.flow_order,
+            ) == (
+                other.forest_edges, other.fundamental_circuits, other.forest_positions,
+                other.circuit_table, other.flow_table, other.blocks, other.tension_order,
+                other.flow_order,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((
+            self.forest_edges, self.fundamental_circuits, self.forest_positions,
+            self.circuit_table, self.flow_table, self.blocks, self.tension_order,
+            self.flow_order,
+        ))
 
 
 class _UnionFind:
@@ -84,8 +158,7 @@ class _UnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(_Record):
     """Vertices 0..vertex_count-1 plus an ordered tuple of (tail, head) edges.
 
     Loops and parallel edges are allowed; the pair order of an edge is its
@@ -95,20 +168,37 @@ class MultiGraph:
     graph and its minors without translation tables.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    edge_ids: tuple[int, ...]
+    __slots__ = ("vertex_count", "edges", "edge_ids")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(
+        self, vertex_count: int, edges: tuple[tuple[int, int], ...], edge_ids: tuple[int, ...]
+    ):
+        # type() and not isinstance(): bool is an int subclass and is refused
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex_count must be an int, not {vertex_count!r}")
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge endpoints must be ints, not ({u!r}, {v!r})")
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-        if len(self.edge_ids) != len(self.edges):
+        if len(edge_ids) != len(edges):
             raise ValueError("edge_ids and edges must have equal length")
-        if len(set(self.edge_ids)) != len(self.edge_ids):
+        if len(set(edge_ids)) != len(edge_ids):
             raise ValueError("edge labels must be distinct")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_ids", edge_ids)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex_count, self.edges, self.edge_ids) == (
+                other.vertex_count, other.edges, other.edge_ids)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges, self.edge_ids))
 
     @property
     def edge_count(self) -> int:
@@ -191,12 +281,13 @@ class MultiGraph:
 
 def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> MultiGraph:
     """Build a fresh multigraph; edge labels are positions, pair order is the
-    reference direction."""
-    return MultiGraph(
-        vertex_count,
-        tuple((int(u), int(v)) for u, v in edge_pairs),
-        tuple(range(len(edge_pairs))),
-    )
+    reference direction. Endpoints may be any integer type (``operator.index``
+    converts them); anything else raises ValueError."""
+    try:
+        edges = tuple((index(u), index(v)) for u, v in edge_pairs)
+    except TypeError as exc:
+        raise ValueError(f"bad edge endpoints: {exc}") from None
+    return MultiGraph(vertex_count, edges, tuple(range(len(edge_pairs))))
 
 
 def _assignment_order(free: Sequence[int], sums) -> tuple[int, ...]:

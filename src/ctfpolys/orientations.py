@@ -3,12 +3,11 @@ cut-Eulerian equivalence relations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
-from .multigraph import MultiGraph, spanning_structure
+from .multigraph import MultiGraph, _Record, spanning_structure
 
 RELATIONS = ("cut", "eulerian", "cut_eulerian")
 
@@ -26,8 +25,7 @@ def _check_budget(work: int, budget: int, items: str) -> None:
         raise BudgetExceededError(f"{work} {items} exceed the budget of {budget}")
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Record):
     """An orientation of a multigraph: one flip bit per edge, relative to the
     reference direction.
 
@@ -38,14 +36,23 @@ class Orientation:
     orientation a sign pattern belongs to.
     """
 
-    graph: MultiGraph
-    flips: tuple[int, ...]
+    __slots__ = ("graph", "flips")
 
-    def __post_init__(self):
-        if len(self.flips) != self.graph.edge_count:
+    def __init__(self, graph: MultiGraph, flips: tuple[int, ...]):
+        if len(flips) != graph.edge_count:
             raise ValueError("flip vector length must match edge count")
-        if any(b not in (0, 1) for b in self.flips):
+        if any(b not in (0, 1) for b in flips):
             raise ValueError("flip bits must be 0 or 1")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "flips", flips)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.flips) == (other.graph, other.flips)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.flips))
 
     @classmethod
     def reference(cls, graph: MultiGraph) -> "Orientation":
@@ -78,24 +85,44 @@ class Orientation:
         return Orientation(self.graph, tuple(1 - b for b in self.flips))
 
 
-@dataclass(frozen=True)
-class MintyPartition:
+class MintyPartition(_Record):
     """Edge labels split into the directed-bond part and directed-circuit
     part; the two sets always partition the edge set."""
 
-    bond_part: frozenset[int]
-    circuit_part: frozenset[int]
+    __slots__ = ("bond_part", "circuit_part")
+
+    def __init__(self, bond_part: frozenset[int], circuit_part: frozenset[int]):
+        object.__setattr__(self, "bond_part", bond_part)
+        object.__setattr__(self, "circuit_part", circuit_part)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bond_part, self.circuit_part) == (other.bond_part, other.circuit_part)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bond_part, self.circuit_part))
 
 
-@dataclass(frozen=True)
-class OrientationClassification:
-    is_acyclic: bool
-    is_totally_cyclic: bool
-    partition: MintyPartition
+class OrientationClassification(_Record):
+    __slots__ = ("is_acyclic", "is_totally_cyclic", "partition")
+
+    def __init__(self, is_acyclic: bool, is_totally_cyclic: bool, partition: MintyPartition):
+        object.__setattr__(self, "is_acyclic", is_acyclic)
+        object.__setattr__(self, "is_totally_cyclic", is_totally_cyclic)
+        object.__setattr__(self, "partition", partition)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.is_acyclic, self.is_totally_cyclic, self.partition) == (
+                other.is_acyclic, other.is_totally_cyclic, other.partition)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.is_acyclic, self.is_totally_cyclic, self.partition))
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Record):
     """Equivalence classes of a set of orientations under one relation.
 
     Classes are ordered by their representative (the lexicographically
@@ -103,9 +130,26 @@ class ClassPartition:
     order as well.
     """
 
-    relation: str
-    classes: tuple[tuple[Orientation, ...], ...]
-    representatives: tuple[Orientation, ...]
+    __slots__ = ("relation", "classes", "representatives")
+
+    def __init__(
+        self,
+        relation: str,
+        classes: tuple[tuple[Orientation, ...], ...],
+        representatives: tuple[Orientation, ...],
+    ):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "representatives", representatives)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.relation, self.classes, self.representatives) == (
+                other.relation, other.classes, other.representatives)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.relation, self.classes, self.representatives))
 
 
 def _flip_signs(orientation: Orientation) -> tuple[int, ...]:

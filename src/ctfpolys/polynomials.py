@@ -3,7 +3,6 @@ the Tutte / rank-generating oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -17,7 +16,7 @@ from .counting import (
     LOCAL_FAMILIES,
     lowest_argument,
 )
-from .multigraph import MultiGraph, _UnionFind
+from .multigraph import MultiGraph, _Record, _UnionFind
 from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
 
 
@@ -466,13 +465,29 @@ def local_polynomial(
 REPORT_FAMILIES = tuple(f for f, row in FAMILY_TABLE.items() if row[2] is not None)
 
 
-@dataclass(frozen=True)
-class PolynomialReport:
+class PolynomialReport(_Record):
     """Every graph-level polynomial of one graph."""
 
-    tutte: BivariatePolynomial
-    rank_generating: BivariatePolynomial
-    families: dict[str, BivariatePolynomial]
+    __slots__ = ("tutte", "rank_generating", "families")
+
+    def __init__(
+        self,
+        tutte: BivariatePolynomial,
+        rank_generating: BivariatePolynomial,
+        families: dict[str, BivariatePolynomial],
+    ):
+        object.__setattr__(self, "tutte", tutte)
+        object.__setattr__(self, "rank_generating", rank_generating)
+        object.__setattr__(self, "families", families)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tutte, self.rank_generating, self.families) == (
+                other.tutte, other.rank_generating, other.families)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tutte, self.rank_generating, self.families))
 
     def named(self) -> dict[str, BivariatePolynomial]:
         out = {"tutte": self.tutte, "rank_generating": self.rank_generating}

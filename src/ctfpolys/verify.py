@@ -3,12 +3,11 @@ graph, plus a corpus sweep over all small multigraphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
 from .counting import CountTable, count
-from .multigraph import MultiGraph, build_graph
+from .multigraph import MultiGraph, _Record, build_graph
 from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -48,18 +47,40 @@ IDENTITY_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    tag: str
-    status: str  # "pass" | "fail" | "skip" (a resource limit was hit)
-    witness: str | None = None
+class IdentityCheck(_Record):
+    __slots__ = ("identity", "tag", "status", "witness")
+
+    def __init__(self, identity: str, tag: str, status: str, witness: str | None = None):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "tag", tag)
+        # "pass" | "fail" | "skip" (a resource limit was hit)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.identity, self.tag, self.status, self.witness) == (
+                other.identity, other.tag, other.status, other.witness)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.identity, self.tag, self.status, self.witness))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    graph: MultiGraph
-    checks: tuple[IdentityCheck, ...]
+class IdentityReport(_Record):
+    __slots__ = ("graph", "checks")
+
+    def __init__(self, graph: MultiGraph, checks: tuple[IdentityCheck, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "checks", checks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.checks) == (other.graph, other.checks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.checks))
 
     @property
     def all_passed(self) -> bool:

@@ -288,6 +288,32 @@ def test_closed_pipe_exits_1_without_traceback():
     assert stderr == "", stderr
 
 
+def test_parser_is_built_once(p8_file, monkeypatch, capsys):
+    # repeated main calls in one process reuse one parser and print what a
+    # fresh process prints: for a result, a usage error and the help
+    import ctfpolys.cli as cli
+
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    for argv in (["--format", "json", "polys", p8_file], ["polys"], ["--help"]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ctfpolys", *argv],
+            capture_output=True, text=True, env=_cli_env(),
+        )
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(builds) == 1
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

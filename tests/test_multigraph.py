@@ -2,6 +2,7 @@ import pytest
 
 from ctfpolys import (
     GraphFormatError,
+    MultiGraph,
     build_graph,
     format_graph_text,
     parse_graph_text,
@@ -34,6 +35,17 @@ def test_build_rejects_bad_input():
         build_graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         build_graph(-1, [])
+    # non-integers are refused, not truncated; bool is refused as a count
+    with pytest.raises(ValueError):
+        build_graph(3, [(0, 1.7)])
+    with pytest.raises(ValueError):
+        build_graph(2.5, [(0, 1)])
+    with pytest.raises(ValueError):
+        build_graph(True, [(0, 0)])
+    with pytest.raises(ValueError):
+        MultiGraph(3, ((0, 1.5),), (0,))
+    with pytest.raises(ValueError):
+        MultiGraph(3, ((0, True),), (0,))
 
 
 def test_restrict_keeps_ids(p8):
