@@ -39,9 +39,12 @@ class Orientation(_Record):
     __slots__ = ("graph", "flips")
 
     def __init__(self, graph: MultiGraph, flips: tuple[int, ...]):
+        if not isinstance(flips, tuple):
+            raise TypeError("flips must be a tuple of 0/1 bits")
         if len(flips) != graph.edge_count:
             raise ValueError("flip vector length must match edge count")
-        if any(b not in (0, 1) for b in flips):
+        # type() and not isinstance(): bool is an int subclass and is refused
+        if not ({0, 1}.issuperset(flips) and {int}.issuperset(map(type, flips))):
             raise ValueError("flip bits must be 0 or 1")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "flips", flips)
@@ -63,7 +66,7 @@ class Orientation(_Record):
         return cls(graph, tuple(int(c) for c in bits))
 
     def flip_string(self) -> str:
-        return "".join(str(b) for b in self.flips)
+        return "".join(map(str, self.flips))
 
     def arrow(self, position: int) -> tuple[int, int]:
         """(tail, head) of the edge at ``position``; loops give (v, v)."""
@@ -210,77 +213,58 @@ def is_tension(orientation: Orientation, values: Sequence[int], modulus: int = 0
     return True
 
 
-def _strong_components(orientation: Orientation) -> list[int]:
-    """Iterative Tarjan; returns a component id per vertex."""
-    graph = orientation.graph
-    succ: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
-    for (u, v), flip in zip(graph.edges, orientation.flips):
-        if u != v:  # a loop joins no two vertices
-            tail, head = (v, u) if flip else (u, v)
-            succ[tail].append(head)
+def _flip_mask(orientation: Orientation) -> int:
+    """The flips as one int, flips[pos] at bit m-1-pos: int order is lex order."""
+    return int("0" + orientation.flip_string(), 2)
 
-    index = [-1] * graph.vertex_count
-    low = [0] * graph.vertex_count
-    on_stack = [False] * graph.vertex_count
-    comp = [-1] * graph.vertex_count
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(graph.vertex_count):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] < 0:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
+
+def _positions(m: int, mask: int) -> frozenset[int]:
+    """The positions whose bits (position pos at bit m-1-pos) are set."""
+    return frozenset(pos for pos in range(m) if mask >> (m - 1 - pos) & 1)
+
+
+def _arcs(graph: MultiGraph) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(bit, u, v, 1 << u, 1 << v) per edge position: its bit in a flip mask,
+    its reference tail and head (a loop gives u == v) and their vertex bits."""
+    m = graph.edge_count
+    return tuple((1 << (m - 1 - p), u, v, 1 << u, 1 << v) for p, (u, v) in enumerate(graph.edges))
+
+
+def _circuit_mask(vertex_count: int, arcs, flips: int) -> int:
+    """The circuit part of the orientation with flip mask ``flips``, as a mask
+    over the same bits. Arrow u->v lies on a directed circuit iff v reaches u
+    (a loop makes its vertex reach itself); reach sets are vertex bitsets
+    closed by Warshall's algorithm (J. ACM 9, 1962)."""
+    reach = [0] * vertex_count
+    for bit, u, v, u_bit, v_bit in arcs:
+        if flips & bit:
+            reach[v] |= u_bit
+        else:
+            reach[u] |= v_bit
+    for k, row in enumerate(reach):
+        # step k: whoever reaches k reaches what k reaches
+        if row:
+            k_bit = 1 << k
+            for i, seen in enumerate(reach):
+                if seen & k_bit:
+                    reach[i] = seen | row
+    circuit = 0
+    for bit, u, v, u_bit, v_bit in arcs:
+        if reach[u] & v_bit if flips & bit else reach[v] & u_bit:
+            circuit |= bit
+    return circuit
 
 
 def _circuit_part(orientation: Orientation) -> frozenset[int]:
-    """Positions of the circuit-part edges: loops and the edges inside a
-    strongly connected component. It is recomputed on each call, so no
-    sweep over the orientations of a graph or its minors is kept."""
+    """Positions of the circuit-part edges, one ``_circuit_mask`` per call."""
     graph = orientation.graph
-    comp = _strong_components(orientation)
-    return frozenset(
-        pos
-        for pos, (u, v) in enumerate(graph.edges)
-        if u == v or comp[u] == comp[v]
-    )
+    mask = _circuit_mask(graph.vertex_count, _arcs(graph), _flip_mask(orientation))
+    return _positions(graph.edge_count, mask)
 
 
 def minty_partition(orientation: Orientation) -> MintyPartition:
     """Split the edges into the directed-bond part and the directed-circuit
-    part. A non-loop edge lies on a directed circuit iff its endpoints share
-    a strongly connected component; loops always do."""
+    part, read off ``_circuit_mask``."""
     circuit = _circuit_part(orientation)
     ids = orientation.graph.edge_ids
     return MintyPartition(
@@ -350,66 +334,77 @@ def enumerate_orientations(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> I
         yield Orientation(graph, bits)
 
 
-def _class_key(graph: MultiGraph, relation: str):
-    """The key of an orientation's class under ``relation``, as a function of
-    the orientation and its circuit part (read only by cut-Eulerian); see
-    ``enumerate_classes``."""
-    circuits = tuple(
-        ((e_pos, 1),) + rest for e_pos, rest in spanning_structure(graph).circuit_table
-    )
-    nonloop = tuple((pos, (u, v)) for pos, (u, v) in enumerate(graph.edges) if u != v)
+def _class_key(graph: MultiGraph, relation: str, circuits):
+    """The class key under ``relation`` as a function of the flip mask, from
+    masks made once per graph (see ``enumerate_classes``); cut-Eulerian reads
+    the circuit mask from ``circuits``, indexed by flip mask."""
+    arcs = _arcs(graph)
+    bit = [arc[0] for arc in arcs]
+    # per fundamental circuit (a loop is its own), the positions it crosses
+    # along and against their reference direction; per vertex, the non-loop
+    # positions leaving and entering it in the reference orientation
+    signed = [(bit[e] + sum(bit[t] for t, sign in rest if sign > 0),
+               sum(bit[t] for t, sign in rest if sign < 0))
+              for e, rest in spanning_structure(graph).circuit_table]
+    ends = [(sum(b for b, u, v, *_ in arcs if u == x != v),
+             sum(b for b, u, v, *_ in arcs if v == x != u))
+            for x in range(graph.vertex_count)]
 
-    def circuit_sums(flips, skip=frozenset()):
-        # the signed count of flipped positions: the sum of ref_sign * s over
-        # the same positions is their sum of ref_sign minus twice this count
-        return tuple(
-            sum(ref for t, ref in circ if flips[t] and t not in skip) for circ in circuits
-        )
+    def cut(f):
+        return tuple([(f & plus).bit_count() - (f & minus).bit_count() for plus, minus in signed])
 
-    def out_degrees(flips, only=None):
-        out = [0] * graph.vertex_count
-        for pos, (u, v) in nonloop:
-            if only is None or pos in only:
-                out[v if flips[pos] else u] += 1
-        return tuple(out)
+    def out_degrees(f, within=(1 << len(arcs)) - 1):
+        return tuple([((~f & tails | f & heads) & within).bit_count() for tails, heads in ends])
 
-    def key(orientation: Orientation, circuit: frozenset[int] | None):
-        flips = orientation.flips
-        if relation == "cut":
-            return circuit_sums(flips)
-        if relation == "eulerian":
-            return out_degrees(flips)
-        return (circuit, circuit_sums(flips, circuit), out_degrees(flips, circuit))
+    def cut_eulerian(f):
+        circuit = circuits[f]
+        return circuit, cut(f & ~circuit), out_degrees(f, circuit)
 
-    return key
+    return {"cut": cut, "eulerian": out_degrees, "cut_eulerian": cut_eulerian}[relation]
 
 
 class OrientationTable:
     """The orientations of one graph in lex order, their circuit parts, the
     acyclic and totally cyclic sets, the class partitions and the
     self-reverse sets, each built on first read and kept for the table's
-    life. A table that serves one orientation lists none, and the cut and
-    Eulerian partitions find no circuit part."""
+    life. Sweeps run over flip masks (``_flip_mask``), keeping one circuit
+    mask per orientation. A table that serves one orientation lists none,
+    and the cut and Eulerian partitions find no circuit part."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         self.graph = graph
         self.budget = budget
-        self._circuits: dict[tuple[int, ...], frozenset[int]] = {}  # by flips
         self._members: dict[str, tuple[Orientation, ...]] = {}
         self._classes: dict[tuple[str, str], ClassPartition] = {}
         self._self_reverse: dict[str, frozenset[Orientation]] = {}
 
     @cached_property
     def orientations(self) -> tuple[Orientation, ...]:
-        """All orientations, as ``enumerate_orientations`` lists them."""
+        """All orientations, as ``enumerate_orientations`` lists them: the one
+        with flip mask f is at index f."""
         return tuple(enumerate_orientations(self.graph, self.budget))
 
+    @cached_property
+    def _circuit_masks(self) -> list[int]:
+        """Every orientation's circuit mask, indexed by flip mask."""
+        n, arcs = self.graph.vertex_count, _arcs(self.graph)
+        return [_circuit_mask(n, arcs, f) for f in range(len(self.orientations))]
+
     def circuit(self, orientation: Orientation) -> frozenset[int]:
-        """The positions of the orientation's circuit part."""
-        found = self._circuits.get(orientation.flips)
-        if found is None:
-            found = self._circuits[orientation.flips] = _circuit_part(orientation)
-        return found
+        """The positions of the orientation's circuit part, built from its
+        mask; until a sweep has found every mask, its mask alone is found."""
+        if "_circuit_masks" not in self.__dict__:
+            return _circuit_part(orientation)
+        return _positions(self.graph.edge_count, self._circuit_masks[_flip_mask(orientation)])
+
+    def _flip_masks(self, filter: str):
+        """The flip masks of ``members(filter)``, in increasing (lex) order."""
+        if filter == "all":
+            return range(len(self.orientations))
+        if filter not in ("acyclic", "totally_cyclic"):
+            raise ValueError(f"unknown filter {filter!r}")
+        want = 0 if filter == "acyclic" else (1 << self.graph.edge_count) - 1
+        return [f for f, circuit in enumerate(self._circuit_masks) if circuit == want]
 
     def members(self, filter: str) -> tuple[Orientation, ...]:
         """The orientation set "all", "acyclic" (empty circuit part) or
@@ -417,12 +412,7 @@ class OrientationTable:
         if filter == "all":
             return self.orientations
         if filter not in self._members:
-            if filter not in ("acyclic", "totally_cyclic"):
-                raise ValueError(f"unknown filter {filter!r}")
-            size = 0 if filter == "acyclic" else self.graph.edge_count
-            self._members[filter] = tuple(
-                o for o in self.orientations if len(self.circuit(o)) == size
-            )
+            self._members[filter] = tuple([self.orientations[f] for f in self._flip_masks(filter)])
         return self._members[filter]
 
     def self_reverse(self, relation: str) -> frozenset[Orientation]:
@@ -430,6 +420,8 @@ class OrientationTable:
         whose reverse is equivalent to them under ``relation``, decided by
         ``equivalent`` and not by the class keys."""
         if relation not in self._self_reverse:
+            if relation not in RELATIONS:
+                raise ValueError(f"unknown relation {relation!r}")
             self._self_reverse[relation] = frozenset(
                 o for o in self.orientations if equivalent(o, o.reversed(), relation)
             )
@@ -441,12 +433,14 @@ class OrientationTable:
         if (relation, filter) not in self._classes:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
-            key = _class_key(self.graph, relation)
-            grouped: dict[object, list[Orientation]] = {}
-            for o in self.members(filter):
-                circuit = self.circuit(o) if relation == "cut_eulerian" else None
-                grouped.setdefault(key(o, circuit), []).append(o)
-            classes = tuple(tuple(cls) for cls in grouped.values())
+            masks = self._flip_masks(filter)
+            circuits = self._circuit_masks if relation == "cut_eulerian" else None
+            key = _class_key(self.graph, relation, circuits)
+            grouped: dict[object, list[int]] = {}
+            for f in masks:
+                grouped.setdefault(key(f), []).append(f)
+            orientations = self.orientations
+            classes = tuple(tuple([orientations[f] for f in cls]) for cls in grouped.values())
             self._classes[relation, filter] = ClassPartition(
                 relation, classes, tuple(cls[0] for cls in classes)
             )
@@ -464,17 +458,22 @@ def enumerate_classes(
 
     With s the +-1 flip signs, two orientations' disagreement indicator has
     s1 * ind = (s1 - s2) / 2, so each linear test ``equivalent`` makes on it
-    compares a linear form of s1 with the same form of s2. The keys:
+    compares a linear form of s1 with the same form of s2. The keys are
+    popcounts of the flip mask f against masks made once per graph:
 
-    * Eulerian: every vertex's out-degree over non-loop edges, which
-      reversing the disagreement set keeps exactly when ind is a flow.
-    * cut: the sum of ref_sign * s around every fundamental circuit (a loop
-      is its own), equal exactly when ind is a tension.
-    * cut-Eulerian: the circuit part, which equivalent orientations share;
-      the circuit sums over the bond part (ind is a tension there) and the
+    * Eulerian: every vertex's out-degree over non-loop edges,
+      popcount(~f & tails | f & heads), which reversing the disagreement set
+      keeps exactly when ind is a flow.
+    * cut: popcount(f & plus) - popcount(f & minus) around every fundamental
+      circuit (a loop is its own), over the positions it crosses along and
+      against their reference direction: equal exactly when ind is a tension,
+      as the sum of ref_sign * s is the sum of ref_sign minus twice this.
+    * cut-Eulerian: the circuit mask, which equivalent orientations share;
+      the cut key over the bond part (ind is a tension there) and the
       out-degrees over the circuit part (ind is a flow there).
 
-    Orientations are visited in lex order, so classes are ordered by their
-    lex-smallest member and list their members in lex order.
+    The sweep runs over f in range(2^|E|), which is lex order, so classes
+    are ordered by their lex-smallest member and list their members in lex
+    order, with no sort.
     """
     return OrientationTable(graph, budget).classes(relation, filter)

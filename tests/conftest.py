@@ -57,9 +57,9 @@ def _call_counter(monkeypatch, module, name):
 
 @pytest.fixture
 def component_passes(monkeypatch):
-    """A function that runs sweep() and returns how many strong-components
-    passes (``orientations._strong_components`` calls) it made."""
-    return _call_counter(monkeypatch, orientations, "_strong_components")
+    """A function that runs sweep() and returns how many circuit parts
+    (``orientations._circuit_mask`` calls) it found."""
+    return _call_counter(monkeypatch, orientations, "_circuit_mask")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,70 @@ def test_classes_command_wheel(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["class_count"] == t.evaluate(x, y), relation
         assert sum(cls["size"] for cls in payload["classes"]) == 2 ** 10
+
+
+# SHA-256 of `ctfpolys --format json classes FILE --relation R --filter F`
+# for each relation R and filter F, in that order, recorded before the
+# orientation sweep ran over flip masks; the output must not change by a byte
+CLASSES_DIGESTS = {
+    "W4": (
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]),
+        (
+            "b133a03c5e464ff50c04e250472b0d91bbe961970bd53d55cb85e300dbd88155",
+            "d355907da0616a5879d2bab08fcf9ffd1a522e381532d04382b0d5647c1874eb",
+            "608409a8bdf4bcec0729914ef423aa636b87763867ba06b2826c63379217b85c",
+            "21d409c39026f20984ed8810b1eacd8849e1633e0b7aa7c688912ceb87c231ee",
+            "34cc017f5b11eb4d0b3ec17fe20dba3c3d152d7a84ae9cfbb2b579e3c5f3d67f",
+            "bb6e11e4e64273b3eb3bd50e0030375416b11ce70f8902ddb0a99ffb389e25f9",
+            "4cbe566c9c7e05a61936beaf1b3dc85f1c72719d93d9168fe6b461018ba05d79",
+            "301f40a22b772dff657e7f7039f425ce386090b74e48e6508d6278c2cc337f97",
+            "11143d84a349fb273d8d53f1986e3b1827959d1e1fa45ccec3c2866c3717f9ab",
+        ),
+    ),
+    "W5": (
+        (6, [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)]),
+        (
+            "1a549788b9e0178ac94d33e36cab02e77d3ba618ebce4a9c8ee09d0bc775cbbd",
+            "a45da21c7adecc9634435352a866cba08784b32a5ab7b250541118274c31fe0a",
+            "a336077d9e8dec38e31bd7db1b42524df6a5ba3a8ecdda15ce81d0083b29d19d",
+            "3681a4fb688b74c931aa716becf9fb4268644800868301badb05c44ebc7935fa",
+            "ca483fbe665d20491e83f165ad6921267f966ae5268ea8edc6886e6e7183a1a5",
+            "260f224bad62078b8a4402f5249fb6ed0d93f3a48369ecb232230ffc7d3bc04f",
+            "0235a51ca728b935f7c26431a5c1d9cb7288613f87fefadd64b462634c25b450",
+            "7ad45497215f0516260a9c4e8e6a1e0f5b30198e022509e59d9e988010ef77bc",
+            "97ce5b2519aa052fddbc28edcec613873d823fd3c3d836e0ffed297a3df08414",
+        ),
+    ),
+    "example-loop": (
+        (3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 0)]),
+        (
+            "fb0eda0cd93951810427e5fa97b4b046b7bf27725a2b010488ffa42cb0eda941",
+            "c795d6eab9eaf99664890bfc17aec56e7cc9827f0d2abd9161d6272f7ef06b5e",
+            "f9a39d386557ac12d102022163604bfdede38afb2936cbc2415874f1311a4698",
+            "a201f06adce7bb08cbcd69a0d41258ee6f698f81879f8f80b25dbce9add8572b",
+            "27ca72eb211ad48117866c5c0e722098299f7f8dd76885716e15dacd7810e673",
+            "cd604f27d159305d82a73e6c65a008fd3b90f5e38bb775c2255b3af401b4ad53",
+            "dc7b49c73140dc2d4088b3397c9cc149fbe01ac7d98f887fe10346155cfca9bd",
+            "08875d925998fb04ced236a3de6a45441e1a210041c40e1d991c6a87babceca4",
+            "aa5d4e605fecf02e8bfecf12953cda0b6c4c6179f02be59c9f89874aa189e9b3",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES_DIGESTS))
+def test_classes_output_is_byte_identical(name, tmp_path, capsys):
+    (vertex_count, edges), expected = CLASSES_DIGESTS[name]
+    path = tmp_path / f"{name}.g"
+    path.write_text(format_graph_text(build_graph(vertex_count, edges)))
+    got = []
+    for relation in ("cut", "eulerian", "cut-eulerian"):
+        for filt in ("all", "acyclic", "totally-cyclic"):
+            argv = ["--format", "json", "classes", str(path), "--relation", relation,
+                    "--filter", filt]
+            assert main(argv) == 0
+            got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == expected
 
 
 def test_polys_command(p8_file, capsys):

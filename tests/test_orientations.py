@@ -21,7 +21,7 @@ from ctfpolys import (
     is_tension,
     minty_partition,
 )
-from ctfpolys.orientations import RELATIONS, OrientationTable
+from ctfpolys.orientations import RELATIONS, OrientationTable, _circuit_part
 from strategies import multigraphs
 
 U, V, W = 0, 1, 2
@@ -71,6 +71,29 @@ def test_minty_partition(p8, l1):
     assert part.bond_part == {0, 2, 4}
 
     assert minty_partition(Orientation.reference(l1)).circuit_part == {0}
+
+
+def _assert_circuit_part_is_path_search(graph):
+    # a swept table reads its kept masks, a fresh one finds each alone
+    swept = OrientationTable(graph)
+    swept.members("acyclic")
+    fresh = OrientationTable(graph)
+    for o in enumerate_orientations(graph):
+        expected = oracles.circuit_part(graph, o.flips)
+        assert _circuit_part(o) == expected
+        assert swept.circuit(o) == fresh.circuit(o) == expected
+        assert minty_partition(o).circuit_part == {graph.edge_ids[pos] for pos in expected}
+
+
+def test_circuit_part_matches_path_search(small_corpus, p8):
+    for g in small_corpus + [p8]:
+        _assert_circuit_part_is_path_search(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_circuit_part_matches_path_search_random(graph):
+    _assert_circuit_part_is_path_search(graph)
 
 
 def test_minty_partition_covers_edges(small_corpus):
@@ -271,9 +294,16 @@ def test_unknown_names_are_refused(c3):
         enumerate_classes(c3, "cutt")
     with pytest.raises(ValueError, match="unknown filter 'acylic'"):
         enumerate_classes(c3, "cut", "acylic")
+    with pytest.raises(ValueError, match="unknown relation 'cutt'"):
+        table.self_reverse("cutt")
     # the names are checked before any orientation is listed
     with pytest.raises(ValueError, match="unknown relation 'cutt'"):
         enumerate_classes(c3, "cutt", "acylic", budget=1)
+    small = OrientationTable(c3, budget=1)
+    with pytest.raises(ValueError, match="unknown relation 'cutt'"):
+        small.self_reverse("cutt")
+    with pytest.raises(ValueError, match="unknown filter 'acylic'"):
+        small.members("acylic")
     assert len(table.members("acyclic")) == 6
 
 
@@ -310,9 +340,25 @@ def test_flip_string_roundtrip(p8):
     assert o.arrow(0) == (0, 2)
 
 
+def test_orientation_refuses_lists_and_bools(p8, c3):
+    # a list would be unhashable and unequal to the tuple orientation, and a
+    # bool bit would print as "True"
+    with pytest.raises(TypeError):
+        Orientation(p8, [0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="flip bits must be 0 or 1"):
+        Orientation(c3, (True, False, 0))
+    with pytest.raises(ValueError, match="flip bits must be 0 or 1"):
+        Orientation(c3, (1.0, 0, 0))
+    with pytest.raises(ValueError, match="flip bits must be 0 or 1"):
+        Orientation(c3, (2, 0, 0))
+    with pytest.raises(ValueError, match="flip vector length"):
+        Orientation(c3, (0, 0))
+    assert Orientation(c3, (1, 0, 0)).flip_string() == "100"
+
+
 def test_cut_and_eulerian_classes_find_no_circuit_part(component_passes):
     # the cut and Eulerian keys read no circuit part, so their partitions
-    # make no strong-components pass; the cut-Eulerian one makes one per
+    # find none; the cut-Eulerian one finds one circuit mask per
     # orientation, and the filtered sets reuse them
     w4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
     table = OrientationTable(w4)
