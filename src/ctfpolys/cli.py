@@ -10,12 +10,7 @@ import sys
 
 from .counting import FAMILIES, LOCAL_FAMILIES, count
 from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_text
-from .orientations import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    OrientationTable,
-    enumerate_classes,
-)
+from .orientations import DEFAULT_BUDGET, BudgetExceededError, OrientationTable
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
 from .verify import IdentityReport, verify_corpus, verify_graph
 
@@ -62,29 +57,28 @@ def _cmd_count(args) -> int:
 
 def _cmd_classes(args) -> int:
     graph = _load_graph(args.file)
-    relation = args.relation.replace("-", "_")
-    filter_name = args.filter.replace("-", "_")
-    partition = enumerate_classes(graph, relation, filter_name, args.budget)
+    relation, filter_name = args.relation.replace("-", "_"), args.filter.replace("-", "_")
+    classes = OrientationTable(graph, args.budget).mask_classes(relation, filter_name)
+    top, write = 1 << graph.edge_count, sys.stdout.write
+
+    def flips(f):  # the m-bit flip string; the top bit keeps m = 0 at ""
+        return format(top | f, "b")[1:]
+
     if args.format == "json":
-        payload = {
-            "relation": args.relation,
-            "filter": args.filter,
-            "class_count": len(partition.classes),
-            "classes": [
-                {
-                    "representative": cls[0].flip_string(),
-                    "size": len(cls),
-                    "members": [o.flip_string() for o in cls],
-                }
-                for cls in partition.classes
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        # written class by class, byte for byte as json.dumps(..., indent=2)
+        # would: every leaf is a 0/1 string, an int or one of argparse's
+        # fixed relation and filter names, so nothing needs escaping
+        write(f'{{\n  "relation": "{args.relation}",\n  "filter": "{args.filter}",\n'
+              f'  "class_count": {len(classes)},\n  "classes": [')
+        for k, cls in enumerate(classes):
+            members = '",\n        "'.join(map(flips, cls))
+            write(f'{"," if k else ""}\n    {{\n      "representative": "{flips(cls[0])}",\n      '
+                  f'"size": {len(cls)},\n      "members": [\n        "{members}"\n      ]\n    }}')
+        write("\n  ]\n}\n" if classes else "]\n}\n")
     else:
-        print(f"{len(partition.classes)} classes ({args.relation}, filter={args.filter})")
-        for cls in partition.classes:
-            members = " ".join(o.flip_string() for o in cls)
-            print(f"  size {len(cls)}: {members}")
+        write(f"{len(classes)} classes ({args.relation}, filter={args.filter})\n")
+        for cls in classes:
+            write(f"  size {len(cls)}: {' '.join(map(flips, cls))}\n")
     return 0
 
 
@@ -154,12 +148,12 @@ def _cmd_example(args) -> int:
         ("orientations", len(table.orientations)),
         ("acyclic orientations", len(table.members("acyclic"))),
         ("totally cyclic orientations", len(table.members("totally_cyclic"))),
-        ("cut-Eulerian classes", len(table.classes("cut_eulerian").classes)),
-        ("cut classes of acyclic orientations", len(table.classes("cut", "acyclic").classes)),
+        ("cut-Eulerian classes", len(table.mask_classes("cut_eulerian"))),
+        ("cut classes of acyclic orientations", len(table.mask_classes("cut", "acyclic"))),
         ("Eulerian classes of totally cyclic orientations",
-         len(table.classes("eulerian", "totally_cyclic").classes)),
-        ("cut classes", len(table.classes("cut").classes)),
-        ("Eulerian classes", len(table.classes("eulerian").classes)),
+         len(table.mask_classes("eulerian", "totally_cyclic"))),
+        ("cut classes", len(table.mask_classes("cut"))),
+        ("Eulerian classes", len(table.mask_classes("eulerian"))),
     ]
 
     kappa22 = count(graph, "kappa_mod", budget, p=2, q=2)

@@ -358,16 +358,16 @@ class CountTable(OrientationTable):
     def sum_members(
         self, family: str, orientation: Orientation | None = None
     ) -> tuple[tuple[Orientation, int], ...]:
-        """The (orientation, weight) pairs a family adds up: the given one
-        for a per-orientation family, the given or the reference one for a
-        definition-level family."""
+        """The (orientation, weight) pairs a family adds up: the given one (a
+        definition-level family defaults to the reference one), or the
+        weighted cut-Eulerian class representatives, the only members built."""
         members = FAMILY_TABLE[family][2]
         if members is None or members == "one":
-            return ((orientation or Orientation.reference(self.graph), 1),)
+            return ((orientation or self.orientation(0), 1),)
         weight, filter_name = members
-        partition = self.classes("cut_eulerian", filter_name)
         return tuple(
-            (cls[0], len(cls) if weight == "size" else weight) for cls in partition.classes
+            (self.orientation(cls[0]), len(cls) if weight == "size" else weight)
+            for cls in self.mask_classes("cut_eulerian", filter_name)
         )
 
     def orbit(self, orientation: Orientation) -> tuple[int, ...]:

@@ -295,6 +295,18 @@ def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
     return tuple((1 - c) // 2 for c in coupling(first, second))
 
 
+def _indicator_test(first: Orientation, ind: Sequence[int], relation: str, circuit) -> bool:
+    """``equivalent``'s test of the disagreement indicator ``ind``; only
+    cut-Eulerian reads ``circuit``, the circuit-part positions of ``first``."""
+    if relation == "cut":
+        return is_tension(first, ind, 0)
+    if relation == "eulerian":
+        return is_flow(first, ind, 0)
+    bond_vec = tuple(0 if p in circuit else ind[p] for p in range(len(ind)))
+    circ_vec = tuple(ind[p] if p in circuit else 0 for p in range(len(ind)))
+    return is_tension(first, bond_vec, 0) and is_flow(first, circ_vec, 0)
+
+
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """Test cut / Eulerian / cut-Eulerian equivalence of two orientations.
 
@@ -305,15 +317,8 @@ def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    ind = indicator(first, second)
-    if relation == "cut":
-        return is_tension(first, ind, 0)
-    if relation == "eulerian":
-        return is_flow(first, ind, 0)
-    circuit = _circuit_part(first)
-    bond_vec = tuple(0 if p in circuit else ind[p] for p in range(len(ind)))
-    circ_vec = tuple(ind[p] if p in circuit else 0 for p in range(len(ind)))
-    return is_tension(first, bond_vec, 0) and is_flow(first, circ_vec, 0)
+    circuit = _circuit_part(first) if relation == "cut_eulerian" else None
+    return _indicator_test(first, indicator(first, second), relation, circuit)
 
 
 def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientation:
@@ -328,9 +333,8 @@ def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientat
 def enumerate_orientations(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Iterator[Orientation]:
     """All 2^|E| orientations in lexicographic flip order; more than
     ``budget`` of them raise BudgetExceededError before the first."""
-    k = graph.edge_count
-    _check_budget(1 << k, budget, "orientations")
-    for bits in product((0, 1), repeat=k):
+    _check_budget(1 << graph.edge_count, budget, "orientations")
+    for bits in product((0, 1), repeat=graph.edge_count):
         yield Orientation(graph, bits)
 
 
@@ -340,9 +344,8 @@ def _class_key(graph: MultiGraph, relation: str, circuits):
     the circuit mask from ``circuits``, indexed by flip mask."""
     arcs = _arcs(graph)
     bit = [arc[0] for arc in arcs]
-    # per fundamental circuit (a loop is its own), the positions it crosses
-    # along and against their reference direction; per vertex, the non-loop
-    # positions leaving and entering it in the reference orientation
+    # per fundamental circuit (a loop is its own), the positions crossed along
+    # and against it; per vertex, the non-loop positions leaving and entering
     signed = [(bit[e] + sum(bit[t] for t, sign in rest if sign > 0),
                sum(bit[t] for t, sign in rest if sign < 0))
               for e, rest in spanning_structure(graph).circuit_table]
@@ -364,31 +367,38 @@ def _class_key(graph: MultiGraph, relation: str, circuits):
 
 
 class OrientationTable:
-    """The orientations of one graph in lex order, their circuit parts, the
-    acyclic and totally cyclic sets, the class partitions and the
-    self-reverse sets, each built on first read and kept for the table's
-    life. Sweeps run over flip masks (``_flip_mask``), keeping one circuit
-    mask per orientation. A table that serves one orientation lists none,
-    and the cut and Eulerian partitions find no circuit part."""
+    """The orientations of one graph, their circuit parts, the acyclic and
+    totally cyclic sets, the classes and the self-reverse sets. Sweeps run
+    over flip masks (``_flip_mask``): the table keeps one circuit mask per
+    orientation and the classes as lists of masks, and builds an Orientation
+    only for a mask that is read. A table that serves one orientation lists
+    none, and the cut and Eulerian classes find no circuit part."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         self.graph = graph
         self.budget = budget
-        self._members: dict[str, tuple[Orientation, ...]] = {}
-        self._classes: dict[tuple[str, str], ClassPartition] = {}
+        self._built: dict[int, Orientation] = {}
+        self._classes: dict[tuple[str, str], list[list[int]]] = {}
         self._self_reverse: dict[str, frozenset[Orientation]] = {}
+
+    def orientation(self, flips: int) -> Orientation:
+        """The orientation with flip mask ``flips``, built once per table."""
+        if flips not in self._built:
+            m = self.graph.edge_count
+            bits = tuple([flips >> (m - 1 - pos) & 1 for pos in range(m)])
+            self._built[flips] = Orientation(self.graph, bits)
+        return self._built[flips]
 
     @cached_property
     def orientations(self) -> tuple[Orientation, ...]:
-        """All orientations, as ``enumerate_orientations`` lists them: the one
-        with flip mask f is at index f."""
-        return tuple(enumerate_orientations(self.graph, self.budget))
+        """All orientations: the one with flip mask f is at index f."""
+        return self.members("all")
 
     @cached_property
     def _circuit_masks(self) -> list[int]:
         """Every orientation's circuit mask, indexed by flip mask."""
         n, arcs = self.graph.vertex_count, _arcs(self.graph)
-        return [_circuit_mask(n, arcs, f) for f in range(len(self.orientations))]
+        return [_circuit_mask(n, arcs, f) for f in self._flip_masks("all")]
 
     def circuit(self, orientation: Orientation) -> frozenset[int]:
         """The positions of the orientation's circuit part, built from its
@@ -398,38 +408,39 @@ class OrientationTable:
         return _positions(self.graph.edge_count, self._circuit_masks[_flip_mask(orientation)])
 
     def _flip_masks(self, filter: str):
-        """The flip masks of ``members(filter)``, in increasing (lex) order."""
+        """The flip masks of ``members(filter)`` in lex order, budget checked."""
+        size = 1 << self.graph.edge_count
         if filter == "all":
-            return range(len(self.orientations))
+            _check_budget(size, self.budget, "orientations")
+            return range(size)
         if filter not in ("acyclic", "totally_cyclic"):
             raise ValueError(f"unknown filter {filter!r}")
-        want = 0 if filter == "acyclic" else (1 << self.graph.edge_count) - 1
+        want = 0 if filter == "acyclic" else size - 1
         return [f for f, circuit in enumerate(self._circuit_masks) if circuit == want]
 
     def members(self, filter: str) -> tuple[Orientation, ...]:
         """The orientation set "all", "acyclic" (empty circuit part) or
         "totally_cyclic" (empty bond part), in lex order."""
-        if filter == "all":
-            return self.orientations
-        if filter not in self._members:
-            self._members[filter] = tuple([self.orientations[f] for f in self._flip_masks(filter)])
-        return self._members[filter]
+        return tuple(map(self.orientation, self._flip_masks(filter)))
 
     def self_reverse(self, relation: str) -> frozenset[Orientation]:
-        """The orientations that are cut, Eulerian or cut-Eulerian: those
-        whose reverse is equivalent to them under ``relation``, decided by
-        ``equivalent`` and not by the class keys."""
+        """The orientations whose reverse, which disagrees on every edge, is
+        equivalent to them under ``relation``: ``equivalent``'s indicator
+        tests on the sweep's circuit parts decide, not the class keys."""
         if relation not in self._self_reverse:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
+            m = self.graph.edge_count
+            circuits = self._circuit_masks if relation == "cut_eulerian" else None
             self._self_reverse[relation] = frozenset(
-                o for o in self.orientations if equivalent(o, o.reversed(), relation)
+                o for f, o in enumerate(self.orientations)
+                if _indicator_test(o, (1,) * m, relation, circuits and _positions(m, circuits[f]))
             )
         return self._self_reverse[relation]
 
-    def classes(self, relation: str, filter: str = "all") -> ClassPartition:
-        """The classes of ``members(filter)`` under ``relation``; see
-        ``enumerate_classes``."""
+    def mask_classes(self, relation: str, filter: str = "all") -> list[list[int]]:
+        """The classes of ``members(filter)`` under ``relation`` as lists of
+        flip masks, in the order of ``enumerate_classes``; one pass each."""
         if (relation, filter) not in self._classes:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
@@ -439,12 +450,13 @@ class OrientationTable:
             grouped: dict[object, list[int]] = {}
             for f in masks:
                 grouped.setdefault(key(f), []).append(f)
-            orientations = self.orientations
-            classes = tuple(tuple([orientations[f] for f in cls]) for cls in grouped.values())
-            self._classes[relation, filter] = ClassPartition(
-                relation, classes, tuple(cls[0] for cls in classes)
-            )
+            self._classes[relation, filter] = list(grouped.values())
         return self._classes[relation, filter]
+
+    def classes(self, relation: str, filter: str = "all") -> ClassPartition:
+        """``mask_classes`` as orientations; see ``enumerate_classes``."""
+        parts = tuple(tuple(map(self.orientation, c)) for c in self.mask_classes(relation, filter))
+        return ClassPartition(relation, parts, tuple(cls[0] for cls in parts))
 
 
 def enumerate_classes(

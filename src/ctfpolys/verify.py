@@ -193,21 +193,15 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     # every orientation set, partition and circuit part below, and every
     # orientation-sum polynomial of the ledger, is read from this one table
     table = CountTable(graph, budget)
-    orientations = table.orientations
-    part_ce = table.classes("cut_eulerian")
-    part_cu = table.classes("cut")
-    part_eu = table.classes("eulerian")
-
-    def class_sizes(partition):
-        return {o: len(cls) for cls in partition.classes for o in cls}
-
-    ce_size = class_sizes(part_ce)
-    cu_size = class_sizes(part_cu)
-    eu_size = class_sizes(part_eu)
-
-    reps = part_ce.representatives
-    acyclic_reps = table.classes("cut_eulerian", "acyclic").representatives
-    tc_reps = table.classes("cut_eulerian", "totally_cyclic").representatives
+    orientations, classes = table.orientations, table.mask_classes
+    ce_size, cu_size, eu_size = (
+        {orientations[f]: len(cls) for cls in classes(relation) for f in cls}
+        for relation in ("cut_eulerian", "cut", "eulerian")
+    )
+    reps, acyclic_reps, tc_reps = (
+        [orientations[cls[0]] for cls in classes("cut_eulerian", filter_name)]
+        for filter_name in ("all", "acyclic", "totally_cyclic")
+    )
 
     def swept(family, members) -> BivariatePolynomial:
         # each member once: the library weights class representatives by
@@ -459,10 +453,10 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         col.equal("T(0,1)", t.evaluate(0, 1), len(tc_reps))
         col.equal("kappa_bar_mod(-1,0)", kb.evaluate(-1, 0), len(tc_reps))
         col.equal("|kappa_mod(1,0)|", abs(k.evaluate(1, 0)), len(tc_reps))
-        col.equal("T(1,2) = cut classes", t.evaluate(1, 2), len(part_cu.classes))
-        col.equal("kappa_bar_mod(0,1)", kb.evaluate(0, 1), len(part_cu.classes))
-        col.equal("T(2,1) = Eulerian classes", t.evaluate(2, 1), len(part_eu.classes))
-        col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(part_eu.classes))
+        col.equal("T(1,2) = cut classes", t.evaluate(1, 2), len(classes("cut")))
+        col.equal("kappa_bar_mod(0,1)", kb.evaluate(0, 1), len(classes("cut")))
+        col.equal("T(2,1) = Eulerian classes", t.evaluate(2, 1), len(classes("eulerian")))
+        col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(classes("eulerian")))
 
     def tc(col):
         total = _minor_sum(lambda mask, ids: tutte(graph.contract(ids)).set_y(0)
@@ -474,7 +468,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         sampler = lambda a, b: count(graph, "kappa_int", budget, p=a, q=b, orientation=alternate)
         recomputed = _interpolate_family("kappa_int", sampler, graph)
         col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
-        lex_largest = [cls[-1] for cls in part_ce.classes]
+        lex_largest = [orientations[cls[-1]] for cls in classes("cut_eulerian")]
         col.equal(
             "kappa_bar_mod from largest representatives",
             poly.kappa_bar_mod,

@@ -115,19 +115,92 @@ CLASSES_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLASSES_DIGESTS))
-def test_classes_output_is_byte_identical(name, tmp_path, capsys):
-    (vertex_count, edges), expected = CLASSES_DIGESTS[name]
+# SHA-256 of the text output of the same commands, recorded before the
+# output was written class by class from flip masks
+CLASSES_TEXT_DIGESTS = {
+    "W4": (
+        "3124b27ec79900c21b65da912f3c611156b73f70863e3ecb1273b47f2407f905",
+        "2c0673ce7d828989335063a91dadad74ae364573e26e7b70e8aeda29cb1d6b1e",
+        "c89a3af292eff02fdbf6f750c95c169d0b4cf551a07a6bb1761c4ca3c8061d9c",
+        "66f66dfb190d2ccea4e4874b78413edf08bc5e2b7af382af2258a169bc91b3e5",
+        "df250ac6c5155c3c1e8bef11ab994df99edab313a53d1579365dd9a63a12f0ec",
+        "d955c31659c57373111126fdfa53f4d4d9fab65f75be0efbb76b0c2c23a228f0",
+        "0ab2e1251ab5d74de77f716cbd01c7ad0f4ede20b9089a929ed55b5d329ffdaa",
+        "80b0505c11c225310d3b53daea8097f3073708bddf562aaab6985990203a7744",
+        "6cc25787216f54c56415bf58b62a649aa68c8971ba3e709b6f65facbd7f99f4b",
+    ),
+    "W5": (
+        "5d7ae05c5c5c2b058794e6c1b265763bf6f6b5fc4949067217a0c28b70230887",
+        "b9b6c7db7aa55a6f76ec3c2954f81cb88f41ba8f90641b0205752a6bd5094b09",
+        "41ad72605f7405a4e21f7825bc1d73b82193c66972252a4c54bf6fa0af5af601",
+        "1168309cd7b0af865ba4bc2c9c88219d4c82a9c905d90e7f3244c2e5f4e79ab5",
+        "f44d54ef67afffb65554f87d9c06e2f0bb0e562950b1ff63c7df98280833067a",
+        "bed6374c4dbd51b9c38de8c3a553a915f1d6a471581a73d3ee319b6b1bb43d2d",
+        "f26ba151c60817d691a0dc46fdef0fd132e17f06e6c48f6770e971360ca8a269",
+        "49694eab6eb5bcd138f763e2d0cf5d214835dd378cb173bc411393c124573f27",
+        "2dd782408ae569e21c71130b9ad957272c76cfd9dd41c3e866a0d088f46a8985",
+    ),
+    "example-loop": (
+        "8ffbeda753929003c54d2b3cc5196c98e0dee2f03db7ed03f01e69ff48a1d7fc",
+        "fc077f905da8479025bd00583f6b94f9d0a551732cfab3b1da58f825496a3843",
+        "265825e54620bcad5c4e4f1d56e5acc565b30295368439d11195393737674c6b",
+        "62dd09dac00415f3a79d88cd81b8072f890c23158558384a3e83218fa286c5fc",
+        "7dfdf4490a586ff8fe88958da3850132e06083aa16029709162426a587a26d1a",
+        "f4cc929e4e825cf62f2ef60f398a7d33c840b2e1289ba0d397e5e59a36ac6c6a",
+        "9304f825ac31cd3468ff5eb611eb2bf75d47d1ae2e497c95602c993854f6ba16",
+        "15c020fff8e636fb99243d48b1fa5226f76194c6f386800d04f933f3bd1bb774",
+        "bd0ee4cc8d629815880047e157d256ea0f881b1923f51ef957b39eedeaadf2d6",
+    ),
+}
+
+
+def _classes_digests(name, fmt, tmp_path, capsys):
+    vertex_count, edges = CLASSES_DIGESTS[name][0]
     path = tmp_path / f"{name}.g"
     path.write_text(format_graph_text(build_graph(vertex_count, edges)))
     got = []
     for relation in ("cut", "eulerian", "cut-eulerian"):
         for filt in ("all", "acyclic", "totally-cyclic"):
-            argv = ["--format", "json", "classes", str(path), "--relation", relation,
+            argv = ["--format", fmt, "classes", str(path), "--relation", relation,
                     "--filter", filt]
             assert main(argv) == 0
             got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert tuple(got) == expected
+    return tuple(got)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES_DIGESTS))
+def test_classes_output_is_byte_identical(name, tmp_path, capsys):
+    assert _classes_digests(name, "json", tmp_path, capsys) == CLASSES_DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES_TEXT_DIGESTS))
+def test_classes_text_output_is_byte_identical(name, tmp_path, capsys):
+    assert _classes_digests(name, "text", tmp_path, capsys) == CLASSES_TEXT_DIGESTS[name]
+
+
+def test_classes_output_of_edge_cases(tmp_path, capsys):
+    # no edge: one class, the empty orientation; a bridge: no totally cyclic
+    # orientation, so no class. Both recorded before the output was written
+    # from flip masks
+    edgeless, bridged = tmp_path / "edgeless.g", tmp_path / "bridged.g"
+    edgeless.write_text(format_graph_text(build_graph(2, [])))
+    bridged.write_text(format_graph_text(build_graph(3, [(0, 1), (1, 2), (1, 2)])))
+    cases = (
+        (["classes", str(edgeless), "--relation", "cut-eulerian"],
+         "1 classes (cut-eulerian, filter=all)\n  size 1: \n",
+         '{\n  "relation": "cut-eulerian",\n  "filter": "all",\n  "class_count": 1,\n'
+         '  "classes": [\n    {\n      "representative": "",\n      "size": 1,\n'
+         '      "members": [\n        ""\n      ]\n    }\n  ]\n}\n'),
+        (["classes", str(bridged), "--relation", "cut", "--filter", "totally-cyclic"],
+         "0 classes (cut, filter=totally-cyclic)\n",
+         '{\n  "relation": "cut",\n  "filter": "totally-cyclic",\n  "class_count": 0,\n'
+         '  "classes": []\n}\n'),
+    )
+    for argv, text, json_text in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        assert main(["--format", "json", *argv]) == 0
+        assert capsys.readouterr().out == json_text
 
 
 def test_polys_command(p8_file, capsys):
@@ -285,6 +358,10 @@ def test_budget_reaches_every_command(tmp_path, capsys):
     for command in commands:
         assert main(["--budget", "4", *command]) == 1, command
         assert "exceed the budget of 4" in capsys.readouterr().err, command
+    # the flip-mask sweep refuses before it makes or prints any class
+    assert main(["--budget", "7", "classes", path, "--relation", "cut"]) == 1
+    out, err = capsys.readouterr()
+    assert "8 orientations exceed the budget of 7" in err and out == ""
     assert main(["--budget", "8", "classes", path, "--relation", "cut"]) == 0
     assert capsys.readouterr().out.startswith("4 classes")  # T(1, 2) = 4
 

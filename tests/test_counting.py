@@ -44,6 +44,8 @@ from ctfpolys.polynomials import (
     _interpolate_family,
     counting_polynomial,
     local_polynomial,
+    polynomial_report,
+    tutte,
 )
 from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
@@ -817,3 +819,26 @@ def test_one_orientation_lists_no_orientations():
     assert local_polynomial(star, ref, "tau_bar_local").evaluate(2, 0) == 3**21
     with pytest.raises(BudgetExceededError):
         counting_polynomial(star, "tau_bar_int")
+
+
+def test_class_sums_build_only_representatives(monkeypatch):
+    # a class-summed count or report makes an Orientation for each
+    # cut-Eulerian class representative, plus the reference orientation, and
+    # none for the other members
+    k4_bridge = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    classes = len(enumerate_classes(k4_bridge, "cut_eulerian").classes)
+    assert classes == tutte(k4_bridge).evaluate(1, 1) == 16
+    value, report = count(k4_bridge, "kappa_bar_int", p=1, q=1), polynomial_report(k4_bridge)
+    built = []
+    original = Orientation.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        original(self, *args)
+
+    monkeypatch.setattr(Orientation, "__init__", counted)
+    assert count(k4_bridge, "kappa_bar_int", p=1, q=1) == value
+    assert 0 < len(built) <= classes + 1
+    built.clear()
+    assert polynomial_report(k4_bridge) == report
+    assert 0 < len(built) <= classes + 1

@@ -372,3 +372,18 @@ def test_cut_and_eulerian_classes_find_no_circuit_part(component_passes):
                 table.classes(relation, filt)
 
     assert component_passes(filtered) == 0
+
+
+def test_self_reverse_reads_the_swept_circuit_parts(small_corpus, p8, component_passes):
+    # the self-reverse sets match the definition, and on a swept table the
+    # cut-Eulerian one finds no circuit part again
+    for graph in small_corpus + [p8]:
+        table = OrientationTable(graph)
+        for relation in RELATIONS:
+            expected = {o for o in enumerate_orientations(graph)
+                        if equivalent(o, o.reversed(), relation)}
+            assert table.self_reverse(relation) == expected, (graph.edges, relation)
+    w5 = build_graph(6, [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)])
+    table = OrientationTable(w5)
+    assert component_passes(lambda: table.classes("cut_eulerian")) == 2**10
+    assert component_passes(lambda: table.self_reverse("cut_eulerian")) == 0
