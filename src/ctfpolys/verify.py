@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
-from .counting import CountTable, count
+from .counting import CountTable
 from .multigraph import MultiGraph, _Record, build_graph
 from .orientations import (
     DEFAULT_BUDGET,
@@ -19,9 +19,9 @@ from .polynomials import (
     BivariatePolynomial,
     InterpolationError,
     _compact_key,
-    _interpolate_family,
+    _polynomial,
+    _tutte_by_key,
     counting_polynomial,
-    local_polynomial,
     orientation_sum_polynomial,
     rank_generating,
     tutte,
@@ -119,7 +119,15 @@ class _Collector:
 
     def equal(self, label: str, left, right) -> None:
         if left != right:
-            self.problems.append(f"{label}: {left} != {right}")
+            problem = f"{label}: {left} != {right}"
+            if isinstance(left, BivariatePolynomial) and isinstance(right, BivariatePolynomial):
+                # a nonzero diff of degrees (dx, dy) is not zero on all of {0..dx} x {0..dy}
+                diff = left - right
+                grid = product(range(diff.degree_x + 1), range(diff.degree_y + 1))
+                p, q = next(pq for pq in grid if diff.evaluate(*pq))
+                problem += f", first at (p, q) = ({p}, {q}): {left.evaluate(p, q)} != " \
+                           f"{right.evaluate(p, q)}"
+            self.problems.append(problem)
 
 
 class _Lazy:
@@ -142,38 +150,56 @@ def _neg_vars(poly: BivariatePolynomial) -> BivariatePolynomial:
     return poly.substitute(-1, 0, -1, 0)
 
 
-class _PolynomialMemo:
-    """Counting polynomials of graphs and minors, kept for one ledger run or
-    one corpus sweep.
+_SIBLING = {"tau_int": "tau_mod", "phi_int": "phi_mod",
+            "tau_bar_int": "tau_bar_mod", "phi_bar_int": "phi_bar_mod",
+            "tau_local": "tau_bar_local", "phi_local": "phi_bar_local"}
+_SIBLING.update({b: a for a, b in _SIBLING.items()})
 
-    A graph-level family is keyed by the graph's ``_compact_key``, a
-    per-orientation family by the key of the orientation's arrows. Keys are
-    complete descriptions, not canonical forms: an isomorphic graph under
-    another key is only computed again. A computation that hits a resource
-    limit raises and stores nothing.
-    """
+
+class _PolynomialMemo:
+    """The ledger's workspace: a graph's minors, and counting polynomials of
+    graphs and minors kept for a ledger run or a corpus sweep.
+
+    Keys are complete descriptions, not canonical forms: a graph's
+    ``_compact_key``, or its orientation's for a per-orientation family. A
+    minor's family and its ``_SIBLING`` come from one CountTable, dropped
+    once both are made: the two kinds of a closed-box sweep share its box
+    counts, the other pairs the kernel plans. The ledger keeps the
+    ``minors`` list for one run. A resource limit stores nothing."""
 
     def __init__(self):
         self._polys: dict = {}
 
-    def _get(self, key, compute) -> BivariatePolynomial:
-        poly = self._polys.get(key)
-        if poly is None:
-            poly = self._polys[key] = compute()
-        return poly
-
     def counting(self, graph: MultiGraph, family: str, budget) -> BivariatePolynomial:
-        return self._get(
-            (_compact_key(graph), family),
-            lambda: counting_polynomial(graph, family, budget),
-        )
+        # the ledger's own definition-level families, a table each
+        key = (_compact_key(graph), family)
+        if key not in self._polys:
+            self._polys[key] = counting_polynomial(graph, family, budget)
+        return self._polys[key]
 
     def local(self, graph: MultiGraph, orientation: Orientation, family: str,
               budget) -> BivariatePolynomial:
-        return self._get(
-            (_compact_key(graph, orientation), family),
-            lambda: local_polynomial(graph, orientation, family, budget),
-        )
+        return self.minor(graph, _compact_key(graph, orientation), family, budget, orientation)
+
+    def minor(self, graph: MultiGraph, key, family: str, budget,
+              orientation: Orientation | None = None) -> BivariatePolynomial:
+        """The family on ``graph``, memo key ``key``; a miss makes its sibling too."""
+        if (key, family) not in self._polys:
+            table, sibling = CountTable(graph, budget), _SIBLING[family]
+            self._polys[key, family] = _polynomial(table, family, orientation)
+            if (key, sibling) not in self._polys:
+                try:
+                    self._polys[key, sibling] = _polynomial(table, sibling, orientation)
+                except (BudgetExceededError, InterpolationError):
+                    pass  # raised again if an identity reads it
+        return self._polys[key, family]
+
+    def minors(self, graph: MultiGraph) -> list:
+        """(G/S, its key, G|S, its key) per edge subset S, at the mask of its positions."""
+        subsets = ([i for pos, i in enumerate(graph.edge_ids) if mask >> pos & 1]
+                   for mask in range(1 << graph.edge_count))
+        pairs = [(graph.contract(ids), graph.restrict(ids)) for ids in subsets]
+        return [(c, _compact_key(c), r, _compact_key(r)) for c, r in pairs]
 
 
 def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityReport:
@@ -242,6 +268,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         phi_int=lambda: memo.counting(graph, "phi_int", budget),
         tau_mod=lambda: memo.counting(graph, "tau_mod", budget),
         phi_mod=lambda: memo.counting(graph, "phi_mod", budget),
+        minors=lambda: memo.minors(graph),
     )
 
     tutte_poly = tutte(graph)
@@ -272,14 +299,6 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         else:
             checks.append(IdentityCheck(identity, tags[identity], "pass"))
 
-    def _minor_sum(term) -> BivariatePolynomial:
-        # the sum over edge subsets S of term(mask of S, edge ids of S); the
-        # term builds the minors G/S and G|S it reads
-        return _poly_sum(
-            term(mask, [graph.edge_ids[pos] for pos in range(m) if mask >> pos & 1])
-            for mask in range(1 << m)
-        )
-
     # ---- Theorems 1 and 2: one body per identity, read for the integral
     # families (summed over every orientation) or the modular ones (summed
     # over the cut-Eulerian class representatives) ----
@@ -307,15 +326,16 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
         def e(col):
             for bar in ("", "_bar"):
-                def term(mask, ids):
+                def term(mask, quotient, q_key, restriction, r_key):
                     # G/{} and G|E are G itself: those two factors are the ledger's own
                     tau = read(f"tau{bar}") if mask == 0 else \
-                        memo.counting(graph.contract(ids), f"tau{bar}_{kind}", budget)
+                        memo.minor(quotient, q_key, f"tau{bar}_{kind}", budget)
                     phi = read(f"phi{bar}") if mask == full else \
-                        memo.counting(graph.restrict(ids), f"phi{bar}_{kind}", budget)
+                        memo.minor(restriction, r_key, f"phi{bar}_{kind}", budget)
                     return tau * phi
 
-                col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"), _minor_sum(term))
+                col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"),
+                          _poly_sum(term(mask, *minor) for mask, minor in enumerate(poly.minors)))
 
         return b, c, d, e
 
@@ -323,9 +343,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     def pl(col):
         zero = BivariatePolynomial()
         for o in orientations:
-            circuit_ids = frozenset(graph.edge_ids[pos] for pos in table.circuit(o))
-            quotient = graph.contract(circuit_ids)
-            restriction = graph.restrict(circuit_ids)
+            # G/C and G|C for the circuit part C
+            quotient, _, restriction, _ = poly.minors[sum(1 << pos for pos in table.circuit(o))]
             o_quot = induced_orientation(o, quotient)
             o_rest = induced_orientation(o, restriction)
             label = f"orientation {o.flip_string() or '-'}"
@@ -459,14 +478,15 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(classes("eulerian")))
 
     def tc(col):
-        total = _minor_sum(lambda mask, ids: tutte(graph.contract(ids)).set_y(0)
-                           * tutte(graph.restrict(ids)).set_x(0))
+        total = _poly_sum(_tutte_by_key(q_key).set_y(0) * _tutte_by_key(r_key).set_x(0)
+                          for _, q_key, _, r_key in poly.minors)
         col.equal("Tutte convolution", tutte_poly, total)
 
     def ind(col):
+        # a table of its own: the reversed orientation has the reference's orbit key
         alternate = Orientation.reference(graph).reversed()
-        sampler = lambda a, b: count(graph, "kappa_int", budget, p=a, q=b, orientation=alternate)
-        recomputed = _interpolate_family("kappa_int", sampler, graph)
+        recomputed = orientation_sum_polynomial(
+            CountTable(graph, budget), "kappa_int", [(alternate, 1)])
         col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
         lex_largest = [orientations[cls[-1]] for cls in classes("cut_eulerian")]
         col.equal(

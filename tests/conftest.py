@@ -37,7 +37,8 @@ def cache_growth(package_caches):
 
 def _call_counter(monkeypatch, module, name):
     """A function that runs sweep() and returns how many calls of
-    ``module.name`` it made."""
+    ``module.name`` it made; its ``total()`` is the count of every call
+    since the counter was set up, to split one sweep into parts."""
     calls = []
     original = getattr(module, name)
 
@@ -52,6 +53,7 @@ def _call_counter(monkeypatch, module, name):
         sweep()
         return len(calls) - before
 
+    made.total = lambda: len(calls)
     return made
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from ctfpolys import (
     DEFAULT_BUDGET,
@@ -17,8 +19,10 @@ from ctfpolys import (
 from ctfpolys import verify
 from ctfpolys.cli import main
 from ctfpolys.multigraph import format_graph_text
-from ctfpolys.polynomials import InterpolationError, _compact_key
+from ctfpolys.counting import CountTable
+from ctfpolys.polynomials import BivariatePolynomial, InterpolationError, _compact_key
 from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
+from strategies import multigraphs
 
 ALL_IDS = [identity for identity, _ in IDENTITY_TAGS]
 
@@ -188,6 +192,44 @@ def test_sweep_memo_changes_no_report():
         assert report.checks == verify_graph(graph).checks, graph.edges
 
 
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_edges=5), multigraphs(max_edges=5))
+def test_filled_workspace_changes_no_report(first, second):
+    # a workspace that one ledger run filled (polynomials of the graph, its
+    # minors and their siblings) must give a second graph the report a
+    # fresh run gives
+    memo = _PolynomialMemo()
+    verify._verify_graph(first, DEFAULT_BUDGET, memo)
+    assert verify._verify_graph(second, DEFAULT_BUDGET, memo) == verify_graph(second)
+
+
+W4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+
+
+@pytest.mark.parametrize("name", ["p8", "W4"])
+def test_t2e_reads_the_minors_t1e_made(name, request, monkeypatch, kernel_calls,
+                                       component_passes):
+    # T1e makes each minor's _mod families with its _int ones, from the same
+    # table, so T2e counts nothing and sweeps no orientation; and no table or
+    # minor list outlives the ledger run
+    graph = request.getfixturevalue(name) if name == "p8" else W4
+    real, totals = verify.IdentityCheck, {}
+
+    def check(identity, *args):
+        totals[identity] = (kernel_calls.total(), component_passes.total())
+        return real(identity, *args)
+
+    monkeypatch.setattr(verify, "IdentityCheck", check)
+    memo = _PolynomialMemo()
+    assert verify._verify_graph(graph, DEFAULT_BUDGET, memo).all_passed
+    assert totals["T2e"] == totals["T2d"]
+    assert all(t1e > t1d for t1e, t1d in zip(totals["T1e"], totals["T1d"]))
+    assert list(vars(memo)) == ["_polys"]
+    assert all(isinstance(poly, BivariatePolynomial) for poly in memo._polys.values())
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, CountTable)]
+
+
 def test_local_memo_keys_keep_direction():
     # a->b->c and a->b<-c share the undirected key but not the directed one
     path = build_graph(3, [(0, 1), (1, 2)])
@@ -221,6 +263,28 @@ def test_failure_witness_counts_problems(p8, monkeypatch):
     assert rpq.witness.endswith(" (+17 more)")
     assert report.outcome == "fail"
     assert set(report.to_json_list()[0]) == {"id", "tag", "status", "witness"}
+
+
+def test_polynomial_witness_names_the_first_differing_point(p8, monkeypatch):
+    # R + x agrees with R where x = 0, so the first grid point, in (p, q)
+    # order, at which T3's two sides differ is (1, 0)
+    rank_poly = rank_generating(p8)
+    wrong = rank_poly + BivariatePolynomial.variable("x")
+    monkeypatch.setattr(verify, "rank_generating", lambda graph: wrong)
+    t3 = next(c for c in verify_graph(p8).checks if c.identity == "T3")
+    at = rank_poly.evaluate(1, 0)
+    assert t3.witness == (f"kappa_bar_mod = rank generating: {rank_poly} != {wrong}, "
+                          f"first at (p, q) = (1, 0): {at} != {at + 1}")
+
+    col = verify._Collector()
+    x, y = BivariatePolynomial.variable("x"), BivariatePolynomial.variable("y")
+    col.equal("a", x * x * y + 1, BivariatePolynomial.constant(1))
+    col.equal("b", 3, 4)
+    assert col.problems == [
+        f"a: {x * x * y + 1} != {BivariatePolynomial.constant(1)}, "
+        "first at (p, q) = (1, 1): 2 != 1",
+        "b: 3 != 4",
+    ]
 
 
 #: the label each Theorem 1/2 identity's first failing check starts with when
@@ -276,16 +340,22 @@ def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
     # or it would compare kappa_int with itself
     import ctfpolys.verify as verify
 
-    true_count, made = verify.count, []
+    true_sum, made, tables = verify.orientation_sum_polynomial, [], []
 
-    def counted(*args, **kwargs):
+    def counted(table, family, pairs):
         out = []
-        made.append(kernel_calls(lambda: out.append(true_count(*args, **kwargs))))
+        calls = kernel_calls(lambda: out.append(true_sum(table, family, pairs)))
+        if family == "kappa_int":
+            made.append((table, calls))
+        else:
+            tables.append(table)
         return out[0]
 
-    monkeypatch.setattr(verify, "count", counted)
+    monkeypatch.setattr(verify, "orientation_sum_polynomial", counted)
     assert verify_graph(p8).all_passed
-    assert made and min(made) >= 1, made
+    # one recount over the whole grid, from a table no other sum reads
+    assert len(made) == 1 and made[0][1] >= 1, made
+    assert all(table is not made[0][0] for table in tables)
 
     true_poly = verify.counting_polynomial
 
