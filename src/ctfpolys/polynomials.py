@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Mapping, Sequence
 
@@ -16,7 +16,7 @@ from .counting import (
     LOCAL_FAMILIES,
     lowest_argument,
 )
-from .multigraph import MultiGraph, _Record, _UnionFind
+from .multigraph import MultiGraph, _Record, _UnionFind, spanning_structure
 from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
 
 
@@ -358,6 +358,17 @@ def _compact_key(graph: MultiGraph, orientation: Orientation | None = None):
     return tuple(sorted(out))
 
 
+def _block_restrictions(graph: MultiGraph) -> list[MultiGraph]:
+    """G|B for each block B of the graph (``ForestData.blocks``), in the
+    order of their first edges. The cycle and tension spaces are direct sums
+    over the blocks, so T, R and every counting family of G, per orientation
+    under the induced ones, are the products of theirs; no block, 1."""
+    ids: dict[int, list[int]] = {}
+    for pos, first in enumerate(spanning_structure(graph).blocks):
+        ids.setdefault(first, []).append(graph.edge_ids[pos])
+    return [graph.restrict(block) for block in ids.values()]
+
+
 _X = BivariatePolynomial.variable("x")
 _Y = BivariatePolynomial.variable("y")
 _ONE = BivariatePolynomial.constant(1)
@@ -499,6 +510,12 @@ def polynomial_report(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Polyno
     # the rank-generating polynomial and the orientation sums sweep 2^|E|
     # subsets: an oversized graph stops here, before any of them runs
     _check_budget(1 << graph.edge_count, budget, "edge subsets")
+    blocks = _block_restrictions(graph)
+    if len(blocks) != 1:
+        named = [polynomial_report(block, budget).named() for block in blocks]
+        made = {name: prod((n[name] for n in named), start=_ONE)
+                for name in ("tutte", "rank_generating", *REPORT_FAMILIES)}
+        return PolynomialReport(made.pop("tutte"), made.pop("rank_generating"), made)
     # the orientation-sum families read one table and the same class
     # representatives, so kappa_bar_mod's box counts serve the other five
     table = CountTable(graph, budget)

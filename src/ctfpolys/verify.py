@@ -18,6 +18,8 @@ from .orientations import (
 from .polynomials import (
     BivariatePolynomial,
     InterpolationError,
+    _ONE,
+    _block_restrictions,
     _compact_key,
     _polynomial,
     _tutte_by_key,
@@ -152,30 +154,32 @@ def _neg_vars(poly: BivariatePolynomial) -> BivariatePolynomial:
 
 _SIBLING = {"tau_int": "tau_mod", "phi_int": "phi_mod",
             "tau_bar_int": "tau_bar_mod", "phi_bar_int": "phi_bar_mod",
-            "tau_local": "tau_bar_local", "phi_local": "phi_bar_local"}
+            "tau_local": "tau_bar_local", "phi_local": "phi_bar_local",
+            "kappa_local": "kappa_bar_local"}
 _SIBLING.update({b: a for a, b in _SIBLING.items()})
 
 
 class _PolynomialMemo:
     """The ledger's workspace: a graph's minors, and counting polynomials of
-    graphs and minors kept for a ledger run or a corpus sweep.
+    graphs, minors and their blocks kept for a ledger run or a corpus sweep.
 
     Keys are complete descriptions, not canonical forms: a graph's
     ``_compact_key``, or its orientation's for a per-orientation family. A
-    minor's family and its ``_SIBLING`` come from one CountTable, dropped
-    once both are made: the two kinds of a closed-box sweep share its box
-    counts, the other pairs the kernel plans. The ledger keeps the
-    ``minors`` list for one run. A resource limit stores nothing."""
+    graph of several blocks gets the product of its blocks' polynomials,
+    each memoised at its block's key (under the induced orientation), so
+    blocks repeated across minors and graphs are counted once. A block's
+    family and its ``_SIBLING`` come from one CountTable, dropped once both
+    are made: the two kinds of a closed-box sweep share its box counts, the
+    other pairs the kernel plans. The ledger keeps the ``minors`` list for
+    one run. A resource limit stores nothing."""
 
     def __init__(self):
         self._polys: dict = {}
 
     def counting(self, graph: MultiGraph, family: str, budget) -> BivariatePolynomial:
-        # the ledger's own definition-level families, a table each
-        key = (_compact_key(graph), family)
-        if key not in self._polys:
-            self._polys[key] = counting_polynomial(graph, family, budget)
-        return self._polys[key]
+        # the ledger's own definition-level families, a table each per block
+        return self._product(graph, _compact_key(graph), family, None,
+                             lambda block, key, o: counting_polynomial(block, family, budget))
 
     def local(self, graph: MultiGraph, orientation: Orientation, family: str,
               budget) -> BivariatePolynomial:
@@ -183,15 +187,34 @@ class _PolynomialMemo:
 
     def minor(self, graph: MultiGraph, key, family: str, budget,
               orientation: Orientation | None = None) -> BivariatePolynomial:
-        """The family on ``graph``, memo key ``key``; a miss makes its sibling too."""
-        if (key, family) not in self._polys:
-            table, sibling = CountTable(graph, budget), _SIBLING[family]
-            self._polys[key, family] = _polynomial(table, family, orientation)
+        """The family on ``graph``, memo key ``key``; a block's miss makes its sibling too."""
+
+        def sweep(block, key, o):
+            table, sibling = CountTable(block, budget), _SIBLING[family]
+            made = _polynomial(table, family, o)
             if (key, sibling) not in self._polys:
                 try:
-                    self._polys[key, sibling] = _polynomial(table, sibling, orientation)
+                    self._polys[key, sibling] = _polynomial(table, sibling, o)
                 except (BudgetExceededError, InterpolationError):
                     pass  # raised again if an identity reads it
+            return made
+
+        return self._product(graph, key, family, orientation, sweep)
+
+    def _product(self, graph: MultiGraph, key, family: str, orientation, make):
+        """The family on ``graph`` at key ``key``: make(graph, key,
+        orientation) on a miss for a graph of one block, else the product of
+        its blocks' polynomials, each read through this memo."""
+        if (key, family) not in self._polys:
+            blocks = _block_restrictions(graph)
+            if len(blocks) == 1:
+                made = make(graph, key, orientation)
+            else:
+                made = _ONE
+                for block in blocks:
+                    o = None if orientation is None else induced_orientation(orientation, block)
+                    made = made * self._product(block, _compact_key(block, o), family, o, make)
+            self._polys[key, family] = made
         return self._polys[key, family]
 
     def minors(self, graph: MultiGraph) -> list:
