@@ -6,13 +6,11 @@ Run:  python3 demos/01_graphs_and_orientations.py
 
 from ctfpolys import (
     Orientation,
+    OrientationTable,
     boundary,
     build_graph,
-    classify,
-    enumerate_orientations,
     is_flow,
     is_tension,
-    minty_partition,
     spanning_structure,
 )
 
@@ -29,10 +27,13 @@ print("\nrestrict to {e2, e4}:", sub.edges, "labels", sub.edge_ids)
 merged = g.contract({1, 3})
 print("contract {e2, e4}:  ", merged.edges, "labels", merged.edge_ids)
 
+# Edge positions: on a graph built fresh they equal the edge labels. Each
+# circuit runs along its non-forest edge, then back through the forest; a
+# sign is -1 where the circuit crosses an edge against its reference direction.
 forest = spanning_structure(g)
-print("\nspanning forest:", sorted(forest.forest_edges))
-for eid, circuit in forest.fundamental_circuits:
-    print(f"  circuit of e{eid + 1}:", circuit)
+print("\nspanning forest:", list(forest.forest_positions))
+for e, rest in forest.circuit_table:
+    print(f"  circuit of e{e + 1}:", ((e, 1),) + rest)
 
 # Orientations are flip vectors against the reference direction.
 ref = Orientation.reference(g)
@@ -44,18 +45,18 @@ gvec = (-1, 1, 1, 0, 0)
 print(f"{gvec} is a flow:", is_flow(ref, gvec), "boundary:", boundary(ref, gvec))
 
 # The Minty partition: every edge is either on a directed circuit or in the
-# union of directed bonds, never both.
+# union of directed bonds, never both. The orientation table lists the
+# orientations and finds each one's circuit part; acyclic means an empty
+# circuit part, totally cyclic an empty bond part.
+table = OrientationTable(g)
 for bits in ("00000", "00010", "10011"):
     o = Orientation.from_string(g, bits)
-    part = minty_partition(o)
-    kind = classify(o)
-    print(
-        f"\nflips {bits}: bond part {sorted(part.bond_part)}, "
-        f"circuit part {sorted(part.circuit_part)}"
-    )
-    print(f"  acyclic={kind.is_acyclic} totally_cyclic={kind.is_totally_cyclic}")
+    circuit = table.circuit(o)
+    bond = [pos for pos in range(g.edge_count) if pos not in circuit]
+    print(f"\nflips {bits}: bond part {bond}, circuit part {sorted(circuit)}")
+    print(f"  acyclic={not circuit} totally_cyclic={not bond}")
 
-total = sum(1 for _ in enumerate_orientations(g))
-acyclic = sum(1 for o in enumerate_orientations(g) if classify(o).is_acyclic)
-strong = sum(1 for o in enumerate_orientations(g) if classify(o).is_totally_cyclic)
+total = len(table.orientations)
+acyclic = len(table.members("acyclic"))
+strong = len(table.members("totally_cyclic"))
 print(f"\norientations: {total} total, {acyclic} acyclic, {strong} totally cyclic")

@@ -7,7 +7,7 @@ partial sums; no vector is listed.
 Run:  python3 demos/02_counting_tension_flows.py
 """
 
-from ctfpolys import Orientation, build_graph, count, enumerate_classes, enumerate_orientations
+from ctfpolys import Orientation, OrientationTable, build_graph, count, enumerate_classes
 
 g = build_graph(3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)])
 ref = Orientation.reference(g)
@@ -33,7 +33,7 @@ print("kappa_int(2,2) =", count(g, "kappa_int", p=2, q=2))
 
 # The integral count decomposes exactly over all 2^|E| orientations.
 total = 0
-for o in enumerate_orientations(g):
+for o in OrientationTable(g).orientations:
     total += count(g, "kappa_local", p=2, q=2, orientation=o)
 print("sum of kappa_local over orientations =", total)
 

@@ -22,21 +22,14 @@ from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ClassPartition,
-    MintyPartition,
     Orientation,
-    OrientationClassification,
+    OrientationTable,
     boundary,
-    classify,
-    coupling,
     enumerate_classes,
-    enumerate_orientations,
     equivalent,
-    incidence_sign,
-    indicator,
     induced_orientation,
     is_flow,
     is_tension,
-    minty_partition,
 )
 from .polynomials import (
     BivariatePolynomial,
@@ -70,29 +63,22 @@ __all__ = [
     "IdentityCheck",
     "IdentityReport",
     "InterpolationError",
-    "MintyPartition",
     "MultiGraph",
     "Orientation",
-    "OrientationClassification",
+    "OrientationTable",
     "PolynomialReport",
     "boundary",
     "build_graph",
-    "classify",
     "count",
     "counting_polynomial",
-    "coupling",
     "enumerate_classes",
-    "enumerate_orientations",
     "equivalent",
     "format_graph_text",
-    "incidence_sign",
-    "indicator",
     "induced_orientation",
     "interpolate",
     "is_flow",
     "is_tension",
     "local_polynomial",
-    "minty_partition",
     "parse_graph_text",
     "polynomial_report",
     "rank_generating",

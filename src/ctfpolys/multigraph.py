@@ -59,22 +59,18 @@ class GraphStats(_Record):
 
 class ForestData(_Record):
     """A spanning forest plus the fundamental circuit of every non-forest edge,
-    by edge label and by edge position.
+    by edge position.
 
     The forest is a breadth-first one: each component grows from a vertex of
     highest degree (loops not counted, ties going to the lowest vertex), and
     a vertex joins through the first edge position that reaches it. Its
     fundamental circuits are short, so few free values share a circuit.
 
-    ``forest_edges`` holds edge labels. Each circuit is a tuple of
-    ``(edge_label, sign)`` pairs; the circuit of non-forest edge e starts with
-    (e, +1) and the sign of a forest edge is +1 exactly when the circuit
-    traversal crosses it along its reference direction. A loop's circuit is
-    the loop alone.
-
-    The position view, read by the counting kernel: ``forest_positions``
-    ascending; ``circuit_table``, (e, ((t, sign), ...)) per non-forest
-    position e, its circuit without e itself; ``flow_table``, (t, ((e,
+    ``forest_positions`` ascending; ``circuit_table``, (e, ((t, sign), ...))
+    per non-forest position e, its circuit without e itself: the circuit is
+    traversed along e's reference direction, and the sign of forest position
+    t is +1 exactly when the traversal crosses it along its reference
+    direction (a loop's circuit is the loop alone); ``flow_table``, (t, ((e,
     sign), ...)) per forest position t, the circuits through t; ``blocks``,
     per position the first position of its block, a component of the cycle
     matroid (a 2-connected piece, a bridge or a loop), which the fundamental
@@ -90,14 +86,12 @@ class ForestData(_Record):
     """
 
     __slots__ = (
-        "forest_edges", "fundamental_circuits", "forest_positions", "circuit_table",
-        "flow_table", "blocks", "tension_order", "flow_order",
+        "forest_positions", "circuit_table", "flow_table", "blocks", "tension_order",
+        "flow_order",
     )
 
     def __init__(
         self,
-        forest_edges: frozenset[int],
-        fundamental_circuits: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
         forest_positions: tuple[int, ...],
         circuit_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
         flow_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
@@ -105,8 +99,6 @@ class ForestData(_Record):
         tension_order: tuple[int, ...],
         flow_order: tuple[int, ...],
     ):
-        object.__setattr__(self, "forest_edges", forest_edges)
-        object.__setattr__(self, "fundamental_circuits", fundamental_circuits)
         object.__setattr__(self, "forest_positions", forest_positions)
         object.__setattr__(self, "circuit_table", circuit_table)
         object.__setattr__(self, "flow_table", flow_table)
@@ -117,21 +109,18 @@ class ForestData(_Record):
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (
-                self.forest_edges, self.fundamental_circuits, self.forest_positions,
-                self.circuit_table, self.flow_table, self.blocks, self.tension_order,
-                self.flow_order,
+                self.forest_positions, self.circuit_table, self.flow_table, self.blocks,
+                self.tension_order, self.flow_order,
             ) == (
-                other.forest_edges, other.fundamental_circuits, other.forest_positions,
-                other.circuit_table, other.flow_table, other.blocks, other.tension_order,
-                other.flow_order,
+                other.forest_positions, other.circuit_table, other.flow_table, other.blocks,
+                other.tension_order, other.flow_order,
             )
         return NotImplemented
 
     def __hash__(self):
         return hash((
-            self.forest_edges, self.fundamental_circuits, self.forest_positions,
-            self.circuit_table, self.flow_table, self.blocks, self.tension_order,
-            self.flow_order,
+            self.forest_positions, self.circuit_table, self.flow_table, self.blocks,
+            self.tension_order, self.flow_order,
         ))
 
 
@@ -363,7 +352,6 @@ def spanning_structure(graph: MultiGraph) -> ForestData:
                 goal = goal_parent
         return up + down[::-1]
 
-    ids = graph.edge_ids
     forest_set = set(forest_pos)
     table = tuple(
         (pos, tuple(forest_path(v, u)))
@@ -378,11 +366,6 @@ def spanning_structure(graph: MultiGraph) -> ForestData:
             blocks.union(e_pos, t_pos)
 
     return ForestData(
-        forest_edges=frozenset(ids[p] for p in forest_pos),
-        fundamental_circuits=tuple(
-            (ids[e], ((ids[e], 1),) + tuple((ids[t], sign) for t, sign in rest))
-            for e, rest in table
-        ),
         forest_positions=tuple(forest_pos),
         circuit_table=table,
         flow_table=tuple((t, tuple(through[t])) for t in forest_pos),

@@ -4,8 +4,7 @@ cut-Eulerian equivalence relations."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .multigraph import MultiGraph, _Record, spanning_structure
 
@@ -88,43 +87,6 @@ class Orientation(_Record):
         return Orientation(self.graph, tuple(1 - b for b in self.flips))
 
 
-class MintyPartition(_Record):
-    """Edge labels split into the directed-bond part and directed-circuit
-    part; the two sets always partition the edge set."""
-
-    __slots__ = ("bond_part", "circuit_part")
-
-    def __init__(self, bond_part: frozenset[int], circuit_part: frozenset[int]):
-        object.__setattr__(self, "bond_part", bond_part)
-        object.__setattr__(self, "circuit_part", circuit_part)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bond_part, self.circuit_part) == (other.bond_part, other.circuit_part)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bond_part, self.circuit_part))
-
-
-class OrientationClassification(_Record):
-    __slots__ = ("is_acyclic", "is_totally_cyclic", "partition")
-
-    def __init__(self, is_acyclic: bool, is_totally_cyclic: bool, partition: MintyPartition):
-        object.__setattr__(self, "is_acyclic", is_acyclic)
-        object.__setattr__(self, "is_totally_cyclic", is_totally_cyclic)
-        object.__setattr__(self, "partition", partition)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.is_acyclic, self.is_totally_cyclic, self.partition) == (
-                other.is_acyclic, other.is_totally_cyclic, other.partition)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.is_acyclic, self.is_totally_cyclic, self.partition))
-
-
 class ClassPartition(_Record):
     """Equivalence classes of a set of orientations under one relation.
 
@@ -158,20 +120,6 @@ class ClassPartition(_Record):
 def _flip_signs(orientation: Orientation) -> tuple[int, ...]:
     """Per-position sign: -1 on flipped edges, +1 elsewhere."""
     return tuple(-1 if b else 1 for b in orientation.flips)
-
-
-def incidence_sign(orientation: Orientation, vertex: int, position: int):
-    """+1 if the arrow leaves ``vertex``, -1 if it enters, 0 if not incident;
-    a loop at the vertex reports the pair (+1, -1)."""
-    u, v = orientation.graph.edges[position]
-    if u == v:
-        return (1, -1) if vertex == u else 0
-    tail, head = orientation.arrow(position)
-    if vertex == tail:
-        return 1
-    if vertex == head:
-        return -1
-    return 0
 
 
 def boundary(orientation: Orientation, values: Sequence[int]) -> tuple[int, ...]:
@@ -262,39 +210,6 @@ def _circuit_part(orientation: Orientation) -> frozenset[int]:
     return _positions(graph.edge_count, mask)
 
 
-def minty_partition(orientation: Orientation) -> MintyPartition:
-    """Split the edges into the directed-bond part and the directed-circuit
-    part, read off ``_circuit_mask``."""
-    circuit = _circuit_part(orientation)
-    ids = orientation.graph.edge_ids
-    return MintyPartition(
-        frozenset(i for pos, i in enumerate(ids) if pos not in circuit),
-        frozenset(ids[pos] for pos in circuit),
-    )
-
-
-def classify(orientation: Orientation) -> OrientationClassification:
-    part = minty_partition(orientation)
-    return OrientationClassification(
-        is_acyclic=not part.circuit_part,
-        is_totally_cyclic=not part.bond_part,
-        partition=part,
-    )
-
-
-def coupling(first: Orientation, second: Orientation) -> tuple[int, ...]:
-    """+1 where the orientations agree, -1 where they differ; loops agree."""
-    if first.graph is not second.graph and first.graph != second.graph:
-        raise ValueError("orientations live on different graphs")
-    a, b = _flip_signs(first), _flip_signs(second)
-    return tuple(x * y for x, y in zip(a, b))
-
-
-def indicator(first: Orientation, second: Orientation) -> tuple[int, ...]:
-    """0-1 disagreement vector: (1 - coupling) / 2 per edge."""
-    return tuple((1 - c) // 2 for c in coupling(first, second))
-
-
 def _indicator_test(first: Orientation, ind: Sequence[int], relation: str, circuit) -> bool:
     """``equivalent``'s test of the disagreement indicator ``ind``; only
     cut-Eulerian reads ``circuit``, the circuit-part positions of ``first``."""
@@ -317,8 +232,11 @@ def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    if first.graph is not second.graph and first.graph != second.graph:
+        raise ValueError("orientations live on different graphs")
     circuit = _circuit_part(first) if relation == "cut_eulerian" else None
-    return _indicator_test(first, indicator(first, second), relation, circuit)
+    ind = tuple(a ^ b for a, b in zip(first.flips, second.flips))
+    return _indicator_test(first, ind, relation, circuit)
 
 
 def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientation:
@@ -328,14 +246,6 @@ def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientat
         graph.edge_ids[p]: orientation.flips[p] for p in range(graph.edge_count)
     }
     return Orientation(minor, tuple(flip_by_id[i] for i in minor.edge_ids))
-
-
-def enumerate_orientations(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> Iterator[Orientation]:
-    """All 2^|E| orientations in lexicographic flip order; more than
-    ``budget`` of them raise BudgetExceededError before the first."""
-    _check_budget(1 << graph.edge_count, budget, "orientations")
-    for bits in product((0, 1), repeat=graph.edge_count):
-        yield Orientation(graph, bits)
 
 
 def _class_key(graph: MultiGraph, relation: str, circuits):

@@ -10,11 +10,10 @@ import oracles
 from ctfpolys import (
     BivariatePolynomial,
     Orientation,
+    OrientationTable,
     count,
     counting_polynomial,
     enumerate_classes,
-    enumerate_orientations,
-    classify,
     local_polynomial,
     tutte,
     verify_corpus,
@@ -92,15 +91,15 @@ def test_criterion_2_integral_golden_polynomial(p8):
 def test_criterion_3_census_values(p8):
     ok = True
     try:
-        orientations = list(enumerate_orientations(p8))
-        assert len(orientations) == 32
+        table = OrientationTable(p8)
+        assert len(table.orientations) == 32
         assert len(enumerate_classes(p8, "cut_eulerian", "all").classes) == 8
         assert len(enumerate_classes(p8, "cut", "acyclic").classes) == 2
         assert len(enumerate_classes(p8, "eulerian", "totally_cyclic").classes) == 4
         assert len(enumerate_classes(p8, "cut", "all").classes) == 24
         assert len(enumerate_classes(p8, "eulerian", "all").classes) == 14
-        n_acyclic = sum(1 for o in orientations if classify(o).is_acyclic)
-        n_tc = sum(1 for o in orientations if classify(o).is_totally_cyclic)
+        n_acyclic = len(table.members("acyclic"))
+        n_tc = len(table.members("totally_cyclic"))
         assert n_acyclic == 6
         t = tutte(p8)
         assert t.evaluate(0, 2) == n_tc == 18
@@ -202,7 +201,8 @@ def test_criterion_8_polynomial_reciprocity(corpus5, p8, digon_loop, small_corpu
             if graph.edge_count > 3 and graph not in (p8, digon_loop):
                 continue
             stats = graph.stats()
-            orientations = list(enumerate_orientations(graph))
+            table = OrientationTable(graph)
+            orientations = table.orientations
             locals_ = {
                 o.flips: (
                     local_polynomial(graph, o, "kappa_local"),
@@ -210,11 +210,8 @@ def test_criterion_8_polynomial_reciprocity(corpus5, p8, digon_loop, small_corpu
                 )
                 for o in orientations
             }
-            from ctfpolys import minty_partition
-
             signs = {
-                o.flips: (-1)
-                ** (stats.rank + len(minty_partition(o).circuit_part))
+                o.flips: (-1) ** (stats.rank + len(table.circuit(o)))
                 for o in orientations
             }
             kappa_int = counting_polynomial(graph, "kappa_int")

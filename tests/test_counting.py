@@ -13,15 +13,12 @@ from ctfpolys import (
     BudgetExceededError,
     CyclicProduct,
     Orientation,
+    OrientationTable,
     build_graph,
     count,
-    coupling,
     enumerate_classes,
-    enumerate_orientations,
-    indicator,
     is_flow,
     is_tension,
-    minty_partition,
 )
 from ctfpolys.counting import (
     FAMILIES,
@@ -116,7 +113,7 @@ def test_modular_enumeration_matches_oracle(small_corpus):
             continue
         for moduli in ((2,), (3,), (2, 2)):
             group = CyclicProduct(moduli)
-            for o in enumerate_orientations(g):
+            for o in OrientationTable(g).orientations:
                 assert _kernel(o, "tension", group) == _zero_sets(
                     oracles.modular_tensions(g, o.flips, moduli)
                 )
@@ -200,7 +197,7 @@ def test_orthogonality(small_corpus):
     for g in small_corpus:
         if g.edge_count > 3:
             continue
-        for o in enumerate_orientations(g):
+        for o in OrientationTable(g).orientations:
             tensions = oracles.integer_tensions(g, o.flips, -2, 2)
             flows = oracles.integer_flows(g, o.flips, -2, 2)
             for f in tensions:
@@ -215,10 +212,9 @@ def test_nonnegative_vectors_vanish_off_support(small_corpus):
         if g.edge_count > 3:
             continue
         box = [(0, 3)] * g.edge_count
-        for o in enumerate_orientations(g):
-            part = minty_partition(o)
-            circuit = sum(1 << g.position_of(i) for i in part.circuit_part)
-            bond = sum(1 << g.position_of(i) for i in part.bond_part)
+        for o in OrientationTable(g).orientations:
+            circuit = sum(1 << pos for pos in oracles.circuit_part(g, o.flips))
+            bond = (1 << g.edge_count) - 1 - circuit
             assert all(mask & circuit == circuit for mask in _kernel(o, "tension", box))
             assert all(mask & bond == bond for mask in _kernel(o, "flow", box))
 
@@ -252,7 +248,7 @@ def test_counts_match_oracles(small_corpus):
 
 def test_local_counts_match_oracles(c3, digon_loop):
     for g in (c3, digon_loop):
-        for o in enumerate_orientations(g):
+        for o in OrientationTable(g).orientations:
             for a in (1, 2, 3):
                 want_t = [
                     f
@@ -289,7 +285,7 @@ def test_kappa_local_decomposes_kappa_int(c3, digon_loop, p8):
         for pair in pairs:
             by_pattern.setdefault(_sign_pattern(g, pair), []).append(pair)
         total = 0
-        for o in enumerate_orientations(g):
+        for o in OrientationTable(g).orientations:
             local = count(g, "kappa_local", p=2, q=2, orientation=o)
             assert local == len(by_pattern.get(o.flips, []))
             total += local
@@ -384,12 +380,13 @@ def test_mod_map_surjective_with_ce_fibers(small_corpus, p8):
             assert len(members) == size_of[pattern]
 
 
-def _reorient_p(r, s, values):  # P: the edgewise product with the coupling
-    return tuple(c * x for c, x in zip(coupling(r, s), values))
+def _reorient_p(r, s, values):  # P: the edgewise product with the coupling,
+    # -1 where the flips of r and s differ, +1 elsewhere
+    return tuple(-x if a != b else x for a, b, x in zip(r.flips, s.flips, values))
 
 
 def test_reorient_p(c3):
-    orients = list(enumerate_orientations(c3))
+    orients = OrientationTable(c3).orientations
     for r in orients:
         f = (1, 2, 3)
         assert _reorient_p(r, r, f) == f
@@ -401,8 +398,8 @@ def test_reorient_p(c3):
 
 
 def _reorient_q(r, s, positions, bound, values):  # Q: bound - v where r, s disagree
-    return tuple(bound - x if d and pos in positions else x
-                 for pos, (d, x) in enumerate(zip(indicator(r, s), values)))
+    return tuple(bound - x if a != b and pos in positions else x
+                 for pos, (a, b, x) in enumerate(zip(r.flips, s.flips, values)))
 
 
 def test_reorient_q_transports_boxes(p8):
@@ -412,9 +409,8 @@ def test_reorient_q_transports_boxes(p8):
     partition = enumerate_classes(p8, "cut_eulerian", "all")
     cls = max(partition.classes, key=len)
     rho, sigma = cls[0], cls[1]
-    part_sigma = minty_partition(sigma)
-    bond = {p8.position_of(i) for i in part_sigma.bond_part}
-    circuit = {p8.position_of(i) for i in part_sigma.circuit_part}
+    circuit = oracles.circuit_part(p8, sigma.flips)
+    bond = set(range(p8.edge_count)) - circuit
     tensions_sigma = oracles.integer_tensions(p8, sigma.flips, 0, p)
     flows_sigma = oracles.integer_flows(p8, sigma.flips, 0, q)
     moved_t = {_reorient_q(rho, sigma, bond, p, f) for f in tensions_sigma}
@@ -604,7 +600,7 @@ def test_counts_match_oracles_random(graph):
 
 def test_product_groups_match_oracles(c3, digon_loop, p8):
     for g in (c3, digon_loop, p8):
-        for o in enumerate_orientations(g):
+        for o in OrientationTable(g).orientations:
             tensions = oracles.modular_tensions(g, o.flips, (2, 2))
             flows = oracles.modular_flows(g, o.flips, (2, 2))
             assert count(g, "tau_mod", p=4, orientation=o, group_a=(2, 2)) == len(
@@ -659,7 +655,7 @@ def test_orbit_key_is_exact(corpus5_graphs):
     # them: the same coefficients and the same circuit part
     for graph in corpus5_graphs:
         keys, inputs, both = set(), set(), set()
-        for o in enumerate_orientations(graph):
+        for o in OrientationTable(graph).orientations:
             key = _orbit_key(o)
             kernel_inputs = (
                 _space(o, "tension"), _space(o, "flow"), oracles.circuit_part(graph, o.flips)
@@ -743,7 +739,7 @@ def test_count_table_matches_direct_counts():
     # orientation itself
     for graph in small_multigraphs(4, True):
         table = CountTable(graph)
-        for o in enumerate_orientations(graph):
+        for o in OrientationTable(graph).orientations:
             for side, box, value in product(
                 ("tension", "flow"), ("closed", "open", "support"), (0, 1, 2)
             ):
@@ -783,7 +779,7 @@ def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 2)])
 
     def sweep():
-        for o in enumerate_orientations(graph):
+        for o in OrientationTable(graph).orientations:
             count(graph, "tau_bar_local", p=1, orientation=o)
             count(graph, "phi_mod", q=2, orientation=o)
             count(graph, "kappa_local", p=2, q=2, orientation=o)

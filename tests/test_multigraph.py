@@ -3,8 +3,10 @@ import pytest
 from ctfpolys import (
     GraphFormatError,
     MultiGraph,
+    Orientation,
     build_graph,
     format_graph_text,
+    is_flow,
     parse_graph_text,
     spanning_structure,
 )
@@ -138,31 +140,32 @@ def test_spanning_structure_invariants(small_corpus, p8):
     for g in list(small_corpus) + [p8]:
         forest = spanning_structure(g)
         stats = g.stats()
-        assert len(forest.forest_edges) == stats.rank
-        assert len(forest.fundamental_circuits) == stats.nullity
-        for eid, circuit in forest.fundamental_circuits:
-            assert eid not in forest.forest_edges
-            assert circuit[0] == (eid, 1)
-            non_forest = [t for t, _ in circuit if t not in forest.forest_edges]
-            assert non_forest == [eid]
-            if g.is_loop(g.position_of(eid)):
-                assert circuit == ((eid, 1),)
+        assert len(forest.forest_positions) == stats.rank
+        assert len(forest.circuit_table) == stats.nullity
+        ref = Orientation.reference(g)
+        for e, rest in forest.circuit_table:
+            assert e not in forest.forest_positions
+            assert all(t in forest.forest_positions for t, _ in rest)
+            if g.is_loop(e):
+                assert rest == ()
+            # the signs follow the traversal along e: the circuit's signed
+            # indicator is a flow of the reference orientation
+            circuit = [0] * g.edge_count
+            circuit[e] = 1
+            for t, sign in rest:
+                circuit[t] = sign
+            assert is_flow(ref, circuit)
 
 
 def test_spanning_structure_views_agree(small_corpus, p8):
-    # the label view and the position view describe the same forest and
-    # circuits; deleting the first edge makes labels differ from positions
+    # the circuit table and the flow table describe the same forest and
+    # circuits by position; deleting the first edge makes labels differ from
+    # positions
     graphs = list(small_corpus) + [p8]
     graphs += [g.delete(g.edge_ids[0]) for g in graphs if g.edge_count]
     for g in graphs:
         forest = spanning_structure(g)
-        ids = g.edge_ids
-        assert forest.forest_edges == {ids[t] for t in forest.forest_positions}
         assert list(forest.forest_positions) == sorted(forest.forest_positions)
-        assert forest.fundamental_circuits == tuple(
-            (ids[e], ((ids[e], 1),) + tuple((ids[t], sign) for t, sign in rest))
-            for e, rest in forest.circuit_table
-        )
         # the flow table lists, per forest edge, the circuits through it
         assert forest.flow_table == tuple(
             (t, tuple(
@@ -187,15 +190,15 @@ def test_spanning_forest_grows_from_a_highest_degree_vertex():
     # the hub of a wheel has the highest degree, so the forest is its star
     # of spokes, wherever the hub and the spokes sit in the edge order
     w4 = build_graph(5, [(0, 1), (1, 3), (3, 4), (4, 0), (2, 0), (1, 2), (2, 3), (4, 2)])
-    assert spanning_structure(w4).forest_edges == {4, 5, 6, 7}
+    assert spanning_structure(w4).forest_positions == (4, 5, 6, 7)
 
 
 def test_spanning_structure_examples(k2, l1):
-    assert spanning_structure(k2).forest_edges == {0}
-    assert spanning_structure(k2).fundamental_circuits == ()
+    assert spanning_structure(k2).forest_positions == (0,)
+    assert spanning_structure(k2).circuit_table == ()
     loop_forest = spanning_structure(l1)
-    assert loop_forest.forest_edges == frozenset()
-    assert loop_forest.fundamental_circuits == ((0, ((0, 1),)),)
+    assert loop_forest.forest_positions == ()
+    assert loop_forest.circuit_table == ((0, ()),)
 
 
 def test_graph_text_roundtrip(p8, small_corpus):

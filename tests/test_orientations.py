@@ -7,33 +7,17 @@ import oracles
 from ctfpolys import (
     BudgetExceededError,
     Orientation,
+    OrientationTable,
     boundary,
     build_graph,
-    classify,
-    coupling,
     enumerate_classes,
-    enumerate_orientations,
     equivalent,
-    incidence_sign,
-    indicator,
     induced_orientation,
     is_flow,
     is_tension,
-    minty_partition,
 )
-from ctfpolys.orientations import RELATIONS, OrientationTable, _circuit_part
+from ctfpolys.orientations import RELATIONS, _circuit_part
 from strategies import multigraphs
-
-U, V, W = 0, 1, 2
-
-
-def test_incidence_sign(p8, l1):
-    ref = Orientation.reference(p8)
-    assert incidence_sign(ref, U, 0) == 1   # e1 = u->w
-    assert incidence_sign(ref, W, 0) == -1
-    assert incidence_sign(ref, V, 0) == 0
-    loop_ref = Orientation.reference(l1)
-    assert incidence_sign(loop_ref, 0, 0) == (1, -1)
 
 
 def test_boundary(p8, l1):
@@ -61,16 +45,14 @@ def test_is_tension(p8, l1):
 
 
 def test_minty_partition(p8, l1):
+    table = OrientationTable(p8)
     ref = Orientation.reference(p8)
-    part = minty_partition(ref)
-    assert part.bond_part == {0, 1, 2, 3, 4} and part.circuit_part == frozenset()
+    assert table.circuit(ref) == frozenset()
 
     flipped = ref.with_flipped([3])  # e4 now v->u, making a digon with e2
-    part = minty_partition(flipped)
-    assert part.circuit_part == {1, 3}
-    assert part.bond_part == {0, 2, 4}
+    assert table.circuit(flipped) == {1, 3}
 
-    assert minty_partition(Orientation.reference(l1)).circuit_part == {0}
+    assert OrientationTable(l1).circuit(Orientation.reference(l1)) == {0}
 
 
 def _assert_circuit_part_is_path_search(graph):
@@ -78,11 +60,10 @@ def _assert_circuit_part_is_path_search(graph):
     swept = OrientationTable(graph)
     swept.members("acyclic")
     fresh = OrientationTable(graph)
-    for o in enumerate_orientations(graph):
+    for o in swept.orientations:
         expected = oracles.circuit_part(graph, o.flips)
         assert _circuit_part(o) == expected
         assert swept.circuit(o) == fresh.circuit(o) == expected
-        assert minty_partition(o).circuit_part == {graph.edge_ids[pos] for pos in expected}
 
 
 def test_circuit_part_matches_path_search(small_corpus, p8):
@@ -97,52 +78,45 @@ def test_circuit_part_matches_path_search_random(graph):
 
 
 def test_minty_partition_covers_edges(small_corpus):
+    # the circuit part is a set of positions and the bond part the rest, so
+    # every edge lies in exactly one; loops lie on a directed circuit and
+    # bridges on none
     for g in small_corpus:
-        for o in enumerate_orientations(g):
-            part = minty_partition(o)
-            assert part.bond_part | part.circuit_part == set(g.edge_ids)
-            assert not part.bond_part & part.circuit_part
+        table = OrientationTable(g)
+        for o in table.orientations:
+            circuit = table.circuit(o)
+            assert circuit <= set(range(g.edge_count))
             for pos in range(g.edge_count):
                 if g.is_loop(pos):
-                    assert g.edge_ids[pos] in part.circuit_part
+                    assert pos in circuit
                 elif g.is_bridge(pos):
-                    assert g.edge_ids[pos] in part.bond_part
+                    assert pos not in circuit
 
 
 def test_classify(p8):
+    table = OrientationTable(p8)
+    acyclic, totally_cyclic = table.members("acyclic"), table.members("totally_cyclic")
     ref = Orientation.reference(p8)
-    assert classify(ref).is_acyclic and not classify(ref).is_totally_cyclic
+    assert ref in acyclic and ref not in totally_cyclic
 
     tc = ref.with_flipped([0, 3, 4])  # w->u, v->u, w->v
-    got = classify(tc)
-    assert got.is_totally_cyclic and not got.is_acyclic
+    assert tc in totally_cyclic and tc not in acyclic
+    assert table.circuit(tc) == set(range(p8.edge_count))
 
-    neither = classify(ref.with_flipped([3]))
-    assert not neither.is_acyclic and not neither.is_totally_cyclic
+    neither = ref.with_flipped([3])
+    assert neither not in acyclic and neither not in totally_cyclic
+    assert table.circuit(neither) and table.circuit(neither) != set(range(p8.edge_count))
 
 
 def test_orientation_counts(p8):
-    orients = list(enumerate_orientations(p8))
+    table = OrientationTable(p8)
+    orients = table.orientations
     assert len(orients) == 32
-    assert sum(1 for o in orients if classify(o).is_acyclic) == 6
-    assert sum(1 for o in orients if classify(o).is_totally_cyclic) == 18
-
-
-def test_coupling_indicator(p8):
-    ref = Orientation.reference(p8)
-    assert coupling(ref, ref) == (1, 1, 1, 1, 1)
-    assert indicator(ref, ref) == (0, 0, 0, 0, 0)
-    assert indicator(ref, ref.with_flipped([3])) == (0, 0, 0, 1, 0)
-
-
-def test_coupling_cocycle_identity(p8):
-    # coupling(R,S) * coupling(S,T) = coupling(R,T), all orientation triples
-    orients = list(enumerate_orientations(p8))
-    for r, s, t in product(orients[::5], orients[::3], orients[::4]):
-        lhs = tuple(
-            a * b for a, b in zip(coupling(r, s), coupling(s, t))
-        )
-        assert lhs == coupling(r, t)
+    assert len(table.members("acyclic")) == 6
+    assert len(table.members("totally_cyclic")) == 18
+    # the sets agree with the definitions: a positive tension, a positive flow
+    assert sum(1 for o in orients if oracles.is_acyclic(p8, o.flips)) == 6
+    assert sum(1 for o in orients if oracles.is_totally_cyclic(p8, o.flips)) == 18
 
 
 def test_equivalent_examples(p8):
@@ -155,11 +129,20 @@ def test_equivalent_examples(p8):
         assert equivalent(ref, ref, relation)
 
 
+def test_equivalent_refuses_orientations_of_different_graphs():
+    # the two triangles differ only in the direction of their third edge
+    a = Orientation.reference(build_graph(3, [(0, 1), (1, 2), (2, 0)]))
+    b = Orientation.reference(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    for relation in RELATIONS:
+        with pytest.raises(ValueError, match="orientations live on different graphs"):
+            equivalent(a, b, relation)
+
+
 def test_equivalence_relation_axioms(small_corpus):
     for g in small_corpus:
         if g.edge_count > 3:
             continue
-        orients = list(enumerate_orientations(g))
+        orients = OrientationTable(g).orientations
         for relation in ("cut", "eulerian", "cut_eulerian"):
             for a in orients:
                 assert equivalent(a, a, relation)
@@ -172,19 +155,22 @@ def test_equivalence_relation_axioms(small_corpus):
 
 def test_cut_eulerian_preserves_minty(digon_loop, c3):
     for g in (digon_loop, c3):
-        orients = list(enumerate_orientations(g))
-        for a, b in product(orients, repeat=2):
+        for a, b in product(OrientationTable(g).orientations, repeat=2):
             if equivalent(a, b, "cut_eulerian"):
-                assert minty_partition(a) == minty_partition(b)
+                assert oracles.circuit_part(g, a.flips) == oracles.circuit_part(g, b.flips)
 
 
 def test_equivalence_preserves_classes(c3, digon_loop):
     for g in (c3, digon_loop):
-        for a, b in product(enumerate_orientations(g), repeat=2):
-            if classify(a).is_totally_cyclic and equivalent(a, b, "eulerian"):
-                assert classify(b).is_totally_cyclic
-            if classify(a).is_acyclic and equivalent(a, b, "cut"):
-                assert classify(b).is_acyclic
+        table = OrientationTable(g)
+        acyclic, totally_cyclic = table.members("acyclic"), table.members("totally_cyclic")
+        for a, b in product(table.orientations, repeat=2):
+            if a in totally_cyclic and equivalent(a, b, "eulerian"):
+                assert b in totally_cyclic
+                assert oracles.is_totally_cyclic(g, b.flips)
+            if a in acyclic and equivalent(a, b, "cut"):
+                assert b in acyclic
+                assert oracles.is_acyclic(g, b.flips)
 
 
 def test_class_censuses(p8):
@@ -203,7 +189,7 @@ def test_class_censuses(p8):
 def test_class_partition_structure(p8):
     partition = enumerate_classes(p8, "cut_eulerian", "all")
     members = [o.flips for cls in partition.classes for o in cls]
-    assert sorted(members) == sorted(o.flips for o in enumerate_orientations(p8))
+    assert sorted(members) == sorted(o.flips for o in OrientationTable(p8).orientations)
     for cls, rep in zip(partition.classes, partition.representatives):
         assert rep == cls[0]
         assert min(o.flips for o in cls) == rep.flips
@@ -223,7 +209,7 @@ def test_class_size_product_rule(small_corpus):
                     return len(cls)
             raise AssertionError
 
-        for o in enumerate_orientations(g):
+        for o in OrientationTable(g).orientations:
             assert size_of(ce, o.flips) == size_of(cu, o.flips) * size_of(eu, o.flips)
 
 
@@ -272,10 +258,10 @@ def test_loop_flip_is_eulerian_move(l1, digon_loop):
 
 def test_enumeration_limit(p8):
     # a sweep of p8's 2^5 orientations needs a budget of 32
-    assert len(list(enumerate_orientations(p8, budget=32))) == 32
+    assert len(OrientationTable(p8, budget=32).orientations) == 32
     assert len(enumerate_classes(p8, "cut", "all", budget=32).classes) == 24
     with pytest.raises(BudgetExceededError):
-        list(enumerate_orientations(p8, budget=31))
+        OrientationTable(p8, budget=31).orientations
     with pytest.raises(BudgetExceededError):
         enumerate_classes(p8, "cut", "all", budget=31)
 
@@ -380,7 +366,7 @@ def test_self_reverse_reads_the_swept_circuit_parts(small_corpus, p8, component_
     for graph in small_corpus + [p8]:
         table = OrientationTable(graph)
         for relation in RELATIONS:
-            expected = {o for o in enumerate_orientations(graph)
+            expected = {o for o in OrientationTable(graph).orientations
                         if equivalent(o, o.reversed(), relation)}
             assert table.self_reverse(relation) == expected, (graph.edges, relation)
     w5 = build_graph(6, [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)])

@@ -15,10 +15,8 @@ from ctfpolys import (
     GraphStats,
     IdentityCheck,
     IdentityReport,
-    MintyPartition,
     MultiGraph,
     Orientation,
-    OrientationClassification,
     PolynomialReport,
     build_graph,
     rank_generating,
@@ -51,25 +49,17 @@ def test_import_leaves_out_slow_modules():
 
 _G = build_graph(2, [(0, 1)])
 _O = Orientation(_G, (0,))
-_MINTY = MintyPartition(frozenset({0}), frozenset())
 
 #: record class -> (keyword fields, (field, another value))
 RECORDS = {
     GraphStats: (dict(components=1, rank=1, nullity=0), ("nullity", 1)),
     ForestData: (
-        dict(forest_edges=frozenset({0}), fundamental_circuits=(), forest_positions=(0,),
-             circuit_table=(), flow_table=((0, ()),), blocks=(0,), tension_order=(0,),
-             flow_order=()),
+        dict(forest_positions=(0,), circuit_table=(), flow_table=((0, ()),), blocks=(0,),
+             tension_order=(0,), flow_order=()),
         ("blocks", (1,)),
     ),
     MultiGraph: (dict(vertex_count=2, edges=((0, 1),), edge_ids=(0,)), ("edge_ids", (5,))),
     Orientation: (dict(graph=_G, flips=(0,)), ("flips", (1,))),
-    MintyPartition: (dict(bond_part=frozenset({0}), circuit_part=frozenset()),
-                     ("bond_part", frozenset())),
-    OrientationClassification: (
-        dict(is_acyclic=True, is_totally_cyclic=False, partition=_MINTY),
-        ("is_acyclic", False),
-    ),
     ClassPartition: (dict(relation="cut", classes=((_O,),), representatives=(_O,)),
                      ("relation", "eulerian")),
     CyclicProduct: (dict(moduli=(2, 3)), ("moduli", (6,))),

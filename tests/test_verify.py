@@ -203,6 +203,15 @@ def test_filled_workspace_changes_no_report(first, second):
     assert verify._verify_graph(second, DEFAULT_BUDGET, memo) == verify_graph(second)
 
 
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(max_edges=7))
+def test_ledger_passes_on_random_multigraphs(graph):
+    # every identity holds on every multigraph, and none is skipped at the
+    # default budget up to 7 edges
+    report = verify_graph(graph)
+    assert report.outcome == "pass", (graph.edges, report.failures())
+
+
 W4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
 
 
