@@ -103,32 +103,33 @@ def _cmd_verify(args) -> int:
 
 def _cmd_corpus(args) -> int:
     results = verify_corpus(args.max_edges, args.loops, args.budget)
-    if args.format == "json":
-        results = list(results)
-        payload = [
-            {
+    graphs = failures = code = 0
+    for graph, report in results:
+        code = max(code, EXIT_CODES[report.outcome])
+        if args.format == "json":
+            # one graph at a time, byte for byte as json.dumps of the list
+            # with indent=2 would; "[" waits for the first report, so a
+            # sweep that stops at once prints nothing
+            entry = json.dumps({
                 "vertex_count": graph.vertex_count,
                 "edges": [list(e) for e in graph.edges],
                 "all_passed": report.all_passed,
                 "checks": report.to_json_list(),
-            }
-            for graph, report in results
-        ]
-        print(json.dumps(payload, indent=2))
-        return max((EXIT_CODES[report.outcome] for _, report in results), default=0)
-
-    # text mode prints each graph as soon as it is verified
-    graphs = failures = code = 0
-    for graph, report in results:
+            }, indent=2).replace("\n", "\n  ")
+            sys.stdout.write(f"{',' if graphs else '['}\n  {entry}")
+        else:
+            # text mode prints each graph as soon as it is verified
+            failures += report.outcome == "fail"
+            edges = " ".join(f"{u}-{v}" for u, v in graph.edges) or "(edgeless)"
+            status = "FAIL" if report.outcome == "fail" else report.outcome
+            lines = [f"{status}  |V|={graph.vertex_count} edges: {edges}"]
+            lines.extend(f"      {check.identity}: {check.witness}" for check in report.failures())
+            print("\n".join(lines), flush=True)
         graphs += 1
-        failures += report.outcome == "fail"
-        code = max(code, EXIT_CODES[report.outcome])
-        edges = " ".join(f"{u}-{v}" for u, v in graph.edges) or "(edgeless)"
-        status = "FAIL" if report.outcome == "fail" else report.outcome
-        lines = [f"{status}  |V|={graph.vertex_count} edges: {edges}"]
-        lines.extend(f"      {check.identity}: {check.witness}" for check in report.failures())
-        print("\n".join(lines), flush=True)
-    print(f"{graphs} graphs, {failures} with failures")
+    if args.format == "json":
+        print("\n]" if graphs else "[]")
+    else:
+        print(f"{graphs} graphs, {failures} with failures")
     return code
 
 

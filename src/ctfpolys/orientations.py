@@ -313,6 +313,8 @@ class OrientationTable:
     def circuit(self, orientation: Orientation) -> frozenset[int]:
         """The positions of the orientation's circuit part, built from its
         mask; until a sweep has found every mask, its mask alone is found."""
+        if orientation.graph is not self.graph and orientation.graph != self.graph:
+            raise ValueError("orientation belongs to a different graph")
         if "_circuit_masks" not in self.__dict__:
             return _circuit_part(orientation)
         return _positions(self.graph.edge_count, self._circuit_masks[_flip_mask(orientation)])

@@ -4,9 +4,10 @@ the Tutte / rank-generating oracles."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
+from operator import mul
 from typing import Mapping, Sequence
 
 from .counting import (
@@ -93,19 +94,10 @@ class BivariatePolynomial:
     def __hash__(self):
         return hash((self._den, frozenset(self._num.items())))
 
-    def _combine(self, other, sign: int) -> "BivariatePolynomial":
-        """self + sign * other."""
+    def __add__(self, other) -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
             other = BivariatePolynomial.constant(other)
-        den = lcm(self._den, other._den)
-        a, b = den // self._den, sign * (den // other._den)
-        out = {k: c * a for k, c in self._num.items()} if a != 1 else dict(self._num)
-        for key, c in other._num.items():
-            out[key] = out.get(key, 0) + c * b
-        return BivariatePolynomial._make(out, den)
-
-    def __add__(self, other) -> "BivariatePolynomial":
-        return self._combine(other, 1)
+        return _poly_sum((self, other))
 
     __radd__ = __add__
 
@@ -113,14 +105,14 @@ class BivariatePolynomial:
         return BivariatePolynomial._make({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "BivariatePolynomial":
-        return self._combine(other, -1)
+        return self + -other
 
     def __rsub__(self, other):
         return BivariatePolynomial.constant(other) - self
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
-            n, d = _ratio(other)
+            n, d = (other, 1) if isinstance(other, int) else _ratio(other)
             scaled = {k: c * n for k, c in self._num.items()}
             return BivariatePolynomial._make(scaled, self._den * d)
         out: dict[tuple[int, int], int] = {}
@@ -132,26 +124,29 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def _scaled_value(self, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
-        """(v, s) with P(xn/xd, yn/yd) = v / (den * s): the sum is made
-        homogeneous, s = xd^dx * yd^dy for the degrees dx, dy, so it runs
-        on ints; at integer points s = 1."""
-        dx, dy = self.degree_x, self.degree_y
-        xp = [xn**i * xd ** (dx - i) for i in range(dx + 1)]
-        yp = [yn**j * yd ** (dy - j) for j in range(dy + 1)]
-        value = sum(c * xp[i] * yp[j] for (i, j), c in self._num.items())
-        return value, xd**dx * yd**dy
+    def _numerator_at(self, x, y):
+        """den * P(x, y): an int at integers x and y."""
+        return sum(c * x**i * y**j for (i, j), c in self._num.items())
 
     def evaluate(self, x, y) -> Fraction:
-        value, scale = self._scaled_value(*_ratio(x), *_ratio(y))
-        return Fraction(value, self._den * scale)
+        if not (isinstance(x, int) and isinstance(y, int)):
+            x, y = Fraction(*_ratio(x)), Fraction(*_ratio(y))
+        return Fraction(self._numerator_at(x, y), self._den)
 
     def substitute(self, x_scale=1, x_shift=0, y_scale=1, y_shift=0) -> "BivariatePolynomial":
         """P(x_scale*x + x_shift, y_scale*y + y_shift) for integer scales and
-        shifts, expanded exactly, one variable at a time."""
+        shifts, expanded exactly. Where each variable is only scaled or only
+        set (a sign flip, a partial evaluation), every monomial goes to a
+        multiple of one monomial, in one pass; else one variable at a time."""
         if not all(isinstance(v, int) for v in (x_scale, x_shift, y_scale, y_shift)):
             raise TypeError("substitute takes integer scales and shifts")
         num = self._num
+        if 0 in (x_scale, x_shift) and 0 in (y_scale, y_shift):
+            xv, yv, out = x_shift or x_scale, y_shift or y_scale, {}
+            for (i, j), c in num.items():
+                key = (0 if x_shift else i, 0 if y_shift else j)
+                out[key] = out.get(key, 0) + c * xv**i * yv**j
+            return BivariatePolynomial._make(out, self._den)
         for axis, scale, shift in ((0, x_scale, x_shift), (1, y_scale, y_shift)):
             if (scale, shift) == (1, 0):
                 continue
@@ -224,6 +219,17 @@ def _ratio(value) -> tuple[int, int]:
     if not isinstance(value, Rational):
         raise TypeError(f"expected an int or a Fraction, not {type(value).__name__}")
     return value.numerator, value.denominator
+
+
+def _poly_sum(polys) -> BivariatePolynomial:
+    """The sum of the polynomials, normalised once."""
+    polys = list(polys)
+    den, out = lcm(*(p._den for p in polys)), {}
+    for p in polys:
+        scale = den // p._den
+        for key, c in p._num.items():
+            out[key] = out.get(key, 0) + c * scale
+    return BivariatePolynomial._make(out, den)
 
 
 def _normalised(num: dict, den: int) -> tuple[dict, int]:
@@ -302,7 +308,7 @@ def interpolate_checked(sampler, x_points: Sequence[int], y_points: Sequence[int
     poly = interpolate(grid, x_points, y_points)
     for a, b in held_out:
         # at integer points the value is an integer over the polynomial's den
-        got, _ = poly._scaled_value(a, 1, b, 1)
+        got = poly._numerator_at(a, b)
         expected = sampler(a, b)
         if got != expected * poly._den:
             raise InterpolationError(
@@ -409,11 +415,35 @@ def orientation_sum_polynomial(
 ) -> BivariatePolynomial:
     """Polynomial of a family over (orientation, weight) pairs of the
     table's graph (for a definition-level family, its one orientation), read
-    from the table: each orientation's tension and flow counts are taken
-    once per sampled p and q."""
-    return _interpolate_family(
-        family, lambda a, b: table.total(family, pairs, a, b), table.graph
-    )
+    from the table by ``_sampler``."""
+    return _interpolate_family(family, _sampler(table, family, pairs), table.graph)
+
+
+def _orbit_weights(table: CountTable, pairs) -> list[tuple[Orientation, int]]:
+    """The pairs merged by block-reversal orbit, on which box counts and
+    circuit parts are constant: each orbit's first orientation, summed weight."""
+    merged: dict = {}
+    for o, w in pairs:
+        key = table.orbit(o)
+        first, total = merged.get(key, (o, 0))
+        merged[key] = first, total + w
+    return list(merged.values())
+
+
+def _sampler(table: CountTable, family: str, pairs):
+    """sampler(p, q) of the family's weighted sum over the pairs: the sum of
+    w * T[p] * F[q] over the merged orbits, each count read once per p or q,
+    or, for complementary pairs matched by zero set, ``CountTable.total``."""
+    t_box, f_box, members = FAMILY_TABLE[family]
+    if members == "one" and t_box and f_box:
+        return lambda a, b: table.total(family, pairs, a, b)
+    zeros = "forbidden" if members == "one" else "allowed"
+    merged = _orbit_weights(table, pairs)
+
+    # the weight goes with the tension count
+    tensions = cache(lambda p: [w * table.side(o, "tension", t_box, p, zeros) for o, w in merged])
+    flows = cache(lambda q: [table.side(o, "flow", f_box, q, zeros) for o, _ in merged])
+    return lambda a, b: sum(map(mul, tensions(a), flows(b)))
 
 
 def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:

@@ -4,6 +4,7 @@ graph, plus a corpus sweep over all small multigraphs."""
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .counting import CountTable
@@ -21,6 +22,7 @@ from .polynomials import (
     _ONE,
     _block_restrictions,
     _compact_key,
+    _poly_sum,
     _polynomial,
     _tutte_by_key,
     counting_polynomial,
@@ -144,10 +146,6 @@ class _Lazy:
         return value
 
 
-def _poly_sum(polys) -> BivariatePolynomial:
-    return sum(polys, BivariatePolynomial())
-
-
 def _neg_vars(poly: BivariatePolynomial) -> BivariatePolynomial:
     return poly.substitute(-1, 0, -1, 0)
 
@@ -210,10 +208,16 @@ class _PolynomialMemo:
             if len(blocks) == 1:
                 made = make(graph, key, orientation)
             else:
-                made = _ONE
+                made, keys = _ONE, []
                 for block in blocks:
                     o = None if orientation is None else induced_orientation(orientation, block)
-                    made = made * self._product(block, _compact_key(block, o), family, o, make)
+                    keys.append(_compact_key(block, o))
+                    made = made * self._product(block, keys[-1], family, o, make)
+                # once every block's sibling is stored, so is the graph's
+                sibling = _SIBLING.get(family)
+                siblings = [self._polys.get((k, sibling)) for k in keys]
+                if sibling and None not in siblings:
+                    self._polys[key, sibling] = prod(siblings, start=_ONE)
             self._polys[key, family] = made
         return self._polys[key, family]
 
@@ -365,44 +369,37 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     # ---- per-orientation identities ----
     def pl(col):
         zero = BivariatePolynomial()
+
+        def orbit_checks(o):
+            # both sides read only the orbit's polynomials: each pair is compared
+            # once per orbit, and one that differs is reported at every member
+            kappa, kappa_bar, circuit = poly.kappa[o], poly.kappa_bar[o], table.circuit(o)
+            sides = (
+                ("reciprocity", _neg_vars(kappa), sign[o] * kappa_bar),
+                ("kappa(x,1)", kappa.set_y(1), poly.tau_open[o]),
+                ("kappa(1,y)", kappa.set_x(1), poly.phi_open[o]),
+                # the closed-box specializations survive only where the
+                # matching open polytope is nonempty: the tension one needs
+                # an empty circuit part, the flow one an empty bond part
+                ("kappa_bar(x,-1)", kappa_bar.set_y(-1), zero if circuit else poly.tau_closed[o]),
+                ("kappa_bar(-1,y)", kappa_bar.set_x(-1),
+                 poly.phi_closed[o] if len(circuit) == m else zero),
+            )
+            return [side for side in sides if side[1] != side[2]]
+
+        differing = per_orientation(orbit_checks)
         for o in orientations:
             # G/C and G|C for the circuit part C
             quotient, _, restriction, _ = poly.minors[sum(1 << pos for pos in table.circuit(o))]
             o_quot = induced_orientation(o, quotient)
             o_rest = induced_orientation(o, restriction)
             label = f"orientation {o.flip_string() or '-'}"
-            col.equal(
-                f"{label} product decomposition",
-                poly.kappa[o],
-                memo.local(quotient, o_quot, "tau_local", budget)
-                * memo.local(restriction, o_rest, "phi_local", budget),
-            )
-            col.equal(
-                f"{label} closed product decomposition",
-                poly.kappa_bar[o],
-                memo.local(quotient, o_quot, "tau_bar_local", budget)
-                * memo.local(restriction, o_rest, "phi_bar_local", budget),
-            )
-            col.equal(
-                f"{label} reciprocity",
-                _neg_vars(poly.kappa[o]),
-                sign[o] * poly.kappa_bar[o],
-            )
-            col.equal(f"{label} kappa(x,1)", poly.kappa[o].set_y(1), poly.tau_open[o])
-            col.equal(f"{label} kappa(1,y)", poly.kappa[o].set_x(1), poly.phi_open[o])
-            # the closed-box specializations survive only where the matching
-            # open polytope is nonempty: the tension one needs an empty
-            # circuit part, the flow one an empty bond part
-            col.equal(
-                f"{label} kappa_bar(x,-1)",
-                poly.kappa_bar[o].set_y(-1),
-                poly.tau_closed[o] if not table.circuit(o) else zero,
-            )
-            col.equal(
-                f"{label} kappa_bar(-1,y)",
-                poly.kappa_bar[o].set_x(-1),
-                poly.phi_closed[o] if len(table.circuit(o)) == m else zero,
-            )
+            for kind, bar in (("", ""), ("closed ", "_bar")):
+                col.equal(f"{label} {kind}product decomposition", getattr(poly, f"kappa{bar}")[o],
+                          memo.local(quotient, o_quot, f"tau{bar}_local", budget)
+                          * memo.local(restriction, o_rest, f"phi{bar}_local", budget))
+            for name, left, right in differing[o]:
+                col.equal(f"{label} {name}", left, right)
 
     def pe(col):
         for o in orientations:

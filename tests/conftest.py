@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import ctfpolys
-from ctfpolys import build_graph, counting, orientations
+from ctfpolys import build_graph, counting, orientations, verify
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +69,13 @@ def kernel_calls(monkeypatch):
     """A function that runs sweep() and returns how many counting-kernel
     calls (``counting._partial_sum_dp`` calls) it made."""
     return _call_counter(monkeypatch, counting, "_partial_sum_dp")
+
+
+@pytest.fixture
+def block_splits(monkeypatch):
+    """A function that runs sweep() and returns how many graphs the ledger's
+    workspace split into blocks (``verify._block_restrictions`` calls)."""
+    return _call_counter(monkeypatch, verify, "_block_restrictions")
 
 
 @pytest.fixture(scope="session")

@@ -343,3 +343,36 @@ def lagrange_interpolate(values, x_points, y_points):
                 for j, yc in enumerate(y_basis[b]):
                     coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + value * xc * yc
     return {key: c for key, c in coeffs.items() if c}
+
+
+def _multiply(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def compose(coeffs, x_poly, y_poly):
+    """{(i, j): Fraction}, zeros left out, of P(x_poly, y_poly) for P with
+    coefficients ``coeffs`` and x_poly, y_poly given the same way: each term
+    c * x_poly^i * y_poly^j multiplied out factor by factor in Fraction
+    arithmetic. Constant x_poly and y_poly give P's value at {(0, 0): value}."""
+    out = {}
+    for (i, j), c in coeffs.items():
+        term = {(0, 0): Fraction(c)}
+        for factor in [x_poly] * i + [y_poly] * j:
+            term = _multiply(term, factor)
+        for key, value in term.items():
+            out[key] = out.get(key, 0) + value
+    return {key: Fraction(value) for key, value in out.items() if value}
+
+
+def add(*coeff_maps):
+    """{(i, j): Fraction}, zeros left out, of the sum of the polynomials."""
+    out = {}
+    for coeffs in coeff_maps:
+        for key, c in coeffs.items():
+            out[key] = out.get(key, 0) + Fraction(c)
+    return {key: c for key, c in out.items() if c}

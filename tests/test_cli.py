@@ -478,3 +478,56 @@ def test_corpus_text_streams_each_graph(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "pass  |V|=2 edges: 0-1\n"
     assert "sweep stopped" in captured.err
+
+
+def test_corpus_json_streams_each_graph(monkeypatch, capsys):
+    # a sweep that dies after its first graph has already written that
+    # graph's entry; one that dies before its first graph writes nothing
+    import ctfpolys.cli as cli
+    from ctfpolys import BudgetExceededError, verify_graph
+
+    graph = build_graph(2, [(0, 1)])
+    report = verify_graph(graph)
+
+    def sweep(max_edges, include_loops, budget):
+        yield from [(graph, report)][:max_edges]
+        raise BudgetExceededError("sweep stopped")
+
+    monkeypatch.setattr(cli, "verify_corpus", sweep)
+    entry = {"vertex_count": 2, "edges": [[0, 1]], "all_passed": True,
+             "checks": report.to_json_list()}
+    for max_edges, out in ((1, json.dumps([entry], indent=2)[:-2]), (0, "")):
+        assert main(["--format", "json", "corpus", "--max-edges", str(max_edges)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert "sweep stopped" in captured.err
+
+
+#: SHA-256 of the JSON output of each command, recorded before the corpus
+#: JSON was written graph by graph and before the ledger's and the polys
+#: report's sums were merged by block-reversal orbit.
+JSON_DIGESTS = {
+    ("corpus", "--max-edges", "3", "--loops"):
+        "76273e566a7c55efe9b9981aa7ec75379cec16c53d634d16e6529c90358f8879",
+    ("polys", "K4"): "5bca7b0d4a4ee3b4bb3e774b047b50030450a3aebed09df2575209fa862ad2d1",
+    ("polys", "K4-bridge"): "96c5bdb2cae1eedf03481a6befcf9d58557d6faae7ef8950adb41c5815448614",
+    ("polys", "example-loop"): "46f09a94d25b2540b88970364b0221cc76e814d4d0e9b3ad1d3c0201798e58b3",
+}
+
+DIGEST_GRAPHS = {
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "K4-bridge": (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    "example-loop": (3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2), (0, 0)]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_DIGESTS))
+def test_json_output_is_byte_identical(command, tmp_path, capsys):
+    argv = list(command)
+    if command[0] == "polys":
+        path = tmp_path / f"{command[1]}.g"
+        path.write_text(format_graph_text(build_graph(*DIGEST_GRAPHS[command[1]])))
+        argv[1] = str(path)
+    assert main(["--format", "json", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]

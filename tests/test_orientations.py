@@ -138,6 +138,22 @@ def test_equivalent_refuses_orientations_of_different_graphs():
             equivalent(a, b, relation)
 
 
+def test_table_refuses_a_foreign_orientation():
+    # b's reference orientation has a's flip mask but is acyclic, where a's
+    # is a directed triangle: a fresh table and a swept one must both refuse
+    # it instead of answering for the orientation of a at that mask
+    a = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    foreign = Orientation.reference(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    fresh, swept = OrientationTable(a), OrientationTable(a)
+    assert swept.members("acyclic") and swept.circuit(swept.orientation(0)) == {0, 1, 2}
+    for table in (fresh, swept):
+        with pytest.raises(ValueError, match="orientation belongs to a different graph"):
+            table.circuit(foreign)
+    # an equal graph built apart is the table's graph
+    twin = Orientation.reference(build_graph(3, [(0, 1), (1, 2), (2, 0)]))
+    assert fresh.circuit(twin) == swept.circuit(twin) == {0, 1, 2}
+
+
 def test_equivalence_relation_axioms(small_corpus):
     for g in small_corpus:
         if g.edge_count > 3:

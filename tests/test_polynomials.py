@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -18,11 +19,12 @@ from ctfpolys import (
     local_polynomial,
     polynomial_report,
     rank_generating,
+    small_multigraphs,
     tutte,
 )
 from ctfpolys import orientations
-from ctfpolys.counting import CountTable
-from ctfpolys.polynomials import _polynomial
+from ctfpolys.counting import FAMILY_TABLE, CountTable, lowest_argument
+from ctfpolys.polynomials import _poly_sum, _polynomial, _sampler
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
@@ -243,6 +245,68 @@ def test_evaluation_matches_naive_sum(coeffs, x, y):
     assert value == naive
 
 
+_ints = st.integers(-9, 9)
+
+
+def _value(coeffs, x, y):
+    return oracles.compose(coeffs, {(0, 0): x}, {(0, 0): y}).get((0, 0), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficients, _ints, _ints)
+def test_integer_point_evaluation_matches_oracle(coeffs, x, y):
+    # at two ints evaluate sums ints over the one denominator
+    value = BivariatePolynomial(coeffs).evaluate(x, y)
+    assert isinstance(value, Fraction)
+    assert value == _value(coeffs, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficients, _ints)
+def test_partial_evaluation_matches_oracle(coeffs, value):
+    poly = BivariatePolynomial(coeffs)
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    assert poly.set_x(value).coefficients == oracles.compose(coeffs, {(0, 0): value}, y)
+    assert poly.set_y(value).coefficients == oracles.compose(coeffs, x, {(0, 0): value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficients, st.sampled_from((-1, 0, 1, 2)), st.sampled_from((-1, 0, 1, 2)),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_substitution_matches_oracle(coeffs, x_scale, y_scale, x_shift, y_shift):
+    # the sign flip P(-x, -y) and every scale-only or value-only substitution
+    # take the one-pass path, the rest expand binomial rows: both must
+    # compose as the oracle does
+    poly = BivariatePolynomial(coeffs)
+    assert poly.substitute(-1, 0, -1, 0).coefficients == oracles.compose(
+        coeffs, {(1, 0): -1}, {(0, 1): -1})
+    for shifts in ((0, 0), (x_shift, 0), (0, y_shift), (x_shift, y_shift)):
+        got = poly.substitute(x_scale, shifts[0], y_scale, shifts[1])
+        assert got.coefficients == oracles.compose(
+            coeffs, {(1, 0): x_scale, (0, 0): shifts[0]}, {(0, 1): y_scale, (0, 0): shifts[1]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficients, st.integers(-10**6, 10**6))
+def test_integer_scalar_product_matches_oracle(coeffs, n):
+    poly = BivariatePolynomial(coeffs)
+    want = {key: c * n for key, c in oracles.add(coeffs).items() if n}
+    assert (n * poly).coefficients == want
+    assert (poly * n).coefficients == want
+    assert n * poly == BivariatePolynomial.constant(n) * poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coefficients, max_size=6))
+def test_multi_term_sum_matches_oracle(coeff_maps):
+    polys = [BivariatePolynomial(c) for c in coeff_maps]
+    want = oracles.add(*coeff_maps)
+    summed = _poly_sum(polys)
+    assert summed.coefficients == want
+    assert summed == sum(polys, BivariatePolynomial())
+    assert summed == BivariatePolynomial(want)
+
+
 def test_interpolation_reproduces_t_squared():
     # the grid 0, 1, 2 with values 0, 1, 4 gives back t^2
     values = [[a * a] for a in (0, 1, 2)]
@@ -384,3 +448,42 @@ def test_definition_level_sides_are_counted_once(kernel_calls, vertex_count, edg
     graph = build_graph(vertex_count, edges)
     made = {f: kernel_calls(lambda: counting_polynomial(graph, f)) for f in calls}
     assert made == calls
+
+
+#: Every family whose sum separates into tension and flow counts: all but the
+#: definition-level pair families, whose pairs are matched by zero set.
+SEPARABLE_FAMILIES = sorted(
+    f for f, (t_box, f_box, members) in FAMILY_TABLE.items()
+    if not (members == "one" and t_box and f_box)
+)
+
+
+def _pair_lists(table, family):
+    """The (orientation, weight) lists the library sums a family over: one
+    orientation at a time, or the weighted class representatives and every
+    filtered orientation weighted by 1, as the ledger sums them."""
+    members = FAMILY_TABLE[family][2]
+    if members is None or members == "one":
+        return [[(o, 1)] for o in table.orientations]
+    return [list(table.sum_members(family)),
+            [(o, 1) for o in table.members(members[1])]]
+
+
+def test_orbit_merged_sampler_matches_per_point_totals():
+    # the sampler merges the pairs by block-reversal orbit and reads each
+    # orbit's counts once per p and once per q; at every grid and held-out
+    # point it must give the per-point sum over the pairs as listed, read
+    # from a table of its own
+    for graph in small_multigraphs(4, True):
+        rank, nullity = graph.stats().rank, graph.stats().nullity
+        merged, listed = CountTable(graph), CountTable(graph)
+        for family in SEPARABLE_FAMILIES:
+            t_box, f_box, _ = FAMILY_TABLE[family]
+            lo = lowest_argument(family)
+            points = list(product(range(lo, lo + rank + 3) if t_box else [lo],
+                                  range(lo, lo + nullity + 3) if f_box else [lo]))
+            for pairs in _pair_lists(listed, family):
+                sampler = _sampler(merged, family, pairs)
+                for p, q in points:
+                    assert sampler(p, q) == listed.total(family, pairs, p, q), (
+                        graph.edges, family, pairs, p, q)

@@ -376,3 +376,71 @@ def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
     ind = next(c for c in verify_graph(p8).checks if c.identity == "IND")
     assert ind.status == "fail"
     assert ind.witness.startswith("kappa_int from reversed orientation: "), ind.witness
+
+
+def test_t2e_reads_the_sibling_products_t1e_made(monkeypatch, block_splits):
+    # a minor of several blocks stores its _mod family once every block's is
+    # stored, so T2e splits no minor into blocks again
+    from ctfpolys.polynomials import _block_restrictions
+
+    real, at = verify.IdentityCheck, {}
+
+    def check(identity, *args):
+        at[identity] = block_splits.total()
+        return real(identity, *args)
+
+    monkeypatch.setattr(verify, "IdentityCheck", check)
+    memo = _PolynomialMemo()
+    assert verify._verify_graph(W4, DEFAULT_BUDGET, memo).all_passed
+    assert any(len(_block_restrictions(r)) > 1 for _, _, r, _ in memo.minors(W4))
+    assert at["T1e"] > at["T1d"]
+    assert at["T2e"] == at["T2d"]
+
+
+K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def _drop_an_orbit(monkeypatch):
+    # a sum over several orbits loses the weight of its last one
+    from ctfpolys import polynomials
+
+    real = polynomials._orbit_weights
+
+    def dropped(table, pairs):
+        merged = real(table, pairs)
+        return merged[:-1] + [(merged[-1][0], 0)] if len(merged) > 1 else merged
+
+    monkeypatch.setattr(polynomials, "_orbit_weights", dropped)
+
+
+def _wrong_sign_parity(monkeypatch):
+    # P(-x, -y) with the even-degree terms flipped instead of the odd ones
+    monkeypatch.setattr(verify, "_neg_vars", lambda poly: BivariatePolynomial(
+        {(i, j): -c if (i + j) % 2 == 0 else c for (i, j), c in poly.coefficients.items()}))
+
+
+def _off_by_one_partial(monkeypatch):
+    # set_x and set_y evaluate one past the value asked for
+    for name in ("set_x", "set_y"):
+        real = getattr(BivariatePolynomial, name)
+        monkeypatch.setattr(BivariatePolynomial, name,
+                            lambda self, value, real=real: real(self, value + 1))
+
+
+#: Each single-side mutation of the ledger's shared arithmetic and the
+#: identities that must catch it.
+MUTATIONS = {
+    "dropped_orbit_weight": (_drop_an_orbit, {"T1b", "IM"}),
+    "wrong_sign_parity": (_wrong_sign_parity, {"T1c", "T2c", "PL"}),
+    "off_by_one_partial_evaluation": (_off_by_one_partial, {"T1d", "T2d", "PL"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", ["K4", "p8"])
+def test_single_side_mutation_fails_a_named_identity(name, mutation, request, monkeypatch):
+    graph = K4 if name == "K4" else request.getfixturevalue("p8")
+    mutate, named = MUTATIONS[mutation]
+    mutate(monkeypatch)
+    failed = {c.identity for c in verify_graph(graph).checks if c.status == "fail"}
+    assert named <= failed, (mutation, failed)
