@@ -12,13 +12,9 @@ from .counting import FAMILIES, LOCAL_FAMILIES, count
 from .multigraph import GraphFormatError, MultiGraph, build_graph, parse_graph_text
 from .orientations import DEFAULT_BUDGET, BudgetExceededError, OrientationTable
 from .polynomials import counting_polynomial, polynomial_report, rank_generating, tutte
-from .verify import IdentityReport, verify_corpus, verify_graph
+from .verify import verify_corpus, verify_graph
 
 EXAMPLE_GRAPH_EDGES = ((0, 2), (0, 1), (1, 2), (0, 1), (1, 2))
-
-
-def _example_graph() -> MultiGraph:
-    return build_graph(3, EXAMPLE_GRAPH_EDGES)
 
 
 def _load_graph(path: str) -> MultiGraph:
@@ -88,16 +84,10 @@ def _cmd_classes(args) -> int:
 EXIT_CODES = {"pass": 0, "skip": 1, "fail": 2}
 
 
-def _print_report(report: IdentityReport, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_json_list(), indent=2))
-    else:
-        print(report.to_text())
-
-
 def _cmd_verify(args) -> int:
     report = verify_graph(_load_graph(args.file), args.budget)
-    _print_report(report, args.format)
+    print(json.dumps(report.to_json_list(), indent=2) if args.format == "json"
+          else report.to_text())
     return EXIT_CODES[report.outcome]
 
 
@@ -134,7 +124,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    graph, budget = _example_graph(), args.budget
+    graph, budget = build_graph(3, EXAMPLE_GRAPH_EDGES), args.budget
     polys = {
         "T": tutte(graph),
         "R": rank_generating(graph),
@@ -232,6 +222,58 @@ def _at_least(low: int, what: str):
     return parse
 
 
+#: Per subcommand: its help line, its handler and its arguments as (name or
+#: flag, keywords of add_argument).
+_COMMANDS = {
+    "polys": ("all counting polynomials of a graph", _cmd_polys, [("file", {})]),
+    "count": ("one counting-family value", _cmd_count, [
+        ("file", {}),
+        # the per-orientation families need an orientation, which the CLI cannot pass
+        ("--family", dict(required=True, choices=sorted(FAMILIES - LOCAL_FAMILIES))),
+        ("--p", dict(type=int, default=None)),
+        ("--q", dict(type=int, default=None)),
+        ("--group", dict(default=None,
+                         help="comma-separated cyclic moduli for the tension-side group")),
+        ("--group-b", dict(default=None,
+                           help="comma-separated cyclic moduli for the flow-side group")),
+    ]),
+    "classes": ("equivalence-class census", _cmd_classes, [
+        ("file", {}),
+        ("--relation", dict(required=True, choices=("cut", "eulerian", "cut-eulerian"))),
+        ("--filter", dict(default="all", choices=("all", "acyclic", "totally-cyclic"))),
+    ]),
+    "verify": ("run the identity ledger on a graph", _cmd_verify, [("file", {})]),
+    "corpus": ("verify all small multigraphs", _cmd_corpus, [
+        ("--max-edges", dict(type=_at_least(0, "max-edges"), required=True)),
+        ("--loops", dict(action="store_true")),
+    ]),
+    "example": ("reproduce the built-in worked example", _cmd_example, []),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The ``_COMMANDS``, each parser built only when its command runs. The
+    help, the usage and a bad command's error read just the names and the
+    help lines, which are registered here as ``add_parser`` registers them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, (help_line, _, _) in _COMMANDS.items():
+            self._name_parser_map[name] = None
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_line))
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if self._name_parser_map[name] is None:  # argparse checked the name
+            _, handler, arguments = _COMMANDS[name]
+            command = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}")
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+            command.set_defaults(func=handler)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ctfpolys",
@@ -247,59 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "call, or the 2^|E| orientations or edge subsets of one sweep "
         f"(default {DEFAULT_BUDGET}); past it a command exits 1",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_polys = sub.add_parser("polys", help="all counting polynomials of a graph")
-    p_polys.add_argument("file")
-    p_polys.set_defaults(func=_cmd_polys)
-
-    p_count = sub.add_parser("count", help="one counting-family value")
-    p_count.add_argument("file")
-    # the per-orientation families need an orientation, which the CLI cannot pass
-    p_count.add_argument("--family", required=True, choices=sorted(FAMILIES - LOCAL_FAMILIES))
-    p_count.add_argument("--p", type=int, default=None)
-    p_count.add_argument("--q", type=int, default=None)
-    p_count.add_argument(
-        "--group", default=None,
-        help="comma-separated cyclic moduli for the tension-side group",
-    )
-    p_count.add_argument(
-        "--group-b", default=None,
-        help="comma-separated cyclic moduli for the flow-side group",
-    )
-    p_count.set_defaults(func=_cmd_count)
-
-    p_classes = sub.add_parser("classes", help="equivalence-class census")
-    p_classes.add_argument("file")
-    p_classes.add_argument(
-        "--relation", required=True,
-        choices=("cut", "eulerian", "cut-eulerian"),
-    )
-    p_classes.add_argument(
-        "--filter", default="all",
-        choices=("all", "acyclic", "totally-cyclic"),
-    )
-    p_classes.set_defaults(func=_cmd_classes)
-
-    p_verify = sub.add_parser("verify", help="run the identity ledger on a graph")
-    p_verify.add_argument("file")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_corpus = sub.add_parser("corpus", help="verify all small multigraphs")
-    p_corpus.add_argument("--max-edges", type=_at_least(0, "max-edges"), required=True)
-    p_corpus.add_argument("--loops", action="store_true")
-    p_corpus.set_defaults(func=_cmd_corpus)
-
-    p_example = sub.add_parser(
-        "example", help="reproduce the built-in worked example"
-    )
-    p_example.set_defaults(func=_cmd_example)
-
+    parser.add_subparsers(dest="command", required=True, action=_Subcommands)
     return parser
 
 
 #: The parser, built by the first ``main`` call of the process and reused by
-#: the rest: parse_args leaves it unchanged.
+#: the rest; parse_args adds only the subcommand parsers it builds.
 _parser = None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import prod
 from typing import Sequence
 
-from .multigraph import MultiGraph, _Record, spanning_structure
+from .multigraph import MultiGraph, _Record, canonical_form, spanning_structure
 from .orientations import (
     DEFAULT_BUDGET,
     Orientation,
@@ -341,19 +341,49 @@ def _orbit_key(orientation: Orientation) -> tuple[int, ...]:
     return tuple([flips[pos] ^ flips[first] for pos, first in enumerate(blocks)])
 
 
+def _isomorphism_key(orientation: Orientation) -> tuple:
+    """The orientation's blocks up to isomorphism and reversal: the lesser
+    ``canonical_form`` of each block's digraph and its reverse, sorted. A
+    scalar box count is the product of its blocks', each invariant under
+    both, which carry the circuit part along."""
+    graph, blocks = orientation.graph, {}
+    for (u, v), flip, first in zip(graph.edges, orientation.flips,
+                                   spanning_structure(graph).blocks):
+        blocks.setdefault(first, []).append((v, u) if flip else (u, v))
+    keys = []
+    for arcs in blocks.values():
+        names: dict[int, int] = {}  # the block's vertices, renamed 0..k-1
+        arcs = [(names.setdefault(u, len(names)), names.setdefault(v, len(names))) for u, v in arcs]
+        tails, heads = [0] * len(names), [0] * len(names)
+        for u, v in arcs:
+            tails[u] += 1
+            heads[v] += 1
+        # isomorphic digraphs have equal sorted (out, in) degrees: only a
+        # side whose degrees sort first can give the lesser form
+        forward, backward = sorted(zip(tails, heads)), sorted(zip(heads, tails))
+        forms = [canonical_form(len(names), arcs)] if forward <= backward else []
+        if backward <= forward:
+            forms.append(canonical_form(len(names), [(v, u) for u, v in arcs]))
+        keys.append(min(forms))
+    return tuple(sorted(keys))
+
+
 class CountTable(OrientationTable):
     """An orientation table with the box counts of the orientations, each
-    computed once per block-reversal orbit (``_orbit_key``) from one kernel
-    plan per orbit and side, and the sums the counting families read from
-    them. A table lives for one count, one polynomial, one ``polys`` report
-    (all twelve graph-level families) or one identity-ledger computation."""
+    computed once per orbit (``orbit``) from one kernel plan per orbit and
+    side, and the sums the counting families read from them. A table lives
+    for one count, one polynomial, one ``polys`` report (all twelve
+    graph-level families) or one identity-ledger computation."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         super().__init__(graph, budget)
         self._counts: dict = {}
-        self._plans: dict = {}  # (orbit key, side) -> _dp_plan
+        self._plans: dict = {}  # (block-reversal key, side) -> _dp_plan
         self._steps: dict = {}  # one copy of each plan step: orbits share most
         self._orbits: dict = {}  # flips -> orbit key
+        self._merged: dict = {}  # block-reversal key -> orbit key
+        self._isomorphic: dict = {}  # _isomorphism_key -> orbit key
+        self._first: dict = {}  # orbit key -> the first orientation read in it
 
     def sum_members(
         self, family: str, orientation: Orientation | None = None
@@ -371,27 +401,41 @@ class CountTable(OrientationTable):
         )
 
     def orbit(self, orientation: Orientation) -> tuple[int, ...]:
-        """The orientation's block-reversal orbit key (``_orbit_key``)."""
+        """The orientation's orbit key: the block-reversal key (``_orbit_key``)
+        of the first orientation read whose blocks are isomorphic to its own
+        as digraphs up to reversal (``_isomorphism_key``). A table finds
+        those keys once it reads a second block-reversal orbit, one per orbit."""
         found = self._orbits.get(orientation.flips)
         if found is None:
-            found = self._orbits[orientation.flips] = _orbit_key(orientation)
+            own = _orbit_key(orientation)
+            if own not in self._merged:
+                if len(self._merged) == 1:  # a second one: key the first now
+                    (first, o), = self._first.items()
+                    self._isomorphic[_isomorphism_key(o)] = first
+                self._merged[own] = self._isomorphic.setdefault(
+                    _isomorphism_key(orientation), own) if self._merged else own
+                self._first.setdefault(self._merged[own], orientation)
+            found = self._orbits[orientation.flips] = self._merged[own]
         return found
 
     def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
         """The count in one box at p or q (a group's moduli on a "group"
-        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None."""
+        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. A
+        scalar count is made once per ``orbit``, on its first orientation; a
+        zero-set histogram, indexed by edge position, per block-reversal orbit."""
         if box is None:
             return 1
-        orbit = self.orbit(orientation)
+        orbit = _orbit_key(orientation) if zeros == "masks" else self.orbit(orientation)
+        member = orientation if zeros == "masks" else self._first[orbit]
         key = (orbit, side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
             plan = self._plans.get((orbit, side))
             if plan is None:
-                zero_positions, steps = _dp_plan(*_space(orientation, side))
+                zero_positions, steps = _dp_plan(*_space(member, side))
                 steps = tuple([self._steps.setdefault(step, step) for step in steps])
                 plan = self._plans[orbit, side] = zero_positions, steps
-            circuit = self.circuit(orientation) if box == "support" else None
+            circuit = self.circuit(member) if box == "support" else None
             found = self._counts[key] = _box_count(
                 plan, self.graph.edge_count, circuit, side, box, value, self.budget, zeros
             )

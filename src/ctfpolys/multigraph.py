@@ -379,6 +379,72 @@ def spanning_structure(graph: MultiGraph) -> ForestData:
     )
 
 
+def canonical_form(vertex_count: int, arcs: Sequence[tuple[int, int]], directed: bool = True):
+    """The sorted arcs of the multigraph on vertices 0..vertex_count-1 with
+    the (tail, head) ``arcs`` (loops and parallel arcs allowed) under a
+    canonical labelling: equal exactly for isomorphic graphs, as digraphs
+    when ``directed``, else with each arc read as an edge (u <= v). Colour
+    refinement plus individualisation (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 60, 2014); a leaf labels the vertices
+    by colour, the least sorted arcs over the leaves are the form, and two
+    leaves with equal arcs give an automorphism, which prunes the search."""
+    n, width = vertex_count, (2 * len(arcs)).bit_length()  # a multiplicity fits in width bits
+
+    def refine(keys):
+        # colours 0, 1, ... in key order until stable; a vertex's next key packs its
+        # colour c0 and out- and in-neighbour colours c, c' as 2^(2*width*n)*c0 +
+        # sum 2^(width*c) + sum 2^(width*(n+c'))
+        cells = None
+        while True:
+            rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+            if len(rank) == cells:
+                return colours
+            colours, cells = [rank[key] for key in keys], len(rank)
+            if cells == n:
+                return colours
+            heads = [1 << width * c for c in colours]
+            tails = [1 << width * (n + c) for c in colours] if directed else heads
+            keys = [c << 2 * width * n for c in colours]
+            for u, v in arcs:
+                keys[u] += heads[v]
+                keys[v] += tails[u]
+
+    leaves, automorphisms = [], []  # the first and the least leaf: (form, colours, path)
+
+    def search(colours, path):
+        # individualises each vertex of the first colour class that no found
+        # automorphism fixing the path maps a tried one to; returns the depth to go on from
+        if len(set(colours)) == n:
+            pairs = [(colours[u], colours[v]) for u, v in arcs]
+            found = tuple(sorted(pairs if directed else [(min(p), max(p)) for p in pairs]))
+            leaves[:] = leaves or [(found, colours, path)] * 2
+            for known, labels, known_path in leaves:
+                if found == known:  # an automorphism: go back to where the paths part
+                    vertex = {c: v for v, c in enumerate(colours)}
+                    automorphisms.append([vertex[c] for c in labels])
+                    parts = (k for k, (a, b) in enumerate(zip(path, known_path)) if a != b)
+                    return next(parts, len(path))
+            leaves[1] = min(leaves[1], (found, colours, path))
+            return len(path)
+        target = min(c for c in colours if colours.count(c) > 1)
+        tried: list[int] = []
+        for v in [v for v in range(n) if colours[v] == target]:
+            orbits = _UnionFind(n)
+            for g in automorphisms:
+                if all(g[x] == x for x in path):
+                    for x in range(n):
+                        orbits.union(x, g[x])
+            if orbits.find(v) not in {orbits.find(t) for t in tried}:
+                tried.append(v)
+                back = search(refine([2 * c + (x != v) for x, c in enumerate(colours)]), path + [v])
+                if back < len(path):
+                    return back
+        return len(path)
+
+    search(refine([0] * n), [])
+    return leaves[1][0]
+
+
 def parse_graph_text(text: str) -> MultiGraph:
     """Parse the graph text format: optional ``#`` comments, one ``v <count>``
     line, then ``e <u> <v>`` lines; edge labels follow file order."""

@@ -4,7 +4,7 @@ the Tutte / rank-generating oracles."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 from operator import mul
@@ -420,8 +420,8 @@ def orientation_sum_polynomial(
 
 
 def _orbit_weights(table: CountTable, pairs) -> list[tuple[Orientation, int]]:
-    """The pairs merged by block-reversal orbit, on which box counts and
-    circuit parts are constant: each orbit's first orientation, summed weight."""
+    """The pairs merged by ``CountTable.orbit``, on which the scalar box
+    counts are constant: each orbit's first orientation, summed weight."""
     merged: dict = {}
     for o, w in pairs:
         key = table.orbit(o)
@@ -439,11 +439,16 @@ def _sampler(table: CountTable, family: str, pairs):
         return lambda a, b: table.total(family, pairs, a, b)
     zeros = "forbidden" if members == "one" else "allowed"
     merged = _orbit_weights(table, pairs)
+    tensions, flows = {}, {}  # p -> the orbits' weighted tension counts; q -> their flow counts
 
-    # the weight goes with the tension count
-    tensions = cache(lambda p: [w * table.side(o, "tension", t_box, p, zeros) for o, w in merged])
-    flows = cache(lambda q: [table.side(o, "flow", f_box, q, zeros) for o, _ in merged])
-    return lambda a, b: sum(map(mul, tensions(a), flows(b)))
+    def sampler(a, b):
+        if a not in tensions:
+            tensions[a] = [w * table.side(o, "tension", t_box, a, zeros) for o, w in merged]
+        if b not in flows:
+            flows[b] = [table.side(o, "flow", f_box, b, zeros) for o, _ in merged]
+        return sum(map(mul, tensions[a], flows[b]))
+
+    return sampler
 
 
 def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:

@@ -3,12 +3,12 @@ graph, plus a corpus sweep over all small multigraphs."""
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .counting import CountTable
-from .multigraph import MultiGraph, _Record, build_graph
+from .multigraph import MultiGraph, _Record, build_graph, canonical_form
 from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -261,8 +261,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         # class size, and IM checks that weighting instead of assuming it
         return orientation_sum_polynomial(table, family, [(o, 1) for o in members])
 
-    # box counts are constant on block-reversal orbits, so each
-    # per-orientation polynomial is made once, at the orbit's first member
+    # box counts are constant on the table's orbits (blocks isomorphic up to
+    # reversal): each per-orientation polynomial is made at an orbit's first member
     first: dict = {}
     rep = {o: first.setdefault(table.orbit(o), o) for o in orientations}
 
@@ -537,17 +537,6 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
     return IdentityReport(graph, tuple(checks))
 
 
-def _canonical_form(edges: Sequence[tuple[int, int]], vertex_count: int):
-    best = None
-    for perm in permutations(range(vertex_count)):
-        candidate = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
-        )
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
 def small_multigraphs(max_edges: int, include_loops: bool) -> Iterator[MultiGraph]:
     """All multigraphs with up to ``max_edges`` edges on up to
     ``max_edges + 1`` vertices: the edgeless graphs on each vertex count plus
@@ -562,7 +551,7 @@ def small_multigraphs(max_edges: int, include_loops: bool) -> Iterator[MultiGrap
     while stack:
         edges, used = stack.pop()
         if edges:
-            key = (used, _canonical_form(edges, used))
+            key = (used, canonical_form(used, edges, directed=False))
             if key not in seen:
                 seen.add(key)
                 yield build_graph(used, list(edges))

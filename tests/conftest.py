@@ -72,6 +72,14 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.fixture
+def isomorphism_keys(monkeypatch):
+    """A function that runs sweep() and returns how many orientations a
+    count table keyed up to isomorphism (``counting._isomorphism_key``
+    calls)."""
+    return _call_counter(monkeypatch, counting, "_isomorphism_key")
+
+
+@pytest.fixture
 def block_splits(monkeypatch):
     """A function that runs sweep() and returns how many graphs the ledger's
     workspace split into blocks (``verify._block_restrictions`` calls)."""

@@ -9,7 +9,7 @@ Lagrange formula in Fraction arithmetic, with no assumption on the grid.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def arrows_of(graph, flips):
@@ -260,6 +260,20 @@ def blocks(graph):
     return tuple(
         min([pos] + [other for cycle in cycles if pos in cycle for other in cycle])
         for pos in range(m)
+    )
+
+
+def isomorphic(vertex_count, first, second, directed):
+    """Whether some renaming of the vertices 0..vertex_count-1 carries the
+    arc multiset ``first`` onto ``second``: as (tail, head) pairs when
+    ``directed``, else as unordered pairs. Tries every renaming."""
+    def multiset(arcs):
+        return Counter(arcs if directed else [frozenset(a) for a in arcs])
+
+    target = multiset(second)
+    return any(
+        multiset([(perm[u], perm[v]) for u, v in first]) == target
+        for perm in permutations(range(vertex_count))
     )
 
 

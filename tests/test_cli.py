@@ -456,6 +456,61 @@ def test_parser_is_built_once(p8_file, monkeypatch, capsys):
     assert len(builds) == 1
 
 
+#: SHA-256 of the JSON list [exit code, stdout, stderr] of the help texts
+#: and of usage errors at 80 columns, recorded while the parser built every
+#: subcommand up front; Python 3.10 to 3.12 print the same bytes.
+HELP_DIGESTS = {
+    ('--help',): "98ed71757a43c18f3e047630e720378d9226d343ac354f9226f9c11b392803b9",
+    ('polys', '--help'): "5f6dd3af65b9f691edabf5825a1e05c5c624d4421608a65eb3826f246093b77e",
+    ('count', '--help'): "9329c2ce9951fd8e44daeaa3e7252f0961acc93a5b2de41098226e39f01127ba",
+    ('classes', '--help'): "e8c6b13669fd92a4b2d9939e5db14eeb7d605740e945cf008568c408b5fb651b",
+    ('verify', '--help'): "81315341e6aa03926bd32a4127e5035492e68157bcadeafcc8be97dcb9768973",
+    ('corpus', '--help'): "3d4aa610274d39e08d2b6764f1b08e74cf4bf99b631977543b3b0a93e4f3e10a",
+    ('example', '--help'): "0951da1bc781c07b345d387201f3eed2e0e5218e4eefd99dfa059c6794f2a55e",
+    (): "b7290bc6a036a633ca239e6775fe13a1dfc5ce8c0dd0cbe6054c3cda58d7832a",
+    ('polish',): "8c12664cc613cb06f0ee6387d477cebbe0e615a92288f06823f020741e77967a",
+    ('--format', 'xml', 'example'): "f40ea9cd9c1d8f0fb01e9b6cebace2a3aa1c1087b1add4dee1ac114779bab782",
+    ('-h', 'polys'): "98ed71757a43c18f3e047630e720378d9226d343ac354f9226f9c11b392803b9",
+    ('polys',): "415fe5dd4bc36469afaf0ad8c6e0c18a96c7f3f69f0b2f34520d85654891c11c",
+    ('count', 'g.g', '--family', 'nope'): "4a71c4488279226b22521e74a453f3047480148feae464a053ef4e05a23b3b16",
+    ('classes', 'g.g'): "8f8a00c06373e32de19c72d42a919a918f7c47cf437a68bb8041c96b05ae3310",
+    ('corpus', '--max-edges', 'three'): "15d6f087a9afec7baec49a9503a762750e0e8a6bf40b38b5e8a037c936ebb0d0",
+    ('example', 'extra'): "8859219bc90a856785d2395bd880b9b04b6802417ccaab38bb336158224c2bb8",
+    ('--budget', 'polys', 'verify', 'g.g'): "2bd4e31e5dd304c69011d1c74f64cdf69a2e2e11d90bd0c13c7fa88d901a3966",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 words its help anew")
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_and_usage_errors_are_byte_identical(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    printed = json.dumps([code, captured.out, captured.err])
+    assert hashlib.sha256(printed.encode()).hexdigest() == HELP_DIGESTS[argv], printed
+
+
+def test_only_the_running_subcommand_is_built(p8_file, monkeypatch, capsys):
+    # a fresh parser builds itself and the one subcommand that runs, the
+    # next command of the process its own, and the help none
+    import ctfpolys.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, **kwargs: built.append(kwargs["prog"]) or init(self, **kwargs))
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["polys", p8_file], ["polys", p8_file], ["verify", p8_file]):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert built == ["ctfpolys", "ctfpolys polys", "ctfpolys verify"]
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -29,6 +29,7 @@ from ctfpolys.counting import (
     _count_flows,
     _count_tensions,
     _dp_plan,
+    _isomorphism_key,
     _matched_pairs,
     _orbit_key,
     _space,
@@ -769,6 +770,101 @@ def test_count_table_plans_each_orbit_and_side_once(kernel_calls, monkeypatch):
 
     assert kernel_calls(sweep) == 2 * 4 * len(orbits)
     assert len(plans) == 2 * len(orbits)
+
+
+#: The boxes a table counts, each with a zero mode and a value: the scalar
+#: counts, kept per orbit, and the zero-set histograms ("masks"), indexed by
+#: edge position and kept per block-reversal orbit.
+BOXES = [
+    *((box, "allowed", value) for box in ("closed", "open", "support") for value in (0, 1, 2)),
+    *((box, zeros, value) for box in ("int", "group") for zeros in ("allowed", "forbidden")
+      for value in (1, 2, 3)),
+    ("group", "forbidden", (2, 2)),
+    ("int", "masks", 2),
+    ("group", "masks", 3),
+]
+
+
+def test_merged_orbits_match_each_orientations_own_counts():
+    # a table that reads every orientation merges isomorphic ones; each
+    # count it gives an orientation, and each zero-set histogram, equals the
+    # one made on that orientation's own plan and circuit part
+    merged_beyond_reversal = 0
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    w4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+    for graph in [*small_multigraphs(4, True), k4, w4]:
+        table = CountTable(graph)
+        orientations = OrientationTable(graph).orientations
+        orbits = {table.orbit(o) for o in orientations}
+        merged_beyond_reversal += len(orbits) < len({_orbit_key(o) for o in orientations})
+        # each orbit's first orientation is its lex-first one, and the counts
+        # are read in the lex order of the reversed flips: many are made for
+        # another orientation than the one whose plan and circuit part they
+        # are made on, and not its reverse
+        for o in sorted(orientations, key=lambda o: o.flips[::-1]):
+            circuit = _circuit_part(o)
+            for side, (box, zeros, value) in product(("tension", "flow"), BOXES):
+                own = _box_count(_dp_plan(*_space(o, side)), graph.edge_count, circuit, side,
+                                 box, value, table.budget, zeros)
+                assert table.side(o, side, box, value, zeros) == own, (
+                    graph.edges, o.flips, side, box, zeros, value)
+    # 15 of the 105 corpus graphs, K4 and W4 have orientations that only
+    # isomorphism merges
+    assert merged_beyond_reversal == 17
+
+
+def test_orbits_are_isomorphism_classes_of_blocks(p8):
+    # K4's 32 block-reversal orbits fall into 3 orbits of Aut(K4) x reversal
+    # (transitive, a directed triangle with a source or a sink, strongly
+    # connected), W4's 128 into 27; reversing every block keeps the key,
+    # reversing one edge of a directed triangle does not
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    w4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+    for graph, orbits in ((k4, 3), (w4, 27)):
+        table = CountTable(graph)
+        assert len({table.orbit(o) for o in table.orientations}) == orbits
+    two_blocks = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)])
+    table = CountTable(two_blocks)
+    cycle = Orientation(two_blocks, (0, 0, 0, 0, 0))
+    assert table.orbit(cycle) == table.orbit(cycle.with_flipped([0, 1, 2, 3, 4]))
+    assert table.orbit(cycle) != table.orbit(cycle.with_flipped([2]))
+    # so do the worked example's reference orientation and its reverse, and
+    # a 6-cycle oriented in runs of 2, 1, 1 and 2 arcs and its reverse,
+    # which are not isomorphic although their (out, in) degrees agree
+    assert _isomorphism_key(Orientation.reference(p8)) == _isomorphism_key(
+        Orientation.reference(p8).reversed())
+    runs = Orientation(build_graph(6, [(k, (k + 1) % 6) for k in range(6)]), (0, 0, 1, 0, 1, 1))
+    assert _isomorphism_key(runs) == _isomorphism_key(runs.reversed())
+
+
+def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
+    # canonical forms are paid for only where merging can happen: a table
+    # that reads one block-reversal orbit finds none, and a swept table one
+    # per block-reversal orbit it reads
+    import ctfpolys.verify as verify
+    from ctfpolys.polynomials import orientation_sum_polynomial
+
+    ref = Orientation.reference(p8)
+
+    def one_orientation():
+        for family in ("kappa_mod", "kappa_int", "tau_int", "phi_mod"):
+            counting_polynomial(p8, family)
+        for family in LOCAL_FAMILIES:
+            local_polynomial(p8, ref, family)
+            count(p8, family, p=2, q=2, orientation=ref.reversed())
+        # IND's recount, and the workspace's per-orientation minor sweeps
+        orientation_sum_polynomial(CountTable(p8), "kappa_int", [(ref.reversed(), 1)])
+        memo = verify._PolynomialMemo()
+        for quotient, _, restriction, _ in memo.minors(p8):
+            memo.local(quotient, Orientation.reference(quotient), "tau_local", DEFAULT_BUDGET)
+            memo.local(restriction, Orientation.reference(restriction), "phi_local",
+                       DEFAULT_BUDGET)
+
+    assert isomorphism_keys(one_orientation) == 0
+    table = CountTable(p8)
+    members = [o for o, _ in table.sum_members("kappa_bar_int")]
+    assert isomorphism_keys(lambda: [table.orbit(o) for o in members]) == len(
+        {_orbit_key(o) for o in members}) > 1
 
 
 def test_package_caches_are_keyed_by_graph(package_caches, cache_growth):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ctfpolys import (
     GraphFormatError,
     MultiGraph,
@@ -10,6 +13,7 @@ from ctfpolys import (
     parse_graph_text,
     spanning_structure,
 )
+from ctfpolys.multigraph import canonical_form
 
 
 def test_example_graph_shape(p8):
@@ -221,3 +225,77 @@ def test_graph_text_comments_and_errors():
     ):
         with pytest.raises(GraphFormatError):
             parse_graph_text(bad)
+
+
+@st.composite
+def _arc_lists(draw, max_vertices=5, max_arcs=7):
+    """(vertex count, arcs): at most 5 vertices and 7 arcs, loops and
+    parallel arcs included."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=max_arcs))
+
+
+@st.composite
+def _symmetric_arc_lists(draw):
+    """(vertex count, arcs): copies of a small random graph, joined in a
+    cycle through their first vertices or not, on at most 6 vertices; colour
+    refinement cannot tell their copies apart, so the search must
+    individualise vertices and prune by automorphisms."""
+    b = draw(st.integers(1, 3))
+    copies = draw(st.integers(2, 6 // b))
+    vertex = st.integers(0, b - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    arcs = [(u + b * k, v + b * k) for k in range(copies) for u, v in base]
+    if draw(st.booleans()):
+        arcs += [(b * k, b * ((k + 1) % copies)) for k in range(copies)]
+    return b * copies, arcs
+
+
+_graphs = st.one_of(_arc_lists(), _symmetric_arc_lists())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs, st.booleans(), st.data())
+def test_canonical_form_ignores_names_and_order(graph, directed, data):
+    # renaming the vertices and shuffling the arcs (and, for edges, the two
+    # ends of each) keeps the form
+    n, arcs = graph
+    perm = data.draw(st.permutations(range(n)))
+    renamed = data.draw(st.permutations([(perm[u], perm[v]) for u, v in arcs]))
+    if not directed:
+        swaps = data.draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+        renamed = [(v, u) if swap else (u, v) for (u, v), swap in zip(renamed, swaps)]
+    assert canonical_form(n, renamed, directed) == canonical_form(n, arcs, directed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs, st.booleans(), st.data())
+def test_canonical_form_is_exact(graph, directed, data):
+    # equal forms exactly when the brute-force oracle finds an isomorphism:
+    # the second graph is a renamed copy, maybe with one arc moved or
+    # reversed, so both outcomes come up often
+    n, arcs = graph
+    perm = data.draw(st.permutations(range(n)))
+    other = [(perm[u], perm[v]) for u, v in arcs]
+    if other and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(other) - 1))
+        vertex = st.integers(0, n - 1)
+        other[k] = data.draw(st.sampled_from([other[k][::-1], (data.draw(vertex), data.draw(vertex))]))
+    same = canonical_form(n, arcs, directed) == canonical_form(n, other, directed)
+    assert same == oracles.isomorphic(n, arcs, other, directed), (n, arcs, other, directed)
+
+
+def test_canonical_form_examples():
+    # arc direction counts only when directed; loops and parallel arcs count
+    assert canonical_form(2, [(0, 1), (0, 1)]) != canonical_form(2, [(0, 1), (1, 0)])
+    assert canonical_form(2, [(0, 1), (0, 1)], False) == canonical_form(2, [(0, 1), (1, 0)], False)
+    assert canonical_form(2, [(0, 0), (0, 1)]) == canonical_form(2, [(1, 0), (1, 1)])
+    assert canonical_form(2, [(0, 0), (0, 1)]) != canonical_form(2, [(0, 1), (1, 1)])
+    assert canonical_form(2, [(0, 1)] * 2) != canonical_form(2, [(0, 1)] * 3)
+    # the directed 6-cycle and two directed triangles: refinement alone
+    # cannot tell them apart, every vertex has one arc in and one out
+    hexagon = [(k, (k + 1) % 6) for k in range(6)]
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    assert canonical_form(6, hexagon) != canonical_form(6, triangles)
+    assert canonical_form(0, []) == ()

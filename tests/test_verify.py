@@ -427,10 +427,21 @@ def _off_by_one_partial(monkeypatch):
                             lambda self, value, real=real: real(self, value + 1))
 
 
+def _direction_blind_orbits(monkeypatch):
+    # the count table keys orientations by their blocks as undirected
+    # graphs, so it merges orientations whose counts differ
+    from ctfpolys import counting
+    from ctfpolys.multigraph import canonical_form
+
+    monkeypatch.setattr(counting, "canonical_form",
+                        lambda n, arcs, directed=True: canonical_form(n, arcs, False))
+
+
 #: Each single-side mutation of the ledger's shared arithmetic and the
 #: identities that must catch it.
 MUTATIONS = {
     "dropped_orbit_weight": (_drop_an_orbit, {"T1b", "IM"}),
+    "direction_blind_orbit_key": (_direction_blind_orbits, {"T1b", "T1c", "T2c", "PL", "T3"}),
     "wrong_sign_parity": (_wrong_sign_parity, {"T1c", "T2c", "PL"}),
     "off_by_one_partial_evaluation": (_off_by_one_partial, {"T1d", "T2d", "PL"}),
 }
