@@ -73,7 +73,8 @@ class CyclicProduct(_Record):
     __slots__ = ("moduli",)
 
     def __init__(self, moduli: tuple[int, ...]):
-        if not all(isinstance(m, int) and m >= 1 for m in moduli):
+        # type() and not isinstance(): bool is an int subclass and is refused
+        if not all(type(m) is int and m >= 1 for m in moduli):
             raise ValueError("moduli must be integers >= 1")
         object.__setattr__(self, "moduli", moduli)
 
@@ -134,16 +135,19 @@ def _space(orientation: Orientation, side: str):
     )
 
 
-class _AdditionRows(dict):
-    """Rows of a group's addition table, each built on first use."""
-
-    def __init__(self, group: CyclicProduct):
-        super().__init__()
-        self.group = group
-
-    def __missing__(self, a: int) -> list[int]:
-        row = self[a] = [self.group.add(a, b) for b in self.group.elements()]
-        return row
+def _carry_free_tables(moduli: tuple[int, ...]):
+    """The addition and negation tables of Z_m1 x ... x Z_mk in an encoding
+    whose sums carry nothing: component i sits at place prod(2 * m_j, j < i),
+    so the integer sum x + v of two elements indexes ``reduced``, which takes
+    each component mod m_i. Returns (reduced, negatives, elements), the
+    elements being the fixed points of ``reduced``. Each table has 2^k times
+    the group's order entries, not its square."""
+    reduced, negatives, place = [0], [0], 1
+    for m in moduli:  # index a * place + r, with r indexing the moduli before m
+        reduced = [r + a % m * place for a in range(2 * m) for r in reduced]
+        negatives = [r + -a % m * place for a in range(2 * m) for r in negatives]
+        place *= 2 * m
+    return reduced, negatives, [s for s, r in enumerate(reduced) if s == r]
 
 
 def _dp_plan(free, dependent):
@@ -155,7 +159,10 @@ def _dp_plan(free, dependent):
     Returns (the dependent positions with no free value, identically zero:
     a loop tension or a bridge flow; per free value a step: (position, zeros
     for the sums it opens, kept sums as (slot, coefficient), closed sums as
-    (slot, coefficient, position))).
+    (slot, coefficient, position), moves, mirror)). ``moves`` is true when
+    the step moves a kept sum, and ``mirror`` marks the first step that
+    does, the one the kernel halves on a box closed under negation; a later
+    step always follows it, since the sums it moves stay open.
     """
     index = {pos: i for i, pos in enumerate(free)}
     opening = [[] for _ in free]
@@ -169,6 +176,7 @@ def _dp_plan(free, dependent):
 
     steps = []
     live: list = []
+    unmoved = True  # no step has moved a sum yet
     for i, pos in enumerate(free):
         slots = live + opening[i]
         keep, close = [], []
@@ -179,7 +187,10 @@ def _dp_plan(free, dependent):
             else:
                 keep.append((slot, c))
         live = [slots[slot] for slot, _ in keep]
-        steps.append((pos, (0,) * len(opening[i]), tuple(keep), tuple(close)))
+        moves = any(c for _, c in keep)
+        steps.append((pos, (0,) * len(opening[i]), tuple(keep), tuple(close), moves,
+                      unmoved and moves))
+        unmoved = unmoved and not moves
     return tuple(zero_positions), tuple(steps)
 
 
@@ -198,12 +209,22 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
     free value is assigned; the ranges it allows cut that free value down to
     an interval. A step that moves no open sum counts its values in bulk, and
     only the few values that make a position zero are taken one by one.
-    The budget counts the states the steps create, checked after each step.
+    Group sums read the carry-free tables of _carry_free_tables, built per
+    call.
+
+    A box closed under negation (every range (-h, h), or a group) halves the
+    plan's mirror step. Every sum is 0 before it, so v and -v lead to mirror
+    states s and -s, which have the same number of completions with the same
+    zero sets. The step takes one value of each pair {v, -v}, and each state
+    s != -s it makes stands for -s too, with twice its count.
+
+    The budget counts the states the steps create, checked after each step;
+    the mirror step creates only its half.
     """
     zero_positions, plan_steps = plan
     group = values if isinstance(values, CyclicProduct) else None
-    if group is not None and plan_steps:  # the negation list costs the group's order
-        rows, neg = _AdditionRows(group), [group.neg(a) for a in group.elements()]
+    if group is not None and plan_steps:  # the tables cost 2^k times the group's order
+        reduced, neg, elements = _carry_free_tables(group.moduli)
 
     start_mask = 0
     for pos in zero_positions:
@@ -213,18 +234,22 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
 
     track, forbid = zeros != "allowed", zeros == "forbidden"
     states, created = {((), start_mask): 1}, 0
-    for pos, pad, keep, close in plan_steps:
+    for pos, pad, keep, close, moving, mirror in plan_steps:
         # the closed sums with their ranges: (slot, coefficient, low, high, bit)
         close = [(slot, c, *((0, 0) if group is not None else values[dep]), 1 << dep)
                  for slot, c, dep in close]
         bit = 1 << pos
-        moving = any(c for _, c in keep)
+        halve = mirror and (group is not None or all(low == -high for low, high in values))
+        if group is None:  # halved, v runs over [0, h]; the closed ranges cut only h
+            own = (0, values[pos][1]) if halve else values[pos]
+        else:
+            candidates = [v for v in elements if v <= neg[v]] if halve else elements
         new: dict = {}
         for (sums, mask), n in states.items():
             sums += pad
             special: dict[int, int] = {}  # value -> zero bits it creates
             if group is None:
-                low, high = values[pos]
+                low, high = own
                 for slot, c, d_low, d_high, _ in close:
                     x = sums[slot]  # comparisons, not max/min: 10% on W5
                     if c > 0:
@@ -248,7 +273,7 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
                         if low <= v <= high:
                             special[v] = special.get(v, 0) | dep_bit
             else:
-                size, candidates = group.order, group.elements()
+                size = len(elements)
                 if track:
                     special[0] = bit
                     for slot, c, _, _, dep_bit in close:
@@ -264,10 +289,7 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
                         key = (rest, mask | bits)
                         new[key] = new.get(key, 0) + n
                 continue
-            if group is None:
-                moved = [(sums[slot], c) for slot, c in keep]
-            else:
-                moved = [(rows[sums[slot]], c) for slot, c in keep]
+            moved = [(sums[slot], c) for slot, c in keep]
             for v in candidates:
                 bits = special.get(v, 0)
                 if bits and forbid:
@@ -276,9 +298,14 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
                     nxt = tuple([x + c * v for x, c in moved])
                 else:
                     pick = (0, v, neg[v])  # the summand for c = 0, +1, -1
-                    nxt = tuple([row[pick[c]] for row, c in moved])
+                    nxt = tuple([reduced[x + pick[c]] for x, c in moved])
                 key = (nxt, mask | bits)
                 new[key] = new.get(key, 0) + n
+        if halve:  # each state s != -s stands for -s too; one from v = -v is its own
+            for key, n in new.items():
+                sums = key[0]
+                if any(sums) if group is None else any(x != neg[x] for x in sums):
+                    new[key] = 2 * n
         states = new
         created += len(new)
         _check_budget(created, budget, "DP states")

@@ -240,9 +240,9 @@ def test_verify_exit_codes_with_failing_stub(p8_file, monkeypatch, capsys):
 
 
 def test_verify_resource_limit_is_exit_1(p8_file, capsys):
-    # 48 DP states per kernel call are too few for phi_int: the run reports
+    # 40 DP states per kernel call are too few for phi_int: the run reports
     # the identities that read it as skip and exits 1, not 2
-    assert main(["--budget", "48", "verify", p8_file]) == 1
+    assert main(["--budget", "40", "verify", p8_file]) == 1
     out = capsys.readouterr().out
     assert "skip" in out and "fail" not in out
 

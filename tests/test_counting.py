@@ -138,6 +138,41 @@ def test_integer_boxes_match_oracle(small_corpus):
             )
 
 
+def test_halved_mirror_step_matches_oracle(p8):
+    # boxes closed under negation halve the first step that moves a sum; on
+    # these graphs a later step follows it, so the states that stand for
+    # their mirrors are carried on. The even orders have self-inverse
+    # elements, whose states are their own mirrors.
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    theta = build_graph(2, [(0, 1)] * 3)
+    groups = ((2,), (3,), (4,), (6,), (2, 2), (2, 3))
+    for g in (k4, theta, p8):
+        halved = 0
+        for flips in ((0,) * g.edge_count, tuple(pos % 2 for pos in range(g.edge_count))):
+            o = Orientation(g, flips)
+            for side in ("tension", "flow"):
+                halved += any(step[-1] for step in _dp_plan(*_space(o, side))[1])
+                listed = {
+                    moduli: (oracles.modular_tensions if side == "tension"
+                             else oracles.modular_flows)(g, flips, moduli)
+                    for moduli in groups
+                }
+                widest = (oracles.integer_tensions if side == "tension"
+                          else oracles.integer_flows)(g, flips, -3, 3)
+                for p in range(1, 5):
+                    listed[p] = [v for v in widest if all(abs(x) < p for x in v)]
+                for box, vectors in listed.items():
+                    if isinstance(box, tuple):
+                        values = CyclicProduct(box)
+                    else:
+                        values = [(1 - box, box - 1)] * g.edge_count
+                    nowhere_zero = len(oracles.nowhere_zero(vectors))
+                    assert _kernel(o, side, values) == _zero_sets(vectors), (g.edges, side, box)
+                    assert _kernel(o, side, values, "allowed") == len(vectors)
+                    assert _kernel(o, side, values, "forbidden") == nowhere_zero
+        assert halved, g.edges
+
+
 @settings(max_examples=40, deadline=None)
 @given(multigraphs(), st.data())
 def test_orientation_counts_match_oracle_random(graph, data):
@@ -459,6 +494,11 @@ def test_count_validation(p8):
         count(p8, "tau_bar_mod", p=1.5)
     with pytest.raises(ValueError, match="kappa_bar_int needs p >= 0"):
         count(p8, "kappa_bar_int", p=True, q=1)
+    # and so are the moduli of a group: True would be Z_1
+    with pytest.raises(ValueError, match="moduli must be integers >= 1"):
+        CyclicProduct((True, 3))
+    with pytest.raises(ValueError, match="moduli must be integers >= 1"):
+        count(build_graph(2, [(0, 1)] * 2), "tau_mod", p=3, group_a=(True, 3))
 
 
 #: family -> (variables read, lowest argument, needs an orientation,
@@ -620,13 +660,15 @@ def test_product_groups_match_oracles(c3, digon_loop, p8):
 
 def test_budget_counts_dp_states():
     # phi_int at q = 3 on three parallel edges u-v: two cotree values are
-    # free, the tree edge carries their signed sum. The first step creates
-    # one state per nonzero value in [-2, 2] (4 states), the second closes
-    # the sum and merges everything into one state: 5 states in all.
+    # free, the tree edge carries their signed sum. The first step moves
+    # that sum, and [-2, 2] is closed under negation, so it creates one
+    # state per nonzero value of {1, 2}, each standing for its mirror too
+    # (2 states); the second closes the sum and merges everything into one
+    # state: 3 states in all.
     theta = build_graph(2, [(0, 1)] * 3)
-    assert count(theta, "phi_int", q=3, budget=5) == 6
-    with pytest.raises(BudgetExceededError, match="5 DP states exceed the budget of 4"):
-        count(theta, "phi_int", q=3, budget=4)
+    assert count(theta, "phi_int", q=3, budget=3) == 6
+    with pytest.raises(BudgetExceededError, match="3 DP states exceed the budget of 2"):
+        count(theta, "phi_int", q=3, budget=2)
 
 
 def test_default_budget_is_not_a_candidate_product():

@@ -197,9 +197,10 @@ def _relabel(graph, rng):
 
 def test_polynomial_report_fits_one_budget_on_every_labelling():
     # the kernel's forest and assignment orders are chosen from the graph,
-    # not from its file: W5's largest kernel call makes 3,423 DP states on
-    # every labelling, so 4,096 is enough for each. Assigning the free values
-    # in file order needs 4,148 to 5,753 states on these relabellings.
+    # not from its file: W5's largest kernel call makes 1,859 to 2,657 DP
+    # states on these labellings (3,423 on each before the mirror step), so
+    # 4,096 is enough for each. Assigning the free values in file order
+    # needed 4,148 to 5,753 states on these relabellings.
     w5 = build_graph(6, [(0, k) for k in range(1, 6)] + [(k, k % 5 + 1) for k in range(1, 6)])
     expected = polynomial_report(w5, budget=4096).named()
     for k in range(1, 9):

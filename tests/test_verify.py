@@ -64,14 +64,17 @@ def test_verify_limit():
 
 def test_resource_limits_skip_identities(p8):
     # p8 has 5 edges, so a budget of 32 lets the ledger sweep its subsets
-    # and orientations. A budget of 48 DP states per kernel call covers the
+    # and orientations. A budget of 40 DP states per kernel call covers the
     # modular families and the box tables but not the integral counts behind
     # kappa_int and phi_int, so the identities reading them are skipped and
-    # the others still pass; at 32 the modular zero-set histograms of RPQ
-    # and the Tutte convolution, which counts nothing, are left among them.
-    must_pass_at_48 = {"T2b", "T2c", "T2d", "T2e", "PL", "PE", "T3", "RPQ", "TC"}
-    for budget, must_pass in ((48, must_pass_at_48), (32, {"RPQ", "TC"})):
-        report = verify_graph(p8, budget=budget)
+    # the others still pass. The triangle with every edge doubled has 6
+    # edges (64 subsets); at 80 its modular counts are over the budget too,
+    # and the modular zero-set histograms of RPQ and the Tutte convolution,
+    # which counts nothing, are left among the passing identities.
+    doubled = build_graph(3, [(0, 1), (1, 2), (2, 0)] * 2)
+    must_pass_at_40 = {"T2b", "T2c", "T2d", "T2e", "PL", "PE", "T3", "RPQ", "TC"}
+    for graph, budget, must_pass in ((p8, 40, must_pass_at_40), (doubled, 80, {"RPQ", "TC"})):
+        report = verify_graph(graph, budget=budget)
         status = {c.identity: c.status for c in report.checks}
         assert set(status.values()) == {"pass", "skip"}, status
         assert {i for i, s in status.items() if s == "pass"} >= must_pass
@@ -80,6 +83,7 @@ def test_resource_limits_skip_identities(p8):
         for check in report.checks:
             if check.status == "skip":
                 assert check.witness.startswith("resource limit: ")
+    assert status["T2b"] == "skip"  # the lower tier's modular identities
 
 
 def test_interpolation_failure_fails_its_identity(p8, tmp_path, monkeypatch, capsys):
