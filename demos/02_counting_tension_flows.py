@@ -7,7 +7,7 @@ partial sums; no vector is listed.
 Run:  python3 demos/02_counting_tension_flows.py
 """
 
-from ctfpolys import Orientation, OrientationTable, build_graph, count, enumerate_classes
+from ctfpolys import Orientation, OrientationTable, build_graph, count
 
 g = build_graph(3, [(0, 2), (0, 1), (1, 2), (0, 1), (1, 2)])
 ref = Orientation.reference(g)
@@ -40,7 +40,7 @@ print("sum of kappa_local over orientations =", total)
 # Reduction mod (p, q) sends the integral pairs of each cut-Eulerian class
 # onto the same modular pairs: kappa_local summed over the class
 # representatives gives kappa_mod, and weighted by class size kappa_int.
-classes = enumerate_classes(g, "cut_eulerian").classes
+classes = OrientationTable(g).classes("cut_eulerian").classes
 local = [(len(cls), count(g, "kappa_local", p=3, q=3, orientation=cls[0])) for cls in classes]
 print(f"\n{len(classes)} cut-Eulerian classes; at (3,3):")
 print(f"  kappa_local summed over representatives = {sum(n for _, n in local)}"

@@ -25,7 +25,6 @@ from .orientations import (
     Orientation,
     OrientationTable,
     boundary,
-    enumerate_classes,
     equivalent,
     induced_orientation,
     is_flow,
@@ -71,7 +70,6 @@ __all__ = [
     "build_graph",
     "count",
     "counting_polynomial",
-    "enumerate_classes",
     "equivalent",
     "format_graph_text",
     "induced_orientation",

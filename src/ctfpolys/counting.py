@@ -2,8 +2,8 @@
 modular and integral, by one kernel (``_partial_sum_dp``).
 
 Edge values are indexed by edge position. Modular values live in a finite
-abelian group given as a product of cyclic moduli, encoded in mixed radix as
-integers in [0, order).
+abelian group given as a product of cyclic moduli (``CyclicProduct``), whose
+elements the kernel encodes in its carry-free tables.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def lowest_argument(family: str) -> int:
 
 
 class CyclicProduct(_Record):
-    """Finite abelian group Z_m1 x ... x Z_mk with mixed-radix encoding."""
+    """Finite abelian group Z_m1 x ... x Z_mk, given by its moduli; the
+    kernel encodes its elements (``_carry_free_tables``)."""
 
     __slots__ = ("moduli",)
 
@@ -85,33 +86,6 @@ class CyclicProduct(_Record):
 
     def __hash__(self):
         return hash((self.moduli,))
-
-    @property
-    def order(self) -> int:
-        return prod(self.moduli)
-
-    def encode(self, parts: Sequence[int]) -> int:
-        value, place = 0, 1
-        for part, m in zip(parts, self.moduli):
-            value += (part % m) * place
-            place *= m
-        return value
-
-    def decode(self, value: int) -> tuple[int, ...]:
-        parts = []
-        for m in self.moduli:
-            parts.append(value % m)
-            value //= m
-        return tuple(parts)
-
-    def add(self, a: int, b: int) -> int:
-        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
-
-    def neg(self, a: int) -> int:
-        return self.encode([-x for x in self.decode(a)])
-
-    def elements(self) -> range:
-        return range(self.order)
 
 
 def _space(orientation: Orientation, side: str):
@@ -509,8 +483,9 @@ def count(
     """Exact value of one counting family at (p, q).
 
     A per-orientation family needs ``orientation``; a definition-level one
-    counts on it, or on the reference orientation. ``group_a``/``group_b``
-    give the moduli of a product group of order p/q for a "group" box.
+    counts on it, or on the reference orientation, and a class-sum family
+    refuses it. ``group_a``/``group_b`` give the moduli of a product group of
+    order p/q for a "group" box.
     ``budget`` caps the work items of each kernel call and orientation sweep.
     """
     _require(family in FAMILIES, f"unknown family {family!r}")
@@ -518,6 +493,7 @@ def count(
 
     if members is None:
         _require(orientation is not None, f"{family} needs an orientation")
+    _require(orientation is None or members in (None, "one"), f"{family} reads no orientation")
     orientation = orientation or Orientation.reference(graph)
     _require(
         orientation.graph == graph,

@@ -197,12 +197,6 @@ class MultiGraph(_Record):
         u, v = self.edges[position]
         return u == v
 
-    def position_of(self, edge_id: int) -> int:
-        try:
-            return self.edge_ids.index(edge_id)
-        except ValueError:
-            raise KeyError(f"unknown edge label {edge_id}") from None
-
     def _check_ids(self, ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(ids)
         unknown = ids - set(self.edge_ids)

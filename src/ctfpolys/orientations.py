@@ -24,6 +24,15 @@ def _check_budget(work: int, budget: int, items: str) -> None:
         raise BudgetExceededError(f"{work} {items} exceed the budget of {budget}")
 
 
+def _check_sweep_budget(m: int, budget: int, items: str) -> None:
+    """``_check_budget`` of the 2^m items of a sweep over m edges, decided
+    by the budget's bit length before 2^m is built; from 2^64 on the count
+    is written as a power, not in digits."""
+    if m >= max(budget, 0).bit_length():
+        work = 1 << m if m < 64 else f"2^{m}"
+        raise BudgetExceededError(f"{work} {items} exceed the budget of {budget}")
+
+
 class Orientation(_Record):
     """An orientation of a multigraph: one flip bit per edge, relative to the
     reference direction.
@@ -249,9 +258,25 @@ def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientat
 
 
 def _class_key(graph: MultiGraph, relation: str, circuits):
-    """The class key under ``relation`` as a function of the flip mask, from
-    masks made once per graph (see ``enumerate_classes``); cut-Eulerian reads
-    the circuit mask from ``circuits``, indexed by flip mask."""
+    """The class key under ``relation`` as a function of the flip mask f;
+    cut-Eulerian reads the circuit mask from ``circuits``, indexed by f.
+
+    With s the +-1 flip signs, two orientations' disagreement indicator has
+    s1 * ind = (s1 - s2) / 2, so each linear test ``equivalent`` makes on it
+    compares a linear form of s1 with the same form of s2. The keys are
+    popcounts of f against masks made once per graph:
+
+    * Eulerian: every vertex's out-degree over non-loop edges,
+      popcount(~f & tails | f & heads), which reversing the disagreement set
+      keeps exactly when ind is a flow.
+    * cut: popcount(f & plus) - popcount(f & minus) around every fundamental
+      circuit (a loop is its own), over the positions it crosses along and
+      against their reference direction: equal exactly when ind is a tension,
+      as the sum of ref_sign * s is the sum of ref_sign minus twice this.
+    * cut-Eulerian: the circuit mask, which equivalent orientations share;
+      the cut key over the bond part (ind is a tension there) and the
+      out-degrees over the circuit part (ind is a flow there).
+    """
     arcs = _arcs(graph)
     bit = [arc[0] for arc in arcs]
     # per fundamental circuit (a loop is its own), the positions crossed along
@@ -321,13 +346,12 @@ class OrientationTable:
 
     def _flip_masks(self, filter: str):
         """The flip masks of ``members(filter)`` in lex order, budget checked."""
-        size = 1 << self.graph.edge_count
         if filter == "all":
-            _check_budget(size, self.budget, "orientations")
-            return range(size)
+            _check_sweep_budget(self.graph.edge_count, self.budget, "orientations")
+            return range(1 << self.graph.edge_count)
         if filter not in ("acyclic", "totally_cyclic"):
             raise ValueError(f"unknown filter {filter!r}")
-        want = 0 if filter == "acyclic" else size - 1
+        want = 0 if filter == "acyclic" else (1 << self.graph.edge_count) - 1
         return [f for f, circuit in enumerate(self._circuit_masks) if circuit == want]
 
     def members(self, filter: str) -> tuple[Orientation, ...]:
@@ -352,7 +376,9 @@ class OrientationTable:
 
     def mask_classes(self, relation: str, filter: str = "all") -> list[list[int]]:
         """The classes of ``members(filter)`` under ``relation`` as lists of
-        flip masks, in the order of ``enumerate_classes``; one pass each."""
+        flip masks, grouped by ``_class_key`` in one pass each. The pass runs
+        over the masks in lex order, so classes are ordered by their
+        lex-smallest member and list their members in lex order, with no sort."""
         if (relation, filter) not in self._classes:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
@@ -366,38 +392,8 @@ class OrientationTable:
         return self._classes[relation, filter]
 
     def classes(self, relation: str, filter: str = "all") -> ClassPartition:
-        """``mask_classes`` as orientations; see ``enumerate_classes``."""
+        """``mask_classes`` as orientations, each class's first member its
+        representative."""
         parts = tuple(tuple(map(self.orientation, c)) for c in self.mask_classes(relation, filter))
         return ClassPartition(relation, parts, tuple(cls[0] for cls in parts))
 
-
-def enumerate_classes(
-    graph: MultiGraph,
-    relation: str,
-    filter: str = "all",
-    budget: int = DEFAULT_BUDGET,
-) -> ClassPartition:
-    """Partition the (optionally filtered) orientation set into equivalence
-    classes, in one pass that groups the orientations by a key.
-
-    With s the +-1 flip signs, two orientations' disagreement indicator has
-    s1 * ind = (s1 - s2) / 2, so each linear test ``equivalent`` makes on it
-    compares a linear form of s1 with the same form of s2. The keys are
-    popcounts of the flip mask f against masks made once per graph:
-
-    * Eulerian: every vertex's out-degree over non-loop edges,
-      popcount(~f & tails | f & heads), which reversing the disagreement set
-      keeps exactly when ind is a flow.
-    * cut: popcount(f & plus) - popcount(f & minus) around every fundamental
-      circuit (a loop is its own), over the positions it crosses along and
-      against their reference direction: equal exactly when ind is a tension,
-      as the sum of ref_sign * s is the sum of ref_sign minus twice this.
-    * cut-Eulerian: the circuit mask, which equivalent orientations share;
-      the cut key over the bond part (ind is a tension there) and the
-      out-degrees over the circuit part (ind is a flow there).
-
-    The sweep runs over f in range(2^|E|), which is lex order, so classes
-    are ordered by their lex-smallest member and list their members in lex
-    order, with no sort.
-    """
-    return OrientationTable(graph, budget).classes(relation, filter)

@@ -18,7 +18,7 @@ from .counting import (
     lowest_argument,
 )
 from .multigraph import MultiGraph, _Record, _UnionFind, spanning_structure
-from .orientations import DEFAULT_BUDGET, Orientation, _check_budget
+from .orientations import DEFAULT_BUDGET, Orientation, _check_sweep_budget
 
 
 class InterpolationError(ValueError):
@@ -544,7 +544,7 @@ class PolynomialReport(_Record):
 def polynomial_report(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> PolynomialReport:
     # the rank-generating polynomial and the orientation sums sweep 2^|E|
     # subsets: an oversized graph stops here, before any of them runs
-    _check_budget(1 << graph.edge_count, budget, "edge subsets")
+    _check_sweep_budget(graph.edge_count, budget, "edge subsets")
     blocks = _block_restrictions(graph)
     if len(blocks) != 1:
         named = [polynomial_report(block, budget).named() for block in blocks]

@@ -13,7 +13,7 @@ from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Orientation,
-    _check_budget,
+    _check_sweep_budget,
     induced_orientation,
 )
 from .polynomials import (
@@ -25,7 +25,6 @@ from .polynomials import (
     _poly_sum,
     _polynomial,
     _tutte_by_key,
-    counting_polynomial,
     orientation_sum_polynomial,
     rank_generating,
     tutte,
@@ -174,47 +173,30 @@ class _PolynomialMemo:
     def __init__(self):
         self._polys: dict = {}
 
-    def counting(self, graph: MultiGraph, family: str, budget) -> BivariatePolynomial:
-        # the ledger's own definition-level families, a table each per block
-        return self._product(graph, _compact_key(graph), family, None,
-                             lambda block, key, o: counting_polynomial(block, family, budget))
-
-    def local(self, graph: MultiGraph, orientation: Orientation, family: str,
-              budget) -> BivariatePolynomial:
-        return self.minor(graph, _compact_key(graph, orientation), family, budget, orientation)
-
-    def minor(self, graph: MultiGraph, key, family: str, budget,
-              orientation: Orientation | None = None) -> BivariatePolynomial:
-        """The family on ``graph``, memo key ``key``; a block's miss makes its sibling too."""
-
-        def sweep(block, key, o):
-            table, sibling = CountTable(block, budget), _SIBLING[family]
-            made = _polynomial(table, family, o)
-            if (key, sibling) not in self._polys:
-                try:
-                    self._polys[key, sibling] = _polynomial(table, sibling, o)
-                except (BudgetExceededError, InterpolationError):
-                    pass  # raised again if an identity reads it
-            return made
-
-        return self._product(graph, key, family, orientation, sweep)
-
-    def _product(self, graph: MultiGraph, key, family: str, orientation, make):
-        """The family on ``graph`` at key ``key``: make(graph, key,
-        orientation) on a miss for a graph of one block, else the product of
-        its blocks' polynomials, each read through this memo."""
+    def polynomial(self, graph: MultiGraph, family: str, budget,
+                   orientation: Orientation | None = None, key=None) -> BivariatePolynomial:
+        """The family on ``graph`` (under ``orientation`` for a per-orientation
+        family) at memo key ``key``, by default ``_compact_key(graph,
+        orientation)``; a block's miss makes its sibling too."""
+        if key is None:
+            key = _compact_key(graph, orientation)
         if (key, family) not in self._polys:
-            blocks = _block_restrictions(graph)
+            blocks, sibling = _block_restrictions(graph), _SIBLING.get(family)
             if len(blocks) == 1:
-                made = make(graph, key, orientation)
+                table = CountTable(graph, budget)
+                made = _polynomial(table, family, orientation)
+                if sibling and (key, sibling) not in self._polys:
+                    try:
+                        self._polys[key, sibling] = _polynomial(table, sibling, orientation)
+                    except (BudgetExceededError, InterpolationError):
+                        pass  # raised again if an identity reads it
             else:
                 made, keys = _ONE, []
                 for block in blocks:
                     o = None if orientation is None else induced_orientation(orientation, block)
                     keys.append(_compact_key(block, o))
-                    made = made * self._product(block, keys[-1], family, o, make)
+                    made = made * self.polynomial(block, family, budget, o, keys[-1])
                 # once every block's sibling is stored, so is the graph's
-                sibling = _SIBLING.get(family)
                 siblings = [self._polys.get((k, sibling)) for k in keys]
                 if sibling and None not in siblings:
                     self._polys[key, sibling] = prod(siblings, start=_ONE)
@@ -239,7 +221,7 @@ def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityRep
 
 def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> IdentityReport:
     # the orientation and edge-subset sweeps below all have 2^|E| items
-    _check_budget(1 << graph.edge_count, budget, "edge subsets")
+    _check_sweep_budget(graph.edge_count, budget, "edge subsets")
     r, m = graph.stats().rank, graph.edge_count
     full = (1 << m) - 1
 
@@ -288,13 +270,14 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         phi_bar_int=lambda: swept("phi_bar_int", table.members("totally_cyclic")),
         tau_bar_mod=lambda: swept("tau_bar_mod", acyclic_reps),
         phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
-        # the definition-level families, counted apart from the table
-        kappa_int=lambda: memo.counting(graph, "kappa_int", budget),
-        kappa_mod=lambda: memo.counting(graph, "kappa_mod", budget),
-        tau_int=lambda: memo.counting(graph, "tau_int", budget),
-        phi_int=lambda: memo.counting(graph, "phi_int", budget),
-        tau_mod=lambda: memo.counting(graph, "tau_mod", budget),
-        phi_mod=lambda: memo.counting(graph, "phi_mod", budget),
+        # the definition-level families, counted apart from the table by the
+        # workspace, as the minors are: tau/phi _int and _mod share a sweep
+        kappa_int=lambda: memo.polynomial(graph, "kappa_int", budget),
+        kappa_mod=lambda: memo.polynomial(graph, "kappa_mod", budget),
+        tau_int=lambda: memo.polynomial(graph, "tau_int", budget),
+        phi_int=lambda: memo.polynomial(graph, "phi_int", budget),
+        tau_mod=lambda: memo.polynomial(graph, "tau_mod", budget),
+        phi_mod=lambda: memo.polynomial(graph, "phi_mod", budget),
         minors=lambda: memo.minors(graph),
     )
 
@@ -356,9 +339,9 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
                 def term(mask, quotient, q_key, restriction, r_key):
                     # G/{} and G|E are G itself: those two factors are the ledger's own
                     tau = read(f"tau{bar}") if mask == 0 else \
-                        memo.minor(quotient, q_key, f"tau{bar}_{kind}", budget)
+                        memo.polynomial(quotient, f"tau{bar}_{kind}", budget, key=q_key)
                     phi = read(f"phi{bar}") if mask == full else \
-                        memo.minor(restriction, r_key, f"phi{bar}_{kind}", budget)
+                        memo.polynomial(restriction, f"phi{bar}_{kind}", budget, key=r_key)
                     return tau * phi
 
                 col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"),
@@ -396,8 +379,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
             label = f"orientation {o.flip_string() or '-'}"
             for kind, bar in (("", ""), ("closed ", "_bar")):
                 col.equal(f"{label} {kind}product decomposition", getattr(poly, f"kappa{bar}")[o],
-                          memo.local(quotient, o_quot, f"tau{bar}_local", budget)
-                          * memo.local(restriction, o_rest, f"phi{bar}_local", budget))
+                          memo.polynomial(quotient, f"tau{bar}_local", budget, o_quot)
+                          * memo.polynomial(restriction, f"phi{bar}_local", budget, o_rest))
             for name, left, right in differing[o]:
                 col.equal(f"{label} {name}", left, right)
 
@@ -576,7 +559,7 @@ def verify_corpus(
 ) -> Iterator[tuple[MultiGraph, IdentityReport]]:
     # the sweep reaches a graph with max_edges edges and its 2^|E| subsets:
     # an oversized sweep stops here, before it yields anything
-    _check_budget(1 << max(max_edges, 0), budget, "edge subsets")
+    _check_sweep_budget(max(max_edges, 0), budget, "edge subsets")
     # one memo for the whole sweep: the minors of small graphs repeat
     memo = _PolynomialMemo()
     for graph in small_multigraphs(max_edges, include_loops):

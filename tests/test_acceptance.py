@@ -13,7 +13,6 @@ from ctfpolys import (
     OrientationTable,
     count,
     counting_polynomial,
-    enumerate_classes,
     local_polynomial,
     tutte,
     verify_corpus,
@@ -93,11 +92,11 @@ def test_criterion_3_census_values(p8):
     try:
         table = OrientationTable(p8)
         assert len(table.orientations) == 32
-        assert len(enumerate_classes(p8, "cut_eulerian", "all").classes) == 8
-        assert len(enumerate_classes(p8, "cut", "acyclic").classes) == 2
-        assert len(enumerate_classes(p8, "eulerian", "totally_cyclic").classes) == 4
-        assert len(enumerate_classes(p8, "cut", "all").classes) == 24
-        assert len(enumerate_classes(p8, "eulerian", "all").classes) == 14
+        assert len(OrientationTable(p8).classes("cut_eulerian", "all").classes) == 8
+        assert len(OrientationTable(p8).classes("cut", "acyclic").classes) == 2
+        assert len(OrientationTable(p8).classes("eulerian", "totally_cyclic").classes) == 4
+        assert len(OrientationTable(p8).classes("cut", "all").classes) == 24
+        assert len(OrientationTable(p8).classes("eulerian", "all").classes) == 14
         n_acyclic = len(table.members("acyclic"))
         n_tc = len(table.members("totally_cyclic"))
         assert n_acyclic == 6
@@ -226,7 +225,7 @@ def test_criterion_8_polynomial_reciprocity(corpus5, p8, digon_loop, small_corpu
             assert (neg(kappa_int) - total_bar).is_zero()
             assert (neg(kappa_bar_int) - total).is_zero()
 
-            reps = enumerate_classes(graph, "cut_eulerian", "all").representatives
+            reps = OrientationTable(graph).classes("cut_eulerian", "all").representatives
             kappa_mod = counting_polynomial(graph, "kappa_mod")
             kappa_bar_mod = counting_polynomial(graph, "kappa_bar_mod")
             total_bar = BivariatePolynomial()

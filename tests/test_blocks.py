@@ -35,12 +35,12 @@ def block_product_mismatches(graph, per_orientation):
     for family in REPORT_FAMILIES:
         expected = _polynomial(whole, family)
         if report.families[family] != expected or \
-                memo.counting(graph, family, DEFAULT_BUDGET) != expected:
+                memo.polynomial(graph, family, DEFAULT_BUDGET) != expected:
             bad.append((family, None))
     if per_orientation:
         for o in whole.orientations:
             for family in LOCAL_FAMILIES:
-                if memo.local(graph, o, family, DEFAULT_BUDGET) != _polynomial(whole, family, o):
+                if memo.polynomial(graph, family, DEFAULT_BUDGET, o) != _polynomial(whole, family, o):
                     bad.append((family, o.flip_string()))
     return bad
 

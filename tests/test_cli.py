@@ -366,6 +366,27 @@ def test_budget_reaches_every_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("4 classes")  # T(1, 2) = 4
 
 
+def test_oversized_sweeps_name_their_size_as_a_power(tmp_path, capsys):
+    # 2^15000 has 4,516 digits, past Python's limit for int-to-str
+    # conversion: each sweep compares the edge count with the budget's bit
+    # length, before 2^m is built or written out
+    digon = tmp_path / "digon.g"
+    digon.write_text(format_graph_text(build_graph(2, [(0, 1)] * 15000)))
+    path = str(digon)
+    commands = {
+        ("polys", path): "2^15000 edge subsets",
+        ("verify", path): "2^15000 edge subsets",
+        ("classes", path, "--relation", "cut"): "2^15000 orientations",
+        ("count", path, "--family", "kappa_bar_int", "--p", "1", "--q", "1"):
+            "2^15000 orientations",
+        ("corpus", "--max-edges", "20000"): "2^20000 edge subsets",
+    }
+    for command, work in commands.items():
+        assert main(list(command)) == 1, command
+        out, err = capsys.readouterr()
+        assert err == f"error: {work} exceed the budget of 1048576\n" and out == "", command
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,6 @@ from ctfpolys import (
     OrientationTable,
     build_graph,
     count,
-    enumerate_classes,
     is_flow,
     is_tension,
 )
@@ -60,16 +59,6 @@ def _kernel(o, side, values, zeros="masks"):
     by default the zero-set histogram of the vectors it counts."""
     counter = _count_tensions if side == "tension" else _count_flows
     return counter(_dp_plan(*_space(o, side)), values, DEFAULT_BUDGET, zeros)
-
-
-def test_cyclic_product_arithmetic():
-    grp = CyclicProduct((2, 3))
-    assert grp.order == 6
-    assert grp.encode((1, 2)) == 5
-    assert grp.decode(5) == (1, 2)
-    for a, b in product(grp.elements(), repeat=2):
-        assert grp.add(grp.add(a, b), grp.neg(b)) == a
-    assert grp.add(grp.encode((1, 2)), grp.encode((1, 1))) == grp.encode((0, 0))
 
 
 def test_modular_tension_examples(k2, l1, p8):
@@ -406,7 +395,7 @@ def test_mod_map_surjective_with_ce_fibers(small_corpus, p8):
         )
         assert set(fibers) == modular
 
-        partition = enumerate_classes(g, "cut_eulerian", "all")
+        partition = OrientationTable(g).classes("cut_eulerian", "all")
         size_of = {}
         for cls in partition.classes:
             for o in cls:
@@ -442,7 +431,7 @@ def test_reorient_q_transports_boxes(p8):
     # within a CE class, Q maps the closed-box pairs of one orientation
     # bijectively onto those of another, and is an involution
     p, q = 2, 2
-    partition = enumerate_classes(p8, "cut_eulerian", "all")
+    partition = OrientationTable(p8).classes("cut_eulerian", "all")
     cls = max(partition.classes, key=len)
     rho, sigma = cls[0], cls[1]
     circuit = oracles.circuit_part(p8, sigma.flips)
@@ -486,6 +475,16 @@ def test_count_validation(p8):
     with pytest.raises(ValueError, match="phi_bar_local reads no flow-side group"):
         count(p8, "phi_bar_local", q=1, orientation=ref, group_b=(1,))
     assert count(p8, "kappa_bar_local", p=0, q=0, orientation=ref) == 1
+    # so is an orientation: a class-sum family adds up its class
+    # representatives, and would count the same with any orientation
+    class_sums = {"kappa_bar_mod": {"p": 1, "q": 1}, "kappa_bar_int": {"p": 1, "q": 1},
+                  "tau_bar_mod": {"p": 2}, "tau_bar_int": {"p": 2},
+                  "phi_bar_mod": {"q": 2}, "phi_bar_int": {"q": 2}}
+    for family, arguments in class_sums.items():
+        with pytest.raises(ValueError, match=f"{family} reads no orientation"):
+            count(p8, family, orientation=ref.reversed(), **arguments)
+    assert count(p8, "kappa_int", p=2, q=2, orientation=ref.reversed()) == \
+        count(p8, "kappa_int", p=2, q=2)
     # p and q are integers: a float or a bool is refused by name, not passed
     # to the kernel (True would count as 1)
     with pytest.raises(ValueError, match="tau_int needs p >= 1"):
@@ -898,9 +897,10 @@ def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
         orientation_sum_polynomial(CountTable(p8), "kappa_int", [(ref.reversed(), 1)])
         memo = verify._PolynomialMemo()
         for quotient, _, restriction, _ in memo.minors(p8):
-            memo.local(quotient, Orientation.reference(quotient), "tau_local", DEFAULT_BUDGET)
-            memo.local(restriction, Orientation.reference(restriction), "phi_local",
-                       DEFAULT_BUDGET)
+            memo.polynomial(quotient, "tau_local", DEFAULT_BUDGET,
+                            Orientation.reference(quotient))
+            memo.polynomial(restriction, "phi_local", DEFAULT_BUDGET,
+                            Orientation.reference(restriction))
 
     assert isomorphism_keys(one_orientation) == 0
     table = CountTable(p8)
@@ -960,7 +960,7 @@ def test_class_sums_build_only_representatives(monkeypatch):
     # cut-Eulerian class representative, plus the reference orientation, and
     # none for the other members
     k4_bridge = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-    classes = len(enumerate_classes(k4_bridge, "cut_eulerian").classes)
+    classes = len(OrientationTable(k4_bridge).classes("cut_eulerian").classes)
     assert classes == tutte(k4_bridge).evaluate(1, 1) == 16
     value, report = count(k4_bridge, "kappa_bar_int", p=1, q=1), polynomial_report(k4_bridge)
     built = []

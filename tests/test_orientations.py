@@ -10,7 +10,6 @@ from ctfpolys import (
     OrientationTable,
     boundary,
     build_graph,
-    enumerate_classes,
     equivalent,
     induced_orientation,
     is_flow,
@@ -198,12 +197,12 @@ def test_class_censuses(p8):
         ("eulerian", "all"): 14,
     }
     for (relation, filt), want in expected.items():
-        partition = enumerate_classes(p8, relation, filt)
+        partition = OrientationTable(p8).classes(relation, filt)
         assert len(partition.classes) == want, (relation, filt)
 
 
 def test_class_partition_structure(p8):
-    partition = enumerate_classes(p8, "cut_eulerian", "all")
+    partition = OrientationTable(p8).classes("cut_eulerian", "all")
     members = [o.flips for cls in partition.classes for o in cls]
     assert sorted(members) == sorted(o.flips for o in OrientationTable(p8).orientations)
     for cls, rep in zip(partition.classes, partition.representatives):
@@ -215,9 +214,9 @@ def test_class_size_product_rule(small_corpus):
     for g in small_corpus:
         if g.edge_count > 3:
             continue
-        ce = enumerate_classes(g, "cut_eulerian", "all")
-        cu = enumerate_classes(g, "cut", "all")
-        eu = enumerate_classes(g, "eulerian", "all")
+        ce = OrientationTable(g).classes("cut_eulerian", "all")
+        cu = OrientationTable(g).classes("cut", "all")
+        eu = OrientationTable(g).classes("eulerian", "all")
 
         def size_of(partition, flips):
             for cls in partition.classes:
@@ -241,7 +240,7 @@ def _flip_classes(partition):
 @pytest.mark.parametrize("filt", FILTERS)
 def test_classes_match_pairwise_oracle(small_corpus, p8, relation, filt):
     for g in [*small_corpus, p8]:
-        got = _flip_classes(enumerate_classes(g, relation, filt))
+        got = _flip_classes(OrientationTable(g).classes(relation, filt))
         assert got == oracles.pairwise_classes(g, relation, filt), (g.edges, relation, filt)
 
 
@@ -251,7 +250,7 @@ def test_cut_eulerian_classes_of_doubled_square(filt):
     # circuit parts but equal bond-part circuit sums and circuit-part
     # out-degrees; no multigraph with at most 6 edges has such a pair
     square = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
-    got = _flip_classes(enumerate_classes(square, "cut_eulerian", filt))
+    got = _flip_classes(OrientationTable(square).classes("cut_eulerian", filt))
     assert got == oracles.pairwise_classes(square, "cut_eulerian", filt)
 
 
@@ -260,7 +259,7 @@ def test_cut_eulerian_classes_of_doubled_square(filt):
 def test_classes_match_pairwise_oracle_random(graph):
     for relation in RELATIONS:
         for filt in FILTERS:
-            got = _flip_classes(enumerate_classes(graph, relation, filt))
+            got = _flip_classes(OrientationTable(graph).classes(relation, filt))
             assert got == oracles.pairwise_classes(graph, relation, filt), (relation, filt)
 
 
@@ -268,23 +267,22 @@ def test_loop_flip_is_eulerian_move(l1, digon_loop):
     loop_ref = Orientation.reference(l1)
     assert equivalent(loop_ref, loop_ref.with_flipped([0]), "eulerian")
     assert not equivalent(loop_ref, loop_ref.with_flipped([0]), "cut")
-    assert len(enumerate_classes(l1, "cut_eulerian", "all").classes) == 1
-    assert len(enumerate_classes(digon_loop, "cut_eulerian", "all").classes) == 2
+    assert len(OrientationTable(l1).classes("cut_eulerian", "all").classes) == 1
+    assert len(OrientationTable(digon_loop).classes("cut_eulerian", "all").classes) == 2
 
 
 def test_enumeration_limit(p8):
     # a sweep of p8's 2^5 orientations needs a budget of 32
     assert len(OrientationTable(p8, budget=32).orientations) == 32
-    assert len(enumerate_classes(p8, "cut", "all", budget=32).classes) == 24
+    assert len(OrientationTable(p8, budget=32).classes("cut", "all").classes) == 24
     with pytest.raises(BudgetExceededError):
         OrientationTable(p8, budget=31).orientations
     with pytest.raises(BudgetExceededError):
-        enumerate_classes(p8, "cut", "all", budget=31)
+        OrientationTable(p8, budget=31).classes("cut", "all")
 
 
 def test_unknown_names_are_refused(c3):
-    # a misspelt filter or relation is an error, not some other set; the
-    # function checks through the table
+    # a misspelt filter or relation is an error, not some other set
     table = OrientationTable(c3)
     with pytest.raises(ValueError, match="unknown filter 'acylic'"):
         table.members("acylic")
@@ -293,14 +291,14 @@ def test_unknown_names_are_refused(c3):
     with pytest.raises(ValueError, match="unknown filter 'acylic'"):
         table.classes("cut", "acylic")
     with pytest.raises(ValueError, match="unknown relation 'cutt'"):
-        enumerate_classes(c3, "cutt")
+        OrientationTable(c3).classes("cutt")
     with pytest.raises(ValueError, match="unknown filter 'acylic'"):
-        enumerate_classes(c3, "cut", "acylic")
+        OrientationTable(c3).classes("cut", "acylic")
     with pytest.raises(ValueError, match="unknown relation 'cutt'"):
         table.self_reverse("cutt")
     # the names are checked before any orientation is listed
     with pytest.raises(ValueError, match="unknown relation 'cutt'"):
-        enumerate_classes(c3, "cutt", "acylic", budget=1)
+        OrientationTable(c3, budget=1).classes("cutt", "acylic")
     small = OrientationTable(c3, budget=1)
     with pytest.raises(ValueError, match="unknown relation 'cutt'"):
         small.self_reverse("cutt")
@@ -322,14 +320,14 @@ def test_induced_orientation(p8):
 
 
 def test_class_sweep_keeps_no_circuit_parts(cache_growth):
-    # enumerate_classes reads each circuit part once, so the process-wide
+    # a table's class sweep reads each circuit part once, so the process-wide
     # caches, keyed by graph, gain at most one entry from the sweep
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 0)])
 
     def sweep():
         for relation in RELATIONS:
             for filt in ("all", "acyclic", "totally_cyclic"):
-                enumerate_classes(graph, relation, filt)
+                OrientationTable(graph).classes(relation, filt)
 
     grown = cache_growth(sweep)
     assert all(n <= 1 for n in grown.values()), grown

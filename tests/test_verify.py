@@ -259,7 +259,7 @@ def test_local_memo_keys_keep_direction():
     for family in ("tau_local", "phi_local", "tau_bar_local", "phi_bar_local"):
         fresh = [local_polynomial(digon, o, family) for o in (acyclic, cyclic)]
         assert fresh[0] != fresh[1], family
-        assert [memo.local(digon, o, family, DEFAULT_BUDGET) for o in (acyclic, cyclic)] == fresh
+        assert [memo.polynomial(digon, family, DEFAULT_BUDGET, o) for o in (acyclic, cyclic)] == fresh
 
 
 def test_failure_witness_counts_problems(p8, monkeypatch):
@@ -328,12 +328,12 @@ THEOREM_WITNESSES = {
 
 @pytest.mark.parametrize("wrong", sorted(THEOREM_WITNESSES))
 def test_theorem_witnesses_name_the_wrong_polynomial(p8, monkeypatch, wrong):
-    # kappa_int/kappa_mod come from counting_polynomial, kappa_bar_int and
-    # kappa_bar_mod from orientation_sum_polynomial: one more than the true
-    # polynomial breaks every Theorem 1 and 2 identity that reads it
+    # kappa_int/kappa_mod come from the workspace's _polynomial, kappa_bar_int
+    # and kappa_bar_mod from orientation_sum_polynomial: one more than the
+    # true polynomial breaks every Theorem 1 and 2 identity that reads it
     import ctfpolys.verify as verify
 
-    name = "counting_polynomial" if wrong == "kappa" else "orientation_sum_polynomial"
+    name = "_polynomial" if wrong == "kappa" else "orientation_sum_polynomial"
     true = getattr(verify, name)
 
     def off_by_one(source, family, *args):
@@ -370,13 +370,13 @@ def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
     assert len(made) == 1 and made[0][1] >= 1, made
     assert all(table is not made[0][0] for table in tables)
 
-    true_poly = verify.counting_polynomial
+    true_poly = verify._polynomial
 
-    def off_by_one(graph, family, *args):
-        poly = true_poly(graph, family, *args)
+    def off_by_one(table, family, *args):
+        poly = true_poly(table, family, *args)
         return poly + 1 if family == "kappa_int" else poly
 
-    monkeypatch.setattr(verify, "counting_polynomial", off_by_one)
+    monkeypatch.setattr(verify, "_polynomial", off_by_one)
     ind = next(c for c in verify_graph(p8).checks if c.identity == "IND")
     assert ind.status == "fail"
     assert ind.witness.startswith("kappa_int from reversed orientation: "), ind.witness
