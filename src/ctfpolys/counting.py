@@ -192,8 +192,8 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
     zero sets. The step takes one value of each pair {v, -v}, and each state
     s != -s it makes stands for -s too, with twice its count.
 
-    The budget counts the states the steps create, checked after each step;
-    the mirror step creates only its half.
+    The budget counts the states the steps create, checked before each
+    source state and after each step; the mirror step creates only its half.
     """
     zero_positions, plan_steps = plan
     group = values if isinstance(values, CyclicProduct) else None
@@ -220,6 +220,8 @@ def _partial_sum_dp(plan, values, zeros: str, budget):
             candidates = [v for v in elements if v <= neg[v]] if halve else elements
         new: dict = {}
         for (sums, mask), n in states.items():
+            if created + len(new) > budget:  # a step past the budget stops early
+                _check_budget(created + len(new), budget, "DP states")
             sums += pad
             special: dict[int, int] = {}  # value -> zero bits it creates
             if group is None:

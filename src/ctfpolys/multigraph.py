@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from operator import index
 from typing import Iterable, Sequence
 
@@ -275,28 +276,37 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[tuple[int, int]]) -> Mul
 
 def _assignment_order(free: Sequence[int], sums) -> tuple[int, ...]:
     """``free`` in the greedy order of ForestData's ``tension_order`` and
-    ``flow_order``; ``sums`` are the sets of free positions of the sums."""
+    ``flow_order``; ``sums`` are the sets of free positions of the sums. A
+    value's cost is a total of shares of its sums, and a sum's share changes
+    only when it opens and when one value is left, so the costs sit in a
+    heap whose stale entries are skipped."""
     left = [len(members) for members in sums]  # per sum, values not yet assigned
-    containing = {x: [k for k, members in enumerate(sums) if x in members] for x in free}
 
-    def cost(x):
-        # (sums left open, minus sums closed, position) once x is assigned
-        opened = closed = 0
-        for k in containing[x]:
-            if left[k] == 1:
-                closed += 1
-                opened -= left[k] < len(sums[k])
-            else:
-                opened += left[k] == len(sums[k])
-        return opened, -closed, x
+    def share(k):  # (sums left open, minus sums closed) once a value of sum k is assigned
+        if left[k] == 1:
+            return -(len(sums[k]) > 1), -1
+        return int(left[k] == len(sums[k])), 0
 
-    order, todo = [], set(free)
-    while todo:
-        x = min(todo, key=cost)
-        todo.remove(x)
-        order.append(x)
-        for k in containing[x]:
-            left[k] -= 1
+    containing: dict[int, list[int]] = {x: [] for x in free}
+    for k, members in enumerate(sums):
+        for x in members:
+            containing[x].append(k)
+    cost = {x: [sum(part) for part in zip((0, 0), *map(share, ks))] for x, ks in containing.items()}
+    heap = [(*c, x) for x, c in cost.items()]
+    heapify(heap)
+    order = []
+    while heap:
+        *c, x = heappop(heap)
+        if cost.get(x) == c:  # else assigned, or its cost has changed since
+            del cost[x]
+            order.append(x)
+            for k in containing[x]:
+                before, left[k] = share(k), left[k] - 1
+                if left[k] and (after := share(k)) != before:
+                    for y in [y for y in sums[k] if y in cost]:
+                        c = cost[y]
+                        c[0], c[1] = c[0] + after[0] - before[0], c[1] + after[1] - before[1]
+                        heappush(heap, (*c, y))
     return tuple(order)
 
 

@@ -180,43 +180,66 @@ def _positions(m: int, mask: int) -> frozenset[int]:
     return frozenset(pos for pos in range(m) if mask >> (m - 1 - pos) & 1)
 
 
-def _arcs(graph: MultiGraph) -> tuple[tuple[int, int, int, int, int], ...]:
-    """(bit, u, v, 1 << u, 1 << v) per edge position: its bit in a flip mask,
-    its reference tail and head (a loop gives u == v) and their vertex bits."""
+def _add_arc(reach: list[int], u: int, v: int) -> list[int]:
+    """The reach sets (vertex bitsets, each holding its own vertex, closed
+    under paths) after adding the arc u->v: every set that holds u, u's own
+    among them, gains v's (incremental closure, Italiano, Theor. Comput. Sci.
+    48, 1986). The sets are copied when they change, so a caller may keep
+    the old ones."""
+    row = reach[v]
+    if reach[u] & row == row:
+        return reach
+    u_bit = 1 << u
+    return [seen | row if seen & u_bit else seen for seen in reach]
+
+
+def _ends(graph: MultiGraph) -> list[tuple[int, int, int]]:
+    """(u, v, bit) per edge position: its reference tail and head (a loop
+    gives u == v) and its bit in a flip mask (position pos at bit m-1-pos)."""
     m = graph.edge_count
-    return tuple((1 << (m - 1 - p), u, v, 1 << u, 1 << v) for p, (u, v) in enumerate(graph.edges))
+    return [(u, v, 1 << (m - 1 - pos)) for pos, (u, v) in enumerate(graph.edges)]
 
 
-def _circuit_mask(vertex_count: int, arcs, flips: int) -> int:
-    """The circuit part of the orientation with flip mask ``flips``, as a mask
-    over the same bits. Arrow u->v lies on a directed circuit iff v reaches u
-    (a loop makes its vertex reach itself); reach sets are vertex bitsets
-    closed by Warshall's algorithm (J. ACM 9, 1962)."""
-    reach = [0] * vertex_count
-    for bit, u, v, u_bit, v_bit in arcs:
-        if flips & bit:
-            reach[v] |= u_bit
-        else:
-            reach[u] |= v_bit
-    for k, row in enumerate(reach):
-        # step k: whoever reaches k reaches what k reaches
-        if row:
-            k_bit = 1 << k
-            for i, seen in enumerate(reach):
-                if seen & k_bit:
-                    reach[i] = seen | row
+def _circuit_of(reach: list[int], ends) -> int:
+    """The circuit mask of an orientation whose arcs made ``reach``: arrow
+    u->v lies on a directed circuit iff v reaches u, that is iff u and v
+    reach the same vertices, whichever way the edge points (a loop always)."""
     circuit = 0
-    for bit, u, v, u_bit, v_bit in arcs:
-        if reach[u] & v_bit if flips & bit else reach[v] & u_bit:
+    for u, v, bit in ends:
+        if reach[u] == reach[v]:
             circuit |= bit
     return circuit
 
 
+def _sweep_circuits(graph: MultiGraph) -> list[int]:
+    """Every orientation's circuit mask, indexed by flip mask, in one
+    depth-first walk of the flip tree that adds one arc per level with
+    ``_add_arc``. Reversing every arc keeps every directed circuit, so the
+    first position stays unflipped and each leaf writes f and its reverse."""
+    m, ends = graph.edge_count, _ends(graph)
+    full, out = (1 << m) - 1, [0] * (1 << m)
+
+    def visit(pos, f, reach):
+        if pos == m:
+            out[f] = out[f ^ full] = _circuit_of(reach, ends)
+            return
+        u, v, bit = ends[pos]
+        visit(pos + 1, f, _add_arc(reach, u, v))
+        if pos:
+            visit(pos + 1, f | bit, _add_arc(reach, v, u))
+
+    visit(0, 0, [1 << x for x in range(graph.vertex_count)])
+    return out
+
+
 def _circuit_part(orientation: Orientation) -> frozenset[int]:
-    """Positions of the circuit-part edges, one ``_circuit_mask`` per call."""
+    """Positions of the circuit-part edges, by adding the orientation's arcs
+    one at a time as ``_sweep_circuits`` does along one branch."""
     graph = orientation.graph
-    mask = _circuit_mask(graph.vertex_count, _arcs(graph), _flip_mask(orientation))
-    return _positions(graph.edge_count, mask)
+    reach = [1 << x for x in range(graph.vertex_count)]
+    for u, v in orientation.arrows():
+        reach = _add_arc(reach, u, v)
+    return _positions(graph.edge_count, _circuit_of(reach, _ends(graph)))
 
 
 def _indicator_test(first: Orientation, ind: Sequence[int], relation: str, circuit) -> bool:
@@ -257,57 +280,60 @@ def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientat
     return Orientation(minor, tuple(flip_by_id[i] for i in minor.edge_ids))
 
 
+def _linear_form(weights: Sequence[int]):
+    """f -> the sum of ``weights[pos]`` over the positions pos set in the flip
+    mask f, read from two tables: one over the low half of the bits, one over
+    the high half."""
+    low, high, half = [0], [0], len(weights) // 2
+    for k, w in enumerate(reversed(weights)):  # bit k is position m-1-k
+        table = low if k < half else high
+        table += [x + w for x in table]
+    return lambda f: high[f >> half] + low[f & (1 << half) - 1]
+
+
 def _class_key(graph: MultiGraph, relation: str, circuits):
     """The class key under ``relation`` as a function of the flip mask f;
     cut-Eulerian reads the circuit mask from ``circuits``, indexed by f.
 
     With s the +-1 flip signs, two orientations' disagreement indicator has
     s1 * ind = (s1 - s2) / 2, so each linear test ``equivalent`` makes on it
-    compares a linear form of s1 with the same form of s2. The keys are
-    popcounts of f against masks made once per graph:
+    compares a linear form of s1 with the same form of s2. Each key packs
+    such forms into one integer linear form of the flip bits, one digit per
+    form in balanced base B = 2m+3: every digit lies in [-m, m], two keys'
+    digits differ by at most 2m < B, so distinct digit vectors give distinct
+    ints. Up to constants, which equal keys share:
 
-    * Eulerian: every vertex's out-degree over non-loop edges,
-      popcount(~f & tails | f & heads), which reversing the disagreement set
-      keeps exactly when ind is a flow.
-    * cut: popcount(f & plus) - popcount(f & minus) around every fundamental
-      circuit (a loop is its own), over the positions it crosses along and
-      against their reference direction: equal exactly when ind is a tension,
-      as the sum of ref_sign * s is the sum of ref_sign minus twice this.
-    * cut-Eulerian: the circuit mask, which equivalent orientations share;
-      the cut key over the bond part (ind is a tension there) and the
-      out-degrees over the circuit part (ind is a flow there).
+    * Eulerian: the out-degrees over non-loop edges, a constant plus the sum
+      of f_e * (B^head - B^tail) over the reference arcs, which reversing the
+      disagreement set keeps exactly when ind is a flow.
+    * cut: the signed flip count around every fundamental circuit (a loop is
+      its own), the sum of f_e * ref_sign * B^circuit over the positions it
+      crosses: equal exactly when ind is a tension, as the sum of
+      ref_sign * s is the sum of ref_sign minus twice it.
+    * cut-Eulerian: the circuit mask C, which equivalent orientations share;
+      the cut form of f & ~C (ind is a tension on the bond part) and the
+      out-degree form of f & C (ind is a flow on the circuit part), whose
+      constant, the tails of C, C already fixes.
     """
-    arcs = _arcs(graph)
-    bit = [arc[0] for arc in arcs]
-    # per fundamental circuit (a loop is its own), the positions crossed along
-    # and against it; per vertex, the non-loop positions leaving and entering
-    signed = [(bit[e] + sum(bit[t] for t, sign in rest if sign > 0),
-               sum(bit[t] for t, sign in rest if sign < 0))
-              for e, rest in spanning_structure(graph).circuit_table]
-    ends = [(sum(b for b, u, v, *_ in arcs if u == x != v),
-             sum(b for b, u, v, *_ in arcs if v == x != u))
-            for x in range(graph.vertex_count)]
-
-    def cut(f):
-        return tuple([(f & plus).bit_count() - (f & minus).bit_count() for plus, minus in signed])
-
-    def out_degrees(f, within=(1 << len(arcs)) - 1):
-        return tuple([((~f & tails | f & heads) & within).bit_count() for tails, heads in ends])
-
-    def cut_eulerian(f):
-        circuit = circuits[f]
-        return circuit, cut(f & ~circuit), out_degrees(f, circuit)
-
-    return {"cut": cut, "eulerian": out_degrees, "cut_eulerian": cut_eulerian}[relation]
+    base, weights = 2 * graph.edge_count + 3, [0] * graph.edge_count
+    for k, (e, rest) in enumerate(spanning_structure(graph).circuit_table):
+        for t, sign in ((e, 1),) + rest:
+            weights[t] += sign * base**k
+    cut, out = _linear_form(weights), _linear_form([base**v - base**u for u, v in graph.edges])
+    if relation != "cut_eulerian":
+        return cut if relation == "cut" else out
+    return lambda f: (circuit := circuits[f], cut(f & ~circuit), out(f & circuit))
 
 
 class OrientationTable:
     """The orientations of one graph, their circuit parts, the acyclic and
     totally cyclic sets, the classes and the self-reverse sets. Sweeps run
     over flip masks (``_flip_mask``): the table keeps one circuit mask per
-    orientation and the classes as lists of masks, and builds an Orientation
-    only for a mask that is read. A table that serves one orientation lists
-    none, and the cut and Eulerian classes find no circuit part."""
+    orientation, found for all of them by one depth-first ``_sweep_circuits``,
+    and the classes as lists of masks grouped by linear keys
+    (``_class_key``), and builds an Orientation only for a mask that is read.
+    A table that serves one orientation lists none, and the cut and Eulerian
+    classes find no circuit part."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         self.graph = graph
@@ -332,8 +358,8 @@ class OrientationTable:
     @cached_property
     def _circuit_masks(self) -> list[int]:
         """Every orientation's circuit mask, indexed by flip mask."""
-        n, arcs = self.graph.vertex_count, _arcs(self.graph)
-        return [_circuit_mask(n, arcs, f) for f in self._flip_masks("all")]
+        _check_sweep_budget(self.graph.edge_count, self.budget, "orientations")
+        return _sweep_circuits(self.graph)
 
     def circuit(self, orientation: Orientation) -> frozenset[int]:
         """The positions of the orientation's circuit part, built from its

@@ -35,40 +35,50 @@ def cache_growth(package_caches):
     return grow
 
 
-def _call_counter(monkeypatch, module, name):
-    """A function that runs sweep() and returns how many calls of
-    ``module.name`` it made; its ``total()`` is the count of every call
-    since the counter was set up, to split one sweep into parts."""
+def _once(result):
+    return 1
+
+
+def _call_counter(monkeypatch, module, **sizes):
+    """A function that runs sweep() and returns how many calls of the
+    functions of ``module`` named in ``sizes`` it made, each weighted by its
+    size function of what the call returned; its ``total()`` is the weight of
+    every call since the counter was set up, to split one sweep into parts."""
     calls = []
-    original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+    def counter(original, size):
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(size(result))
+            return result
 
-    monkeypatch.setattr(module, name, counted)
+        return counted
+
+    for name, size in sizes.items():
+        monkeypatch.setattr(module, name, counter(getattr(module, name), size))
 
     def made(sweep):
-        before = len(calls)
+        before = sum(calls)
         sweep()
-        return len(calls) - before
+        return sum(calls) - before
 
-    made.total = lambda: len(calls)
+    made.total = lambda: sum(calls)
     return made
 
 
 @pytest.fixture
 def component_passes(monkeypatch):
-    """A function that runs sweep() and returns how many circuit parts
-    (``orientations._circuit_mask`` calls) it found."""
-    return _call_counter(monkeypatch, orientations, "_circuit_mask")
+    """A function that runs sweep() and returns how many circuit parts it
+    found: the 2^|E| masks of each ``orientations._sweep_circuits`` call,
+    plus one per ``orientations._circuit_part`` call."""
+    return _call_counter(monkeypatch, orientations, _sweep_circuits=len, _circuit_part=_once)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """A function that runs sweep() and returns how many counting-kernel
     calls (``counting._partial_sum_dp`` calls) it made."""
-    return _call_counter(monkeypatch, counting, "_partial_sum_dp")
+    return _call_counter(monkeypatch, counting, _partial_sum_dp=_once)
 
 
 @pytest.fixture
@@ -76,14 +86,14 @@ def isomorphism_keys(monkeypatch):
     """A function that runs sweep() and returns how many orientations a
     count table keyed up to isomorphism (``counting._isomorphism_key``
     calls)."""
-    return _call_counter(monkeypatch, counting, "_isomorphism_key")
+    return _call_counter(monkeypatch, counting, _isomorphism_key=_once)
 
 
 @pytest.fixture
 def block_splits(monkeypatch):
     """A function that runs sweep() and returns how many graphs the ledger's
     workspace split into blocks (``verify._block_restrictions`` calls)."""
-    return _call_counter(monkeypatch, verify, "_block_restrictions")
+    return _call_counter(monkeypatch, verify, _block_restrictions=_once)
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,61 @@ def circuit_part(graph, flips):
     )
 
 
+def circuit_mask_warshall(graph, flips):
+    """The circuit part of the orientation with flip mask ``flips`` (position
+    pos at bit m-1-pos) as a mask over the same bits. Arrow u->v lies on a
+    directed circuit iff v reaches u (a loop makes its vertex reach itself);
+    reach sets are vertex bitsets closed by Warshall's algorithm (J. ACM 9,
+    1962), built from scratch for every mask."""
+    m = graph.edge_count
+    arcs = [(1 << (m - 1 - pos), u, v) for pos, (u, v) in enumerate(graph.edges)]
+    reach = [0] * graph.vertex_count
+    for bit, u, v in arcs:
+        if flips & bit:
+            reach[v] |= 1 << u
+        else:
+            reach[u] |= 1 << v
+    for k, row in enumerate(reach):
+        # step k: whoever reaches k reaches what k reaches
+        for i, seen in enumerate(reach):
+            if seen >> k & 1:
+                reach[i] = seen | row
+    circuit = 0
+    for bit, u, v in arcs:
+        tail, head = (v, u) if flips & bit else (u, v)
+        if reach[head] >> tail & 1:
+            circuit |= bit
+    return circuit
+
+
+def assignment_order_greedy(free, sums):
+    """``free`` in the greedy order of ForestData's ``tension_order`` and
+    ``flow_order``; ``sums`` are the sets of free positions of the sums.
+    Every step recomputes the cost of every value not yet assigned."""
+    left = [len(members) for members in sums]  # per sum, values not yet assigned
+    containing = {x: [k for k, members in enumerate(sums) if x in members] for x in free}
+
+    def cost(x):
+        # (sums left open, minus sums closed, position) once x is assigned
+        opened = closed = 0
+        for k in containing[x]:
+            if left[k] == 1:
+                closed += 1
+                opened -= left[k] < len(sums[k])
+            else:
+                opened += left[k] == len(sums[k])
+        return opened, -closed, x
+
+    order, todo = [], set(free)
+    while todo:
+        x = min(todo, key=cost)
+        todo.remove(x)
+        order.append(x)
+        for k in containing[x]:
+            left[k] -= 1
+    return tuple(order)
+
+
 def _is_cycle(graph, subset):
     """A nonempty connected edge set with every vertex of degree 0 or 2 (a
     loop adds 2): a loop, two parallel edges or a simple cycle."""

@@ -13,7 +13,8 @@ from ctfpolys import (
     parse_graph_text,
     spanning_structure,
 )
-from ctfpolys.multigraph import canonical_form
+from ctfpolys.multigraph import _assignment_order, canonical_form
+from ctfpolys.verify import small_multigraphs
 
 
 def test_example_graph_shape(p8):
@@ -188,6 +189,30 @@ def test_assignment_orders_permute_the_free_positions(small_corpus, p8):
         cotree = [e for e, _ in forest.circuit_table]
         assert sorted(forest.tension_order) == list(forest.forest_positions)
         assert sorted(forest.flow_order) == cotree
+
+
+def _wheel(k):
+    return build_graph(k + 1, [(0, v) for v in range(1, k + 1)]
+                       + [(v, v % k + 1) for v in range(1, k + 1)])
+
+
+def test_assignment_orders_match_the_greedy_reference():
+    # the heap gives the order the greedy that rescans every value gives
+    for g in [*small_multigraphs(5, True), *map(_wheel, range(4, 8))]:
+        forest = spanning_structure(g)
+        tension_sums = [{t for t, _ in rest} for _, rest in forest.circuit_table if rest]
+        flow_sums = [{e for e, _ in through} for _, through in forest.flow_table if through]
+        assert forest.tension_order == oracles.assignment_order_greedy(
+            forest.forest_positions, tension_sums), g.edges
+        assert forest.flow_order == oracles.assignment_order_greedy(
+            [e for e, _ in forest.circuit_table], flow_sums), g.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1), max_size=8))
+def test_assignment_order_matches_the_greedy_reference_random(sums):
+    free = sorted(set().union(*sums) | {10})
+    assert _assignment_order(free, sums) == oracles.assignment_order_greedy(free, sums)
 
 
 def test_spanning_forest_grows_from_a_highest_degree_vertex():

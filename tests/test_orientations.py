@@ -15,7 +15,8 @@ from ctfpolys import (
     is_flow,
     is_tension,
 )
-from ctfpolys.orientations import RELATIONS, _circuit_part
+from ctfpolys.orientations import RELATIONS, _circuit_part, _positions, _sweep_circuits
+from ctfpolys.verify import small_multigraphs
 from strategies import multigraphs
 
 
@@ -74,6 +75,21 @@ def test_circuit_part_matches_path_search(small_corpus, p8):
 @given(multigraphs())
 def test_circuit_part_matches_path_search_random(graph):
     _assert_circuit_part_is_path_search(graph)
+
+
+def test_sweep_matches_warshall_closure(p8):
+    # the depth-first sweep, and _circuit_part along one branch, give every
+    # orientation the circuit mask a closure built from scratch gives it
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    w4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
+    loops = build_graph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (1, 1), (2, 2)])
+    for graph in [*small_multigraphs(4, True), k4, w4, p8, loops]:
+        m = graph.edge_count
+        expected = [oracles.circuit_mask_warshall(graph, f) for f in range(1 << m)]
+        assert _sweep_circuits(graph) == expected, graph.edges
+        table = OrientationTable(graph)
+        for f, mask in enumerate(expected):
+            assert _circuit_part(table.orientation(f)) == _positions(m, mask), (graph.edges, f)
 
 
 def test_minty_partition_covers_edges(small_corpus):
@@ -261,6 +277,32 @@ def test_classes_match_pairwise_oracle_random(graph):
         for filt in FILTERS:
             got = _flip_classes(OrientationTable(graph).classes(relation, filt))
             assert got == oracles.pairwise_classes(graph, relation, filt), (relation, filt)
+
+
+def _pairwise_mask_classes(table, relation, filt):
+    # each member joins the first class whose first member ``equivalent``
+    # relates to it, so the relation is tested pairwise and never keyed
+    classes = []
+    for f in table._flip_masks(filt):
+        o = table.orientation(f)
+        for cls in classes:
+            if equivalent(table.orientation(cls[0]), o, relation):
+                cls.append(f)
+                break
+        else:
+            classes.append([f])
+    return classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_edges=8))
+def test_class_keys_match_pairwise_equivalent_random(graph):
+    # the linear class keys group exactly as pairwise ``equivalent`` does
+    table = OrientationTable(graph)
+    for relation in RELATIONS:
+        for filt in FILTERS:
+            assert table.mask_classes(relation, filt) == _pairwise_mask_classes(
+                table, relation, filt), (graph.edges, relation, filt)
 
 
 def test_loop_flip_is_eulerian_move(l1, digon_loop):
