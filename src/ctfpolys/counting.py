@@ -9,6 +9,7 @@ elements the kernel encodes in its carry-free tables.
 from __future__ import annotations
 
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .multigraph import MultiGraph, _Record, canonical_form, spanning_structure
@@ -374,9 +375,10 @@ def _isomorphism_key(orientation: Orientation) -> tuple:
 class CountTable(OrientationTable):
     """An orientation table with the box counts of the orientations, each
     computed once per orbit (``orbit``) from one kernel plan per orbit and
-    side, and the sums the counting families read from them. A table lives
-    for one count, one polynomial, one ``polys`` report (all twelve
-    graph-level families) or one identity-ledger computation."""
+    side, and the weighted sums the counting families read from them
+    (``sampler``). A table lives for one count, one polynomial, one
+    ``polys`` report (all twelve graph-level families) or one
+    identity-ledger computation."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
         super().__init__(graph, budget)
@@ -423,16 +425,17 @@ class CountTable(OrientationTable):
 
     def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
         """The count in one box at p or q (a group's moduli on a "group"
-        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. A
-        scalar count is made once per ``orbit``, on its first orientation; a
-        zero-set histogram, indexed by edge position, per block-reversal orbit."""
+        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. Each
+        count is made once per ``orbit``, on its first orientation. A zero-set
+        histogram, read on the "int" and "group" boxes only, is the same for
+        every orientation: flipping an edge negates its value, not its zero set."""
         if box is None:
             return 1
-        orbit = _orbit_key(orientation) if zeros == "masks" else self.orbit(orientation)
-        member = orientation if zeros == "masks" else self._first[orbit]
+        orbit = self.orbit(orientation)
         key = (orbit, side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
+            member = self._first[orbit]
             plan = self._plans.get((orbit, side))
             if plan is None:
                 zero_positions, steps = _dp_plan(*_space(member, side))
@@ -444,26 +447,42 @@ class CountTable(OrientationTable):
             )
         return found
 
-    def total(self, family: str, pairs, p, q) -> int:
-        """The family's weighted sum over (orientation, weight) pairs at (p, q).
+    def _merge(self, pairs) -> list[tuple[Orientation, int]]:
+        """The (orientation, weight) pairs merged by ``orbit``, on which
+        every count is constant: each orbit's first orientation listed, and
+        its summed weight."""
+        merged: dict = {}
+        for o, w in pairs:
+            key = self.orbit(o)
+            first, total = merged.get(key, (o, 0))
+            merged[key] = first, total + w
+        return list(merged.values())
 
-        A definition-level family counts the nowhere-zero vectors of its one
-        side, or the complementary pairs (ker f = supp g) matched by zero
-        set; each zero mode is a kernel call of its own, so a one-side count
-        is never read off a zero-set histogram."""
+    def sampler(self, family: str, pairs):
+        """sampler(p, q) of the family's weighted sum over (orientation,
+        weight) pairs: over the orbits (``_merge``), the weight times the
+        tension count at p times the flow count at q, each read once per p or q.
+
+        The family's row picks the zero mode: "allowed" for an orientation
+        sum; for a definition-level family "forbidden" on its one side, or
+        "masks" on both, the complementary pairs (ker f = supp g) matched by
+        zero set (_matched_pairs). Each zero mode is a kernel call of its
+        own, so a one-side count is never read off a zero-set histogram."""
         t_box, f_box, members = FAMILY_TABLE[family]
-        if members == "one" and t_box and f_box:
-            full = (1 << self.graph.edge_count) - 1
-            return sum(
-                w * _matched_pairs(self.side(o, "tension", t_box, p, "masks"),
-                                   self.side(o, "flow", f_box, q, "masks"), full)
-                for o, w in pairs
-            )
-        zeros = "forbidden" if members == "one" else "allowed"
-        return sum(
-            w * self.side(o, "tension", t_box, p, zeros) * self.side(o, "flow", f_box, q, zeros)
-            for o, w in pairs
-        )
+        zeros = "allowed" if members != "one" else "masks" if t_box and f_box else "forbidden"
+        full = (1 << self.graph.edge_count) - 1
+        combine = mul if zeros != "masks" else lambda t, f: _matched_pairs(t, f, full)
+        merged = self._merge(pairs)
+        tensions, flows = {}, {}  # p -> the orbits' tension counts; q -> their flow counts
+
+        def sampler(a, b):
+            if a not in tensions:
+                tensions[a] = [self.side(o, "tension", t_box, a, zeros) for o, _ in merged]
+            if b not in flows:
+                flows[b] = [self.side(o, "flow", f_box, b, zeros) for o, _ in merged]
+            return sum(w * combine(t, f) for (_, w), t, f in zip(merged, tensions[a], flows[b]))
+
+        return sampler
 
 
 def _require(condition: bool, message: str) -> None:
@@ -524,5 +543,5 @@ def count(
         return moduli
 
     table = CountTable(graph, budget)
-    return table.total(family, table.sum_members(family, orientation),
-                       argument(p, group_a), argument(q, group_b))
+    sampler = table.sampler(family, table.sum_members(family, orientation))
+    return sampler(argument(p, group_a), argument(q, group_b))

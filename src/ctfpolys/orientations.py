@@ -242,18 +242,6 @@ def _circuit_part(orientation: Orientation) -> frozenset[int]:
     return _positions(graph.edge_count, _circuit_of(reach, _ends(graph)))
 
 
-def _indicator_test(first: Orientation, ind: Sequence[int], relation: str, circuit) -> bool:
-    """``equivalent``'s test of the disagreement indicator ``ind``; only
-    cut-Eulerian reads ``circuit``, the circuit-part positions of ``first``."""
-    if relation == "cut":
-        return is_tension(first, ind, 0)
-    if relation == "eulerian":
-        return is_flow(first, ind, 0)
-    bond_vec = tuple(0 if p in circuit else ind[p] for p in range(len(ind)))
-    circ_vec = tuple(ind[p] if p in circuit else 0 for p in range(len(ind)))
-    return is_tension(first, bond_vec, 0) and is_flow(first, circ_vec, 0)
-
-
 def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
     """Test cut / Eulerian / cut-Eulerian equivalence of two orientations.
 
@@ -266,9 +254,15 @@ def equivalent(first: Orientation, second: Orientation, relation: str) -> bool:
         raise ValueError(f"unknown relation {relation!r}")
     if first.graph is not second.graph and first.graph != second.graph:
         raise ValueError("orientations live on different graphs")
-    circuit = _circuit_part(first) if relation == "cut_eulerian" else None
     ind = tuple(a ^ b for a, b in zip(first.flips, second.flips))
-    return _indicator_test(first, ind, relation, circuit)
+    if relation == "cut":
+        return is_tension(first, ind, 0)
+    if relation == "eulerian":
+        return is_flow(first, ind, 0)
+    circuit = _circuit_part(first)
+    bond_vec = tuple(0 if p in circuit else ind[p] for p in range(len(ind)))
+    circ_vec = tuple(ind[p] if p in circuit else 0 for p in range(len(ind)))
+    return is_tension(first, bond_vec, 0) and is_flow(first, circ_vec, 0)
 
 
 def induced_orientation(orientation: Orientation, minor: MultiGraph) -> Orientation:
@@ -385,18 +379,22 @@ class OrientationTable:
         "totally_cyclic" (empty bond part), in lex order."""
         return tuple(map(self.orientation, self._flip_masks(filter)))
 
+    def _key(self, relation: str):
+        """``_class_key`` under a known relation; cut-Eulerian reads the sweep."""
+        circuits = self._circuit_masks if relation == "cut_eulerian" else None
+        return _class_key(self.graph, relation, circuits)
+
     def self_reverse(self, relation: str) -> frozenset[Orientation]:
         """The orientations whose reverse, which disagrees on every edge, is
-        equivalent to them under ``relation``: ``equivalent``'s indicator
-        tests on the sweep's circuit parts decide, not the class keys."""
+        equivalent to them under ``relation``: the flip masks f whose class
+        key (``_class_key``) f's complement shares. The keys are exact, and
+        reversal keeps the circuit mask."""
         if relation not in self._self_reverse:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
-            m = self.graph.edge_count
-            circuits = self._circuit_masks if relation == "cut_eulerian" else None
+            key, full = self._key(relation), (1 << self.graph.edge_count) - 1
             self._self_reverse[relation] = frozenset(
-                o for f, o in enumerate(self.orientations)
-                if _indicator_test(o, (1,) * m, relation, circuits and _positions(m, circuits[f]))
+                self.orientation(f) for f in self._flip_masks("all") if key(f) == key(f ^ full)
             )
         return self._self_reverse[relation]
 
@@ -408,9 +406,7 @@ class OrientationTable:
         if (relation, filter) not in self._classes:
             if relation not in RELATIONS:
                 raise ValueError(f"unknown relation {relation!r}")
-            masks = self._flip_masks(filter)
-            circuits = self._circuit_masks if relation == "cut_eulerian" else None
-            key = _class_key(self.graph, relation, circuits)
+            masks, key = self._flip_masks(filter), self._key(relation)
             grouped: dict[object, list[int]] = {}
             for f in masks:
                 grouped.setdefault(key(f), []).append(f)

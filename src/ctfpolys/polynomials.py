@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
-from operator import mul
 from typing import Mapping, Sequence
 
 from .counting import (
@@ -415,40 +414,8 @@ def orientation_sum_polynomial(
 ) -> BivariatePolynomial:
     """Polynomial of a family over (orientation, weight) pairs of the
     table's graph (for a definition-level family, its one orientation), read
-    from the table by ``_sampler``."""
-    return _interpolate_family(family, _sampler(table, family, pairs), table.graph)
-
-
-def _orbit_weights(table: CountTable, pairs) -> list[tuple[Orientation, int]]:
-    """The pairs merged by ``CountTable.orbit``, on which the scalar box
-    counts are constant: each orbit's first orientation, summed weight."""
-    merged: dict = {}
-    for o, w in pairs:
-        key = table.orbit(o)
-        first, total = merged.get(key, (o, 0))
-        merged[key] = first, total + w
-    return list(merged.values())
-
-
-def _sampler(table: CountTable, family: str, pairs):
-    """sampler(p, q) of the family's weighted sum over the pairs: the sum of
-    w * T[p] * F[q] over the merged orbits, each count read once per p or q,
-    or, for complementary pairs matched by zero set, ``CountTable.total``."""
-    t_box, f_box, members = FAMILY_TABLE[family]
-    if members == "one" and t_box and f_box:
-        return lambda a, b: table.total(family, pairs, a, b)
-    zeros = "forbidden" if members == "one" else "allowed"
-    merged = _orbit_weights(table, pairs)
-    tensions, flows = {}, {}  # p -> the orbits' weighted tension counts; q -> their flow counts
-
-    def sampler(a, b):
-        if a not in tensions:
-            tensions[a] = [w * table.side(o, "tension", t_box, a, zeros) for o, w in merged]
-        if b not in flows:
-            flows[b] = [table.side(o, "flow", f_box, b, zeros) for o, _ in merged]
-        return sum(map(mul, tensions[a], flows[b]))
-
-    return sampler
+    from the table by ``CountTable.sampler``."""
+    return _interpolate_family(family, table.sampler(family, pairs), table.graph)
 
 
 def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:

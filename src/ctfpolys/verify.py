@@ -393,9 +393,9 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def t3(col):
         col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
+        triples = table.sampler("kappa_bar_mod", [(o, 1) for o in reps])
         for p, q in product((1, 2, 3), repeat=2):
-            triples = table.total("kappa_bar_mod", [(o, 1) for o in reps], p - 1, q - 1)
-            col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples)
+            col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples(p - 1, q - 1))
 
     def rpq(col):
         ref = Orientation.reference(graph)

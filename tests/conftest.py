@@ -96,6 +96,39 @@ def block_splits(monkeypatch):
     return _call_counter(monkeypatch, verify, _block_restrictions=_once)
 
 
+@pytest.fixture
+def unmerged_sampler():
+    """A function (family, pairs) -> sampler(p, q), the reference of
+    ``CountTable.sampler``: the family's weighted sum over the (orientation,
+    weight) pairs as listed, each pair's counts read from a CountTable of its
+    own, which reads only that orientation and so merges no orbits. The zero
+    mode is chosen here again from the family's FAMILY_TABLE row: nowhere
+    zero for one side of a definition-level family, complementary pairs
+    matched by zero set for both."""
+
+    def make(family, pairs):
+        t_box, f_box, members = counting.FAMILY_TABLE[family]
+        tables = [(counting.CountTable(o.graph), o, w) for o, w in pairs]
+
+        def sampler(p, q):
+            total = 0
+            for table, o, w in tables:
+                if members == "one" and t_box and f_box:
+                    full = (1 << o.graph.edge_count) - 1
+                    total += w * counting._matched_pairs(
+                        table.side(o, "tension", t_box, p, "masks"),
+                        table.side(o, "flow", f_box, q, "masks"), full)
+                else:
+                    zeros = "forbidden" if members == "one" else "allowed"
+                    total += (w * table.side(o, "tension", t_box, p, zeros)
+                              * table.side(o, "flow", f_box, q, zeros))
+            return total
+
+        return sampler
+
+    return make
+
+
 @pytest.fixture(scope="session")
 def p8():
     """The worked-example graph: triangle u,v,w with doubled u-v and v-w."""

@@ -710,10 +710,10 @@ def test_orbit_key_is_exact(corpus5_graphs):
         assert len(keys) == 2 ** (graph.edge_count - len(set(oracles.blocks(graph))))
 
 
-def test_class_weighted_sums_match_orientation_sums(corpus5_graphs):
+def test_class_weighted_sums_match_orientation_sums(corpus5_graphs, unmerged_sampler):
     # a closed-box count is constant on a cut-Eulerian class, so each _int
     # family's representatives weighted by class size sum to its sum over
-    # every orientation of its filter, each counted on its own orbit
+    # every orientation of its filter, each counted on a table of its own
     filters = {"tau_bar_int": "acyclic", "phi_bar_int": "totally_cyclic", "kappa_bar_int": "all"}
     for graph in corpus5_graphs:
         table = CountTable(graph)
@@ -721,10 +721,9 @@ def test_class_weighted_sums_match_orientation_sums(corpus5_graphs):
             pairs = table.sum_members(family)
             every = [(o, 1) for o in table.members(filter_name)]
             assert sum(w for _, w in pairs) == len(every)
+            sampler, reference = table.sampler(family, pairs), unmerged_sampler(family, every)
             for p, q in product(range(4), repeat=2):
-                assert table.total(family, pairs, p, q) == table.total(family, every, p, q), (
-                    graph.edges, family, p, q
-                )
+                assert sampler(p, q) == reference(p, q), (graph.edges, family, p, q)
 
 
 def _direct_count(graph, family, p, q, group_a=None):
@@ -755,14 +754,15 @@ def test_definition_level_counts_match_direct_kernel_calls(corpus5_graphs):
     for graph in corpus5_graphs:
         shared = CountTable(graph)
         pairs = shared.sum_members("kappa_mod")
+        samplers = {family: shared.sampler(family, pairs) for family in families}
         for family, (p, q) in product(families, product(range(1, 4), repeat=2)):
             direct = _direct_count(graph, family, p, q)
             assert count(graph, family, p=p, q=q) == direct, (graph.edges, family, p, q)
-            assert shared.total(family, pairs, p, q) == direct, (graph.edges, family, p, q)
+            assert samplers[family](p, q) == direct, (graph.edges, family, p, q)
         # a product group: its moduli, not only its order, key the table
         direct = _direct_count(graph, "kappa_mod", 4, 2, group_a=(2, 2))
         assert count(graph, "kappa_mod", p=4, q=2, group_a=(2, 2)) == direct, graph.edges
-        assert shared.total("kappa_mod", pairs, (2, 2), 2) == direct, graph.edges
+        assert samplers["kappa_mod"]((2, 2), 2) == direct, graph.edges
 
 
 def test_orbit_key_examples(digon_loop):
@@ -813,9 +813,10 @@ def test_count_table_plans_each_orbit_and_side_once(kernel_calls, monkeypatch):
     assert len(plans) == 2 * len(orbits)
 
 
-#: The boxes a table counts, each with a zero mode and a value: the scalar
-#: counts, kept per orbit, and the zero-set histograms ("masks"), indexed by
-#: edge position and kept per block-reversal orbit.
+#: The boxes a table counts, each with a zero mode and a value, every count
+#: kept per orbit: the scalar counts, and the zero-set histograms ("masks"),
+#: indexed by edge position, which every orientation of a graph shares on
+#: the "int" and "group" boxes.
 BOXES = [
     *((box, "allowed", value) for box in ("closed", "open", "support") for value in (0, 1, 2)),
     *((box, zeros, value) for box in ("int", "group") for zeros in ("allowed", "forbidden")

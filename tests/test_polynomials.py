@@ -24,7 +24,7 @@ from ctfpolys import (
 )
 from ctfpolys import orientations
 from ctfpolys.counting import FAMILY_TABLE, CountTable, lowest_argument
-from ctfpolys.polynomials import _poly_sum, _polynomial, _sampler
+from ctfpolys.polynomials import _poly_sum, _polynomial
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
@@ -470,11 +470,11 @@ def _pair_lists(table, family):
             [(o, 1) for o in table.members(members[1])]]
 
 
-def test_orbit_merged_sampler_matches_per_point_totals():
-    # the sampler merges the pairs by block-reversal orbit and reads each
-    # orbit's counts once per p and once per q; at every grid and held-out
-    # point it must give the per-point sum over the pairs as listed, read
-    # from a table of its own
+def test_orbit_merged_sampler_matches_per_point_totals(unmerged_sampler):
+    # the sampler merges the pairs by orbit and reads each orbit's counts
+    # once per p and once per q; at every grid and held-out point it must
+    # give the sum over the pairs as listed, each read from a table that
+    # holds only its own orientation
     for graph in small_multigraphs(4, True):
         rank, nullity = graph.stats().rank, graph.stats().nullity
         merged, listed = CountTable(graph), CountTable(graph)
@@ -484,7 +484,8 @@ def test_orbit_merged_sampler_matches_per_point_totals():
             points = list(product(range(lo, lo + rank + 3) if t_box else [lo],
                                   range(lo, lo + nullity + 3) if f_box else [lo]))
             for pairs in _pair_lists(listed, family):
-                sampler = _sampler(merged, family, pairs)
+                sampler = merged.sampler(family, pairs)
+                reference = unmerged_sampler(family, pairs)
                 for p, q in points:
-                    assert sampler(p, q) == listed.total(family, pairs, p, q), (
+                    assert sampler(p, q) == reference(p, q), (
                         graph.edges, family, pairs, p, q)

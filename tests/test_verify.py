@@ -8,6 +8,7 @@ from ctfpolys import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Orientation,
+    OrientationTable,
     build_graph,
     local_polynomial,
     rank_generating,
@@ -16,10 +17,11 @@ from ctfpolys import (
     verify_corpus,
     verify_graph,
 )
-from ctfpolys import verify
+from ctfpolys import orientations, verify
 from ctfpolys.cli import main
 from ctfpolys.multigraph import format_graph_text
 from ctfpolys.counting import CountTable
+from ctfpolys.orientations import RELATIONS
 from ctfpolys.polynomials import BivariatePolynomial, InterpolationError, _compact_key
 from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
 from strategies import multigraphs
@@ -402,19 +404,18 @@ def test_t2e_reads_the_sibling_products_t1e_made(monkeypatch, block_splits):
 
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def _drop_an_orbit(monkeypatch):
     # a sum over several orbits loses the weight of its last one
-    from ctfpolys import polynomials
-
-    real = polynomials._orbit_weights
+    real = CountTable._merge
 
     def dropped(table, pairs):
         merged = real(table, pairs)
         return merged[:-1] + [(merged[-1][0], 0)] if len(merged) > 1 else merged
 
-    monkeypatch.setattr(polynomials, "_orbit_weights", dropped)
+    monkeypatch.setattr(CountTable, "_merge", dropped)
 
 
 def _wrong_sign_parity(monkeypatch):
@@ -441,21 +442,57 @@ def _direction_blind_orbits(monkeypatch):
                         lambda n, arcs, directed=True: canonical_form(n, arcs, False))
 
 
-#: Each single-side mutation of the ledger's shared arithmetic and the
-#: identities that must catch it.
+def _drop_a_self_reverse_member(relation):
+    # the self-reverse set under one relation loses its lex-first member
+    def mutate(monkeypatch):
+        real = OrientationTable.self_reverse
+
+        def dropped(table, name):
+            found = real(table, name)
+            if name != relation or not found:
+                return found
+            return found - {min(found, key=lambda o: o.flips)}
+
+        monkeypatch.setattr(OrientationTable, "self_reverse", dropped)
+
+    return mutate
+
+
+def _cut_key_blind_to_an_edge(monkeypatch):
+    # the cut class key ignores the last edge's flip, so it merges classes
+    real = orientations._class_key
+
+    def blind(graph, relation, circuits):
+        key = real(graph, relation, circuits)
+        return (lambda f: key(f & ~1)) if relation == "cut" else key
+
+    monkeypatch.setattr(orientations, "_class_key", blind)
+
+
+#: Each single-side mutation of the ledger's shared arithmetic and of the
+#: orientation classes, the identities that must catch it, and the graphs
+#: it runs on: the 4-cycle C4, K4 and the worked example p8. K4 and p8 have
+#: no cut or Eulerian self-reverse orientation, so dropping one from those
+#: sets changes nothing there.
+GRAPHS = ("C4", "K4", "p8")
 MUTATIONS = {
-    "dropped_orbit_weight": (_drop_an_orbit, {"T1b", "IM"}),
-    "direction_blind_orbit_key": (_direction_blind_orbits, {"T1b", "T1c", "T2c", "PL", "T3"}),
-    "wrong_sign_parity": (_wrong_sign_parity, {"T1c", "T2c", "PL"}),
-    "off_by_one_partial_evaluation": (_off_by_one_partial, {"T1d", "T2d", "PL"}),
+    "dropped_orbit_weight": (_drop_an_orbit, {"T1b", "IM"}, GRAPHS),
+    "direction_blind_orbit_key": (
+        _direction_blind_orbits, {"T1b", "T1c", "T2c", "PL", "T3"}, GRAPHS),
+    "wrong_sign_parity": (_wrong_sign_parity, {"T1c", "T2c", "PL"}, GRAPHS),
+    "off_by_one_partial_evaluation": (_off_by_one_partial, {"T1d", "T2d", "PL"}, GRAPHS),
+    **{f"{relation}_self_reverse_member_dropped": (
+        _drop_a_self_reverse_member(relation), {"CS"},
+        GRAPHS if relation == "cut_eulerian" else ("C4",)) for relation in RELATIONS},
+    "cut_key_blind_to_an_edge": (_cut_key_blind_to_an_edge, {"CS", "PE"}, GRAPHS),
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-@pytest.mark.parametrize("name", ["K4", "p8"])
+@pytest.mark.parametrize("name, mutation", [
+    (name, mutation) for mutation, (_, _, graphs) in sorted(MUTATIONS.items()) for name in graphs])
 def test_single_side_mutation_fails_a_named_identity(name, mutation, request, monkeypatch):
-    graph = K4 if name == "K4" else request.getfixturevalue("p8")
-    mutate, named = MUTATIONS[mutation]
+    graph = {"C4": C4, "K4": K4}.get(name) or request.getfixturevalue("p8")
+    mutate, named, _ = MUTATIONS[mutation]
     mutate(monkeypatch)
     failed = {c.identity for c in verify_graph(graph).checks if c.status == "fail"}
     assert named <= failed, (mutation, failed)
