@@ -5,6 +5,8 @@ Run:  python3 demos/03_polynomials.py
 """
 
 from ctfpolys import (
+    Orientation,
+    OrientationTable,
     build_graph,
     counting_polynomial,
     polynomial_report,
@@ -36,6 +38,32 @@ tau = counting_polynomial(g, "tau_mod")
 phi = counting_polynomial(g, "phi_mod")
 print("\nkappa(x,1) == tau:", kappa.set_y(1) == tau)
 print("kappa(1,y) == phi:", kappa.set_x(1) == phi)
+
+# Per-orientation families take the orientation as count does; reciprocity
+# relates the open and closed boxes, with the sign (-1)^(r + |C(rho)|).
+table = OrientationTable(g)
+rank = g.stats().rank
+
+
+def local_pair(o):
+    return (counting_polynomial(g, "kappa_local", orientation=o),
+            counting_polynomial(g, "kappa_bar_local", orientation=o))
+
+
+rho = Orientation.from_string(g, "00010")
+kappa_rho, kappa_bar_rho = local_pair(rho)
+print("\nkappa_rho     =", kappa_rho.to_text(), " (rho = 00010)")
+print("kappa_bar_rho =", kappa_bar_rho.to_text())
+
+
+def reciprocal(o):
+    kappa_o, kappa_bar_o = local_pair(o)
+    sign = (-1) ** (rank + len(table.circuit(o)))
+    return kappa_o.substitute(-1, 0, -1, 0) == sign * kappa_bar_o
+
+
+print(f"kappa_rho(-x,-y) == +-kappa_bar_rho on all {len(table.orientations)} orientations:",
+      all(map(reciprocal, table.orientations)))
 
 # Census values straight off the Tutte polynomial.
 for (x, y), label in [

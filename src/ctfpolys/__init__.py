@@ -36,7 +36,6 @@ from .polynomials import (
     PolynomialReport,
     counting_polynomial,
     interpolate,
-    local_polynomial,
     polynomial_report,
     rank_generating,
     tutte,
@@ -76,7 +75,6 @@ __all__ = [
     "interpolate",
     "is_flow",
     "is_tension",
-    "local_polynomial",
     "parse_graph_text",
     "polynomial_report",
     "rank_generating",

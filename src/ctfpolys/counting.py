@@ -395,10 +395,17 @@ class CountTable(OrientationTable):
     ) -> tuple[tuple[Orientation, int], ...]:
         """The (orientation, weight) pairs a family adds up: the given one (a
         definition-level family defaults to the reference one), or the
-        weighted cut-Eulerian class representatives, the only members built."""
+        weighted cut-Eulerian class representatives, the only members built.
+        A per-orientation family needs ``orientation``, a class-sum family
+        refuses it, and it must be an orientation of the table's graph."""
+        _require(family in FAMILY_TABLE, f"unknown family {family!r}")
         members = FAMILY_TABLE[family][2]
         if members is None or members == "one":
-            return ((orientation or self.orientation(0), 1),)
+            _require(orientation is not None or members == "one", f"{family} needs an orientation")
+            orientation = orientation or self.orientation(0)
+            _require(orientation.graph == self.graph, "orientation belongs to a different graph")
+            return ((orientation, 1),)
+        _require(orientation is None, f"{family} reads no orientation")
         weight, filter_name = members
         return tuple(
             (self.orientation(cls[0]), len(cls) if weight == "size" else weight)
@@ -423,6 +430,11 @@ class CountTable(OrientationTable):
             found = self._orbits[orientation.flips] = self._merged[own]
         return found
 
+    def representative(self, orientation: Orientation) -> Orientation:
+        """The first orientation the table read in the orientation's ``orbit``,
+        on which it makes every count of that orbit."""
+        return self._first[self.orbit(orientation)]
+
     def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
         """The count in one box at p or q (a group's moduli on a "group"
         box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. Each
@@ -435,7 +447,7 @@ class CountTable(OrientationTable):
         key = (orbit, side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
-            member = self._first[orbit]
+            member = self.representative(orientation)
             plan = self._plans.get((orbit, side))
             if plan is None:
                 zero_positions, steps = _dp_plan(*_space(member, side))
@@ -509,18 +521,9 @@ def count(
     order p/q for a "group" box.
     ``budget`` caps the work items of each kernel call and orientation sweep.
     """
-    _require(family in FAMILIES, f"unknown family {family!r}")
-    t_box, f_box, members = FAMILY_TABLE[family]
-
-    if members is None:
-        _require(orientation is not None, f"{family} needs an orientation")
-    _require(orientation is None or members in (None, "one"), f"{family} reads no orientation")
-    orientation = orientation or Orientation.reference(graph)
-    _require(
-        orientation.graph == graph,
-        "orientation belongs to a different graph",
-    )
-
+    table = CountTable(graph, budget)
+    pairs = table.sum_members(family, orientation)
+    t_box, f_box, _ = FAMILY_TABLE[family]
     lowest = lowest_argument(family)
     for name, value, box in (("p", p, t_box), ("q", q, f_box)):
         if box is not None:
@@ -542,6 +545,4 @@ def count(
         _require(prod(moduli) == value, "group order must match the argument")
         return moduli
 
-    table = CountTable(graph, budget)
-    sampler = table.sampler(family, table.sum_members(family, orientation))
-    return sampler(argument(p, group_a), argument(q, group_b))
+    return table.sampler(family, pairs)(argument(p, group_a), argument(q, group_b))

@@ -9,13 +9,7 @@ from math import comb, factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .counting import (
-    CountTable,
-    FAMILIES,
-    FAMILY_TABLE,
-    LOCAL_FAMILIES,
-    lowest_argument,
-)
+from .counting import CountTable, FAMILY_TABLE, lowest_argument
 from .multigraph import MultiGraph, _Record, _UnionFind, spanning_structure
 from .orientations import DEFAULT_BUDGET, Orientation, _check_sweep_budget
 
@@ -445,32 +439,18 @@ def counting_polynomial(
     graph: MultiGraph,
     family: str,
     budget: int = DEFAULT_BUDGET,
+    *,
+    orientation: Orientation | None = None,
 ) -> BivariatePolynomial:
-    """Interpolate a graph-level counting family into its polynomial.
+    """Interpolate a counting family into its polynomial.
 
-    Open/modular families sample {1..r+1} x {1..n+1}, closed-box families
-    {0..r} x {0..n}; two held-out points per variable are verified after
-    interpolation. One-variable families come back constant in the unused
-    variable.
+    ``orientation`` follows ``count``: a per-orientation family needs it; a
+    definition-level one counts on it, or on the reference orientation, and
+    a class-sum family refuses it. Open/modular families sample
+    {1..r+1} x {1..n+1}, closed-box families {0..r} x {0..n}; two held-out
+    points per variable are verified after interpolation. One-variable
+    families come back constant in the unused variable.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family in LOCAL_FAMILIES:
-        raise ValueError(f"{family} needs an orientation; use local_polynomial")
-    return _polynomial(CountTable(graph, budget), family)
-
-
-def local_polynomial(
-    graph: MultiGraph,
-    orientation: Orientation,
-    family: str,
-    budget: int = DEFAULT_BUDGET,
-) -> BivariatePolynomial:
-    """Polynomial of one of the per-orientation families."""
-    if family not in LOCAL_FAMILIES:
-        raise ValueError(f"{family} is not a per-orientation family")
-    if orientation.graph != graph:
-        raise ValueError("orientation belongs to a different graph")
     return _polynomial(CountTable(graph, budget), family, orientation)
 
 

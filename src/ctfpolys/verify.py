@@ -244,13 +244,14 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         return orientation_sum_polynomial(table, family, [(o, 1) for o in members])
 
     # box counts are constant on the table's orbits (blocks isomorphic up to
-    # reversal): each per-orientation polynomial is made at an orbit's first member
-    first: dict = {}
-    rep = {o: first.setdefault(table.orbit(o), o) for o in orientations}
-
+    # reversal): each per-orientation polynomial is made once per orbit, on
+    # the table's representative
     def per_orientation(make):
-        made = {o: make(o) for o in first.values()}
-        return {o: made[rep[o]] for o in orientations}
+        made: dict = {}
+        for o in orientations:
+            if table.orbit(o) not in made:
+                made[table.orbit(o)] = make(table.representative(o))
+        return {o: made[table.orbit(o)] for o in orientations}
 
     sign = {o: -1 if (r + len(table.circuit(o))) % 2 else 1 for o in orientations}
 

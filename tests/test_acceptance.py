@@ -13,7 +13,6 @@ from ctfpolys import (
     OrientationTable,
     count,
     counting_polynomial,
-    local_polynomial,
     tutte,
     verify_corpus,
 )
@@ -204,8 +203,8 @@ def test_criterion_8_polynomial_reciprocity(corpus5, p8, digon_loop, small_corpu
             orientations = table.orientations
             locals_ = {
                 o.flips: (
-                    local_polynomial(graph, o, "kappa_local"),
-                    local_polynomial(graph, o, "kappa_bar_local"),
+                    counting_polynomial(graph, "kappa_local", orientation=o),
+                    counting_polynomial(graph, "kappa_bar_local", orientation=o),
                 )
                 for o in orientations
             }

@@ -40,7 +40,6 @@ from ctfpolys.polynomials import (
     InterpolationError,
     _interpolate_family,
     counting_polynomial,
-    local_polynomial,
     polynomial_report,
     tutte,
 )
@@ -568,6 +567,35 @@ def test_family_predicates(p8):
         assert ys == ({*range(lowest, lowest + 6)} if "q" in reads else {lowest}), family
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_PREDICATES))
+def test_one_orientation_rule_for_count_and_polynomial(family, p8, digon_loop):
+    # count and counting_polynomial read one orientation rule: each wrong
+    # argument is refused by both with the same message
+    _, lowest, local, _ = FAMILY_PREDICATES[family]
+    class_sum = lowest == 0 and not local
+    ref, foreign = Orientation.reference(p8), Orientation.reference(digon_loop)
+    wrong = [(f"{family}_unknown", None, f"unknown family '{family}_unknown'"),
+             (family, foreign, f"{family} reads no orientation" if class_sum
+              else "orientation belongs to a different graph")]
+    if local:
+        wrong.append((family, None, f"{family} needs an orientation"))
+    if class_sum:
+        wrong.append((family, ref, f"{family} reads no orientation"))
+    for name, orientation, message in wrong:
+        with pytest.raises(ValueError) as counted:
+            count(p8, name, p=lowest, q=lowest, orientation=orientation)
+        with pytest.raises(ValueError) as interpolated:
+            counting_polynomial(p8, name, orientation=orientation)
+        assert str(counted.value) == str(interpolated.value) == message
+    # a definition-level family counts on any orientation as on the
+    # reference one (the base-orientation independence IND checks)
+    if lowest == 1 and not local:
+        for graph in (p8, digon_loop):
+            expected = counting_polynomial(graph, family)
+            for o in OrientationTable(graph).orientations:
+                assert counting_polynomial(graph, family, orientation=o) == expected, o
+
+
 def test_budget_guard():
     big = build_graph(2, [(0, 1)] * 10)
     with pytest.raises(BudgetExceededError):
@@ -892,7 +920,7 @@ def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
         for family in ("kappa_mod", "kappa_int", "tau_int", "phi_mod"):
             counting_polynomial(p8, family)
         for family in LOCAL_FAMILIES:
-            local_polynomial(p8, ref, family)
+            counting_polynomial(p8, family, orientation=ref)
             count(p8, family, p=2, q=2, orientation=ref.reversed())
         # IND's recount, and the workspace's per-orientation minor sweeps
         orientation_sum_polynomial(CountTable(p8), "kappa_int", [(ref.reversed(), 1)])
@@ -951,7 +979,7 @@ def test_one_orientation_lists_no_orientations():
     ref = Orientation.reference(star)
     assert count(star, "tau_local", p=3, orientation=ref) == 2**21
     assert count(star, "kappa_local", p=3, q=3, orientation=ref) == 2**21
-    assert local_polynomial(star, ref, "tau_bar_local").evaluate(2, 0) == 3**21
+    assert counting_polynomial(star, "tau_bar_local", orientation=ref).evaluate(2, 0) == 3**21
     with pytest.raises(BudgetExceededError):
         counting_polynomial(star, "tau_bar_int")
 

@@ -16,7 +16,6 @@ from ctfpolys import (
     count,
     counting_polynomial,
     interpolate,
-    local_polynomial,
     polynomial_report,
     rank_generating,
     small_multigraphs,
@@ -134,14 +133,14 @@ def test_counting_polynomials_reproduce_counts(c3, digon_loop):
 
 def test_local_polynomial(p8):
     ref = Orientation.reference(p8)
-    kappa_ref = local_polynomial(p8, ref, "kappa_local")
+    kappa_ref = counting_polynomial(p8, "kappa_local", orientation=ref)
     # reference orientation is acyclic: kappa_rho = (x-1)(x-2)/2
     assert kappa_ref == Fraction(1, 2) * (X - 1) * (X - 2)
     mixed = ref.with_flipped([3])
-    assert local_polynomial(p8, mixed, "kappa_local") == (X - 1) * (Y - 1)
-    with pytest.raises(ValueError):
-        local_polynomial(p8, ref, "kappa_mod")
-    with pytest.raises(ValueError):
+    assert counting_polynomial(p8, "kappa_local", orientation=mixed) == (X - 1) * (Y - 1)
+    with pytest.raises(ValueError, match="kappa_bar_mod reads no orientation"):
+        counting_polynomial(p8, "kappa_bar_mod", orientation=ref)
+    with pytest.raises(ValueError, match="kappa_local needs an orientation"):
         counting_polynomial(p8, "kappa_local")
 
 

@@ -10,7 +10,7 @@ from ctfpolys import (
     Orientation,
     OrientationTable,
     build_graph,
-    local_polynomial,
+    counting_polynomial,
     rank_generating,
     small_multigraphs,
     tutte,
@@ -259,7 +259,7 @@ def test_local_memo_keys_keep_direction():
     cyclic = acyclic.with_flipped([1])
     memo = _PolynomialMemo()
     for family in ("tau_local", "phi_local", "tau_bar_local", "phi_bar_local"):
-        fresh = [local_polynomial(digon, o, family) for o in (acyclic, cyclic)]
+        fresh = [counting_polynomial(digon, family, orientation=o) for o in (acyclic, cyclic)]
         assert fresh[0] != fresh[1], family
         assert [memo.polynomial(digon, family, DEFAULT_BUDGET, o) for o in (acyclic, cyclic)] == fresh
 
