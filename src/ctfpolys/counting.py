@@ -372,41 +372,100 @@ def _isomorphism_key(orientation: Orientation) -> tuple:
     return tuple(sorted(keys))
 
 
+def _bits(positions) -> int:
+    """The edge positions as one int, position pos at bit pos."""
+    return sum(1 << pos for pos in positions)
+
+
+class CountStore:
+    """The kernel inputs of a run's count tables, each counted once: every
+    ``_dp_plan`` gets a small number, and the store keeps the box counts
+    made on it and the orientation-sum polynomials made from them.
+
+    * Box counts are keyed by the box's FAMILY_TABLE *name*, the argument
+      or moduli and the zero mode, plus the side and the circuit positions
+      for "support", the one box that reads them, and then by plan number.
+      The name, not the ranges it expands to, keeps boxes apart that expand
+      alike: an acyclic orientation's "support" tension box is the "open"
+      one, and PL compares the two.
+    * Orientation-sum polynomials are keyed by ``CountTable.sum_key``: the
+      family, rank, nullity, edge count and the multiset of (tension plan,
+      flow plan, circuit) with summed weights, which fix every sample.
+
+    A plan holds every edge position of its space, so its number fixes the
+    edge count a box expands over. A table reads the store only when its
+    own orbit-keyed dict misses. The store holds numbers, names, plans and
+    polynomials, never a table, a graph or an orientation. A resource limit
+    stores nothing, and a store serves one budget."""
+
+    def __init__(self):
+        self.plans: dict = {}  # _dp_plan -> (its number, the one copy kept)
+        self.counts: dict = {}  # box key -> {plan number: count}
+        self.polynomials: dict = {}  # CountTable.sum_key -> polynomial
+        self._steps: dict = {}  # one copy of each plan step: plans share most
+
+    def plan(self, zero_positions, steps) -> tuple[int, tuple]:
+        """(number, plan) of the _dp_plan with these parts, numbered on
+        first sight."""
+        plan = zero_positions, tuple([self._steps.setdefault(step, step) for step in steps])
+        found = self.plans.get(plan)
+        if found is None:
+            found = self.plans[plan] = len(self.plans), plan
+        return found
+
+
 class CountTable(OrientationTable):
     """An orientation table with the box counts of the orientations, each
-    computed once per orbit (``orbit``) from one kernel plan per orbit and
-    side, and the weighted sums the counting families read from them
+    read once per orbit (``orbit``) from one kernel plan per orbit and side,
+    and the weighted sums the counting families read from them
     (``sampler``). A table lives for one count, one polynomial, one
     ``polys`` report (all twelve graph-level families) or one
-    identity-ledger computation."""
+    identity-ledger computation. Its ``store`` (``CountStore``), private
+    unless one is given, makes each count and each orientation-sum
+    polynomial once per kernel input: the ledger's workspace shares one
+    across a sweep's tables, and IND's recount has none but its own."""
 
-    def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET):
+    def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET,
+                 store: CountStore | None = None):
         super().__init__(graph, budget)
+        self.store = CountStore() if store is None else store
         self._counts: dict = {}
-        self._plans: dict = {}  # (block-reversal key, side) -> _dp_plan
-        self._steps: dict = {}  # one copy of each plan step: orbits share most
+        self._plans: dict = {}  # (orbit key, side) -> (plan number, _dp_plan)
         self._orbits: dict = {}  # flips -> orbit key
         self._merged: dict = {}  # block-reversal key -> orbit key
         self._isomorphic: dict = {}  # _isomorphism_key -> orbit key
         self._first: dict = {}  # orbit key -> the first orientation read in it
 
-    def sum_members(
-        self, family: str, orientation: Orientation | None = None
-    ) -> tuple[tuple[Orientation, int], ...]:
-        """The (orientation, weight) pairs a family adds up: the given one (a
-        definition-level family defaults to the reference one), or the
-        weighted cut-Eulerian class representatives, the only members built.
-        A per-orientation family needs ``orientation``, a class-sum family
-        refuses it, and it must be an orientation of the table's graph."""
+    def family_orientation(self, family: str,
+                           orientation: Orientation | None = None) -> Orientation | None:
+        """The orientation a family counts on, once the family and the
+        orientation rule are checked: the given one (a definition-level
+        family defaults to the reference one), which a per-orientation
+        family needs and which must be an orientation of the table's graph;
+        or None for a class-sum family, which refuses one. Sweeps nothing."""
         _require(family in FAMILY_TABLE, f"unknown family {family!r}")
         members = FAMILY_TABLE[family][2]
         if members is None or members == "one":
             _require(orientation is not None or members == "one", f"{family} needs an orientation")
             orientation = orientation or self.orientation(0)
             _require(orientation.graph == self.graph, "orientation belongs to a different graph")
-            return ((orientation, 1),)
+            return orientation
         _require(orientation is None, f"{family} reads no orientation")
-        weight, filter_name = members
+        return None
+
+    def sum_members(
+        self, family: str, orientation: Orientation | None = None
+    ) -> tuple[tuple[Orientation, int], ...]:
+        """The (orientation, weight) pairs a family adds up: its
+        ``family_orientation``, or the weighted cut-Eulerian class
+        representatives, the only members built."""
+        return self._members(family, self.family_orientation(family, orientation))
+
+    def _members(self, family: str, orientation: Orientation | None):
+        """``sum_members`` of a checked ``family_orientation``."""
+        if orientation is not None:
+            return ((orientation, 1),)
+        weight, filter_name = FAMILY_TABLE[family][2]
         return tuple(
             (self.orientation(cls[0]), len(cls) if weight == "size" else weight)
             for cls in self.mask_classes("cut_eulerian", filter_name)
@@ -435,28 +494,41 @@ class CountTable(OrientationTable):
         on which it makes every count of that orbit."""
         return self._first[self.orbit(orientation)]
 
+    def _plan(self, orbit, side: str) -> tuple[int, tuple]:
+        """(number, plan) of the side's _dp_plan on the ``orbit``'s first
+        orientation, made once per orbit and numbered by the store."""
+        found = self._plans.get((orbit, side))
+        if found is None:
+            space = _space(self._first[orbit], side)
+            found = self._plans[orbit, side] = self.store.plan(*_dp_plan(*space))
+        return found
+
     def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
         """The count in one box at p or q (a group's moduli on a "group"
         box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. Each
-        count is made once per ``orbit``, on its first orientation. A zero-set
-        histogram, read on the "int" and "group" boxes only, is the same for
-        every orientation: flipping an edge negates its value, not its zero set."""
-        if box is None:
-            return 1
-        orbit = self.orbit(orientation)
+        count is read once per ``orbit``, on its first orientation, from the
+        store. A zero-set histogram, read on the "int" and "group" boxes
+        only, is the same for every orientation: flipping an edge negates its
+        value, not its zero set."""
+        return 1 if box is None else self._count(self.orbit(orientation), side, box, value, zeros)
+
+    def _count(self, orbit, side: str, box, value, zeros: str):
+        """``side`` on the orientations of one orbit key, for a box that is
+        not None; the store is read only when the table's own dict misses."""
         key = (orbit, side, box, value, zeros)
         found = self._counts.get(key)
         if found is None:
-            member = self.representative(orientation)
-            plan = self._plans.get((orbit, side))
-            if plan is None:
-                zero_positions, steps = _dp_plan(*_space(member, side))
-                steps = tuple([self._steps.setdefault(step, step) for step in steps])
-                plan = self._plans[orbit, side] = zero_positions, steps
-            circuit = self.circuit(member) if box == "support" else None
-            found = self._counts[key] = _box_count(
-                plan, self.graph.edge_count, circuit, side, box, value, self.budget, zeros
-            )
+            number, plan = self._plan(orbit, side)
+            at, circuit = (box, value, zeros), None
+            if box == "support":
+                circuit = self.circuit(self._first[orbit])
+                at += (side, _bits(circuit))
+            made = self.store.counts.setdefault(at, {})
+            found = made.get(number)
+            if found is None:
+                found = made[number] = _box_count(plan, self.graph.edge_count, circuit, side, box,
+                                                  value, self.budget, zeros)
+            self._counts[key] = found
         return found
 
     def _merge(self, pairs) -> list[tuple[Orientation, int]]:
@@ -485,16 +557,41 @@ class CountTable(OrientationTable):
         full = (1 << self.graph.edge_count) - 1
         combine = mul if zeros != "masks" else lambda t, f: _matched_pairs(t, f, full)
         merged = self._merge(pairs)
+        orbits, weights = [self.orbit(o) for o, _ in merged], [w for _, w in merged]
+        ones = [1] * len(orbits)  # the counts of the box None
         tensions, flows = {}, {}  # p -> the orbits' tension counts; q -> their flow counts
 
         def sampler(a, b):
             if a not in tensions:
-                tensions[a] = [self.side(o, "tension", t_box, a, zeros) for o, _ in merged]
+                tensions[a] = ones if t_box is None else [
+                    self._count(orbit, "tension", t_box, a, zeros) for orbit in orbits]
             if b not in flows:
-                flows[b] = [self.side(o, "flow", f_box, b, zeros) for o, _ in merged]
-            return sum(w * combine(t, f) for (_, w), t, f in zip(merged, tensions[a], flows[b]))
+                flows[b] = ones if f_box is None else [
+                    self._count(orbit, "flow", f_box, b, zeros) for orbit in orbits]
+            return sum(map(mul, weights, map(combine, tensions[a], flows[b])))
 
         return sampler
+
+    def sum_key(self, family: str, merged) -> tuple:
+        """The kernel inputs of the family's sum over (orientation, weight)
+        pairs merged by ``_merge``, which fix its ``sampler`` at every point:
+        the family, rank, nullity and edge count, and the multiset of
+        (tension plan number, flow plan number, circuit part) over the
+        orbits, with summed weights. A side the family does not count has no
+        plan, and only the "support" box reads the circuit part."""
+        t_box, f_box, _ = FAMILY_TABLE[family]
+        support = "support" in (t_box, f_box)
+        inputs: dict = {}
+        for o, w in merged:
+            orbit = self.orbit(o)
+            key = (self._plan(orbit, "tension")[0] if t_box else -1,
+                   self._plan(orbit, "flow")[0] if f_box else -1,
+                   _bits(self.circuit(self._first[orbit])) if support else 0)
+            inputs[key] = inputs.get(key, 0) + w
+        m, rank = self.graph.edge_count, len(spanning_structure(self.graph).forest_positions)
+        # one flat tuple, in sorted order: it is kept for the whole sweep
+        return (family, rank, m - rank, m,
+                *(x for key in sorted(inputs) for x in (*key, inputs[key])))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -521,8 +618,10 @@ def count(
     order p/q for a "group" box.
     ``budget`` caps the work items of each kernel call and orientation sweep.
     """
+    # the family and orientation rule, then the arguments and groups, and
+    # only then the sweep of the members, so a bad argument sweeps nothing
     table = CountTable(graph, budget)
-    pairs = table.sum_members(family, orientation)
+    orientation = table.family_orientation(family, orientation)
     t_box, f_box, _ = FAMILY_TABLE[family]
     lowest = lowest_argument(family)
     for name, value, box in (("p", p, t_box), ("q", q, f_box)):
@@ -545,4 +644,5 @@ def count(
         _require(prod(moduli) == value, "group order must match the argument")
         return moduli
 
-    return table.sampler(family, pairs)(argument(p, group_a), argument(q, group_b))
+    a, b = argument(p, group_a), argument(q, group_b)
+    return table.sampler(family, table._members(family, orientation))(a, b)

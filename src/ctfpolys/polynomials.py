@@ -408,18 +408,26 @@ def orientation_sum_polynomial(
 ) -> BivariatePolynomial:
     """Polynomial of a family over (orientation, weight) pairs of the
     table's graph (for a definition-level family, its one orientation), read
-    from the table by ``CountTable.sampler``."""
-    return _interpolate_family(family, table.sampler(family, pairs), table.graph)
+    from the table by ``CountTable.sampler``; made once per kernel input
+    (``CountTable.sum_key``) in the table's store."""
+    merged = table._merge(pairs)
+    key = table.sum_key(family, merged)
+    made = table.store.polynomials.get(key)
+    if made is None:
+        made = _interpolate_family(family, table.sampler(family, merged), table.graph)
+        table.store.polynomials[key] = made
+    return made
 
 
 def _interpolate_family(family: str, sampler, graph: MultiGraph) -> BivariatePolynomial:
     """Interpolate sampler(p, q) on the family's grid for the graph's rank
     and nullity, and verify its held-out points (see counting_polynomial)."""
     t_box, f_box, members = FAMILY_TABLE[family]
-    stats, lo = graph.stats(), lowest_argument(family)
+    # the spanning forest, which the kernel plans read, has rank edges
+    rank, lo = len(spanning_structure(graph).forest_positions), lowest_argument(family)
     # a side the family does not count stays at lo
-    xs = list(range(lo, lo + stats.rank + 1)) if t_box else [lo]
-    ys = list(range(lo, lo + stats.nullity + 1)) if f_box else [lo]
+    xs = list(range(lo, lo + rank + 1)) if t_box else [lo]
+    ys = list(range(lo, lo + graph.edge_count - rank + 1)) if f_box else [lo]
     held = [(xs[-1] + k if t_box else lo, ys[-1] + k if f_box else lo) for k in (1, 2)]
     poly = interpolate_checked(sampler, xs, ys, held)
     # the modular families (over a group, or over class representatives

@@ -7,7 +7,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterator
 
-from .counting import CountTable
+from .counting import CountStore, CountTable
 from .multigraph import MultiGraph, _Record, build_graph, canonical_form
 from .orientations import (
     DEFAULT_BUDGET,
@@ -168,10 +168,19 @@ class _PolynomialMemo:
     family and its ``_SIBLING`` come from one CountTable, dropped once both
     are made: the two kinds of a closed-box sweep share its box counts, the
     other pairs the kernel plans. The ledger keeps the ``minors`` list for
-    one run. A resource limit stores nothing."""
+    one run. A resource limit stores nothing.
+
+    ``store``, a CountStore that lives as long as the workspace, serves
+    every CountTable the workspace and the ledger build, but IND's recount,
+    which keeps one of its own so that it counts again. Every counting
+    family reads only the tension and flow spaces, so graphs with one cycle
+    matroid (a disjoint union and its one-point union, say) and the minors
+    of later graphs share their box counts and orientation-sum polynomials
+    there; it holds plans, counts and polynomials, never a table."""
 
     def __init__(self):
         self._polys: dict = {}
+        self.store = CountStore()
 
     def polynomial(self, graph: MultiGraph, family: str, budget,
                    orientation: Orientation | None = None, key=None) -> BivariatePolynomial:
@@ -183,7 +192,7 @@ class _PolynomialMemo:
         if (key, family) not in self._polys:
             blocks, sibling = _block_restrictions(graph), _SIBLING.get(family)
             if len(blocks) == 1:
-                table = CountTable(graph, budget)
+                table = CountTable(graph, budget, self.store)
                 made = _polynomial(table, family, orientation)
                 if sibling and (key, sibling) not in self._polys:
                     try:
@@ -227,7 +236,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     # every orientation set, partition and circuit part below, and every
     # orientation-sum polynomial of the ledger, is read from this one table
-    table = CountTable(graph, budget)
+    table = CountTable(graph, budget, memo.store)
     orientations, classes = table.orientations, table.mask_classes
     ce_size, cu_size, eu_size = (
         {orientations[f]: len(cls) for cls in classes(relation) for f in cls}
@@ -487,7 +496,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         col.equal("Tutte convolution", tutte_poly, total)
 
     def ind(col):
-        # a table of its own: the reversed orientation has the reference's orbit key
+        # a table and a store of its own: the reversed orientation has the
+        # reference's orbit key, and its kernel inputs are the reference's
         alternate = Orientation.reference(graph).reversed()
         recomputed = orientation_sum_polynomial(
             CountTable(graph, budget), "kappa_int", [(alternate, 1)])

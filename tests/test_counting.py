@@ -23,6 +23,7 @@ from ctfpolys.counting import (
     FAMILIES,
     FAMILY_TABLE,
     LOCAL_FAMILIES,
+    CountStore,
     CountTable,
     _box_count,
     _count_flows,
@@ -39,7 +40,9 @@ from ctfpolys.polynomials import (
     REPORT_FAMILIES,
     InterpolationError,
     _interpolate_family,
+    _polynomial,
     counting_polynomial,
+    orientation_sum_polynomial,
     polynomial_report,
     tutte,
 )
@@ -499,6 +502,24 @@ def test_count_validation(p8):
         count(build_graph(2, [(0, 1)] * 2), "tau_mod", p=3, group_a=(True, 3))
 
 
+def test_count_checks_its_arguments_before_it_sweeps(component_passes):
+    # the family and orientation rule, then p, q and the groups, are checked
+    # before a class sum sweeps its members: a bad argument is named, not
+    # reported as the budget of a sweep it never needed, and sweeps nothing
+    theta = build_graph(2, [(0, 1)] * 21)
+    with pytest.raises(ValueError, match=r"^kappa_bar_int needs p >= 0$"):
+        count(theta, "kappa_bar_int", p=-1, q=1)
+    w9 = build_graph(10, [(0, k) for k in range(1, 10)] + [(k, k % 9 + 1) for k in range(1, 10)])
+
+    def refused():
+        with pytest.raises(ValueError, match=r"^kappa_bar_int needs p >= 0$"):
+            count(w9, "kappa_bar_int", p=-1, q=1)
+        with pytest.raises(ValueError, match=r"^tau_bar_mod reads no tension-side group$"):
+            count(w9, "tau_bar_mod", p=2, group_a=(2,))
+
+    assert component_passes(refused) == 0
+
+
 #: family -> (variables read, lowest argument, needs an orientation,
 #: integer coefficients), written out so that a wrong FAMILY_TABLE row fails
 #: here and not only in a count
@@ -883,6 +904,41 @@ def test_merged_orbits_match_each_orientations_own_counts():
     assert merged_beyond_reversal == 17
 
 
+def test_shared_store_matches_fresh_tables(kernel_calls):
+    # tables that share one store read the counts and polynomials that
+    # earlier graphs' tables made on equal kernel inputs; each must equal
+    # the one made by a fresh table, with a store of its own, for that one
+    # count or polynomial
+    store, shared, fresh = CountStore(), [], []
+
+    def read(graph, table, out):
+        orientations = OrientationTable(graph).orientations
+        for o in orientations:
+            for side, (box, zeros, value) in product(("tension", "flow"), BOXES):
+                out.append(table().side(o, side, box, value, zeros))
+        for family, (_, _, members) in FAMILY_TABLE.items():
+            if members is None:
+                out.extend(_polynomial(table(), family, o) for o in orientations)
+            else:
+                out.append(_polynomial(table(), family))
+            if isinstance(members, tuple) and members[0] == "size":
+                # each filtered orientation, weighted by 2: twice the class sum
+                pairs = [(o, 2) for o in OrientationTable(graph).members(members[1])]
+                out.append(orientation_sum_polynomial(table(), family, pairs))
+
+    graphs = list(small_multigraphs(3, True))
+
+    def sweep_shared():
+        for graph in graphs:
+            table = CountTable(graph, store=store)
+            read(graph, lambda: table, shared)
+
+    made = kernel_calls(sweep_shared)
+    fresh_made = kernel_calls(lambda: [read(g, lambda g=g: CountTable(g), fresh) for g in graphs])
+    assert shared == fresh
+    assert made < fresh_made
+
+
 def test_orbits_are_isomorphism_classes_of_blocks(p8):
     # K4's 32 block-reversal orbits fall into 3 orbits of Aut(K4) x reversal
     # (transitive, a directed triangle with a source or a sink, strongly
@@ -912,7 +968,6 @@ def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
     # that reads one block-reversal orbit finds none, and a swept table one
     # per block-reversal orbit it reads
     import ctfpolys.verify as verify
-    from ctfpolys.polynomials import orientation_sum_polynomial
 
     ref = Orientation.reference(p8)
 

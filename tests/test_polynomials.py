@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ctfpolys import (
     BivariatePolynomial,
+    BudgetExceededError,
     InterpolationError,
     Orientation,
     build_graph,
@@ -21,8 +22,8 @@ from ctfpolys import (
     small_multigraphs,
     tutte,
 )
-from ctfpolys import orientations
-from ctfpolys.counting import FAMILY_TABLE, CountTable, lowest_argument
+from ctfpolys import orientations, polynomials
+from ctfpolys.counting import FAMILY_TABLE, CountStore, CountTable, lowest_argument
 from ctfpolys.polynomials import _poly_sum, _polynomial
 
 X = BivariatePolynomial.variable("x")
@@ -428,6 +429,28 @@ def test_int_duals_cost_no_kernel_call(kernel_calls, vertex_count, edges):
     built = lambda *families: [_polynomial(table, f) for f in families]
     assert kernel_calls(lambda: built("kappa_bar_mod", "tau_bar_mod", "phi_bar_mod")) > 0
     assert kernel_calls(lambda: built("kappa_bar_int", "tau_bar_int", "phi_bar_int")) == 0
+
+
+def test_a_resource_limit_stores_nothing(monkeypatch):
+    # a count over the budget, or a polynomial that fails its held-out
+    # points, leaves nothing in the store: the next read raises again, or
+    # makes the polynomial afresh
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    store = CountStore()
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="^9 DP states exceed the budget of 8$"):
+            _polynomial(CountTable(k4, 8, store), "kappa_int")
+    assert store.polynomials == {}
+
+    def failing(*args):
+        raise InterpolationError("held-out point")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(polynomials, "interpolate_checked", failing)
+        with pytest.raises(InterpolationError):
+            _polynomial(CountTable(k4, store=store), "tau_int")
+    assert store.polynomials == {}
+    assert _polynomial(CountTable(k4, store=store), "tau_int") == counting_polynomial(k4, "tau_int")
 
 
 @pytest.mark.parametrize(

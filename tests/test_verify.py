@@ -22,7 +22,12 @@ from ctfpolys.cli import main
 from ctfpolys.multigraph import format_graph_text
 from ctfpolys.counting import CountTable
 from ctfpolys.orientations import RELATIONS
-from ctfpolys.polynomials import BivariatePolynomial, InterpolationError, _compact_key
+from ctfpolys.polynomials import (
+    BivariatePolynomial,
+    InterpolationError,
+    _compact_key,
+    orientation_sum_polynomial,
+)
 from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
 from strategies import multigraphs
 
@@ -239,10 +244,44 @@ def test_t2e_reads_the_minors_t1e_made(name, request, monkeypatch, kernel_calls,
     assert verify._verify_graph(graph, DEFAULT_BUDGET, memo).all_passed
     assert totals["T2e"] == totals["T2d"]
     assert all(t1e > t1d for t1e, t1d in zip(totals["T1e"], totals["T1d"]))
-    assert list(vars(memo)) == ["_polys"]
+    assert list(vars(memo)) == ["_polys", "store"]
     assert all(isinstance(poly, BivariatePolynomial) for poly in memo._polys.values())
+    # the store keeps plans, counts and polynomials, built of numbers, names
+    # and bits: never a table, a graph or an orientation, so no minors list
+    assert memo.store.counts and memo.store.polynomials
+    assert set(map(type, _leaves(vars(memo.store)))) <= {
+        int, bool, str, type(None), BivariatePolynomial}
     gc.collect()
     assert not [obj for obj in gc.get_objects() if isinstance(obj, CountTable)]
+
+
+def _leaves(value):
+    """The values inside nested dicts, lists, tuples and sets, keys included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(key)
+            yield from _leaves(item)
+    elif isinstance(value, (list, tuple, frozenset, set)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_twins_share_the_store(kernel_calls):
+    # a disjoint union and its one-point union have one cycle matroid, so
+    # their tables run the same kernel plans: in one workspace the second
+    # ledger run counts only IND's recount, whose table keeps its own store
+    memo, reports = _PolynomialMemo(), []
+    apart = build_graph(4, [(0, 1), (2, 3), (2, 3)])
+    joined = build_graph(3, [(0, 1), (1, 2), (1, 2)])
+    assert verify._verify_graph(apart, DEFAULT_BUDGET, memo).all_passed
+    made = kernel_calls(lambda: reports.append(verify._verify_graph(joined, DEFAULT_BUDGET, memo)))
+    assert reports[0].all_passed, reports[0].failures()
+    reversed_reference = Orientation.reference(joined).reversed()
+    recount = kernel_calls(lambda: orientation_sum_polynomial(
+        CountTable(joined), "kappa_int", [(reversed_reference, 1)]))
+    assert made == recount > 0
 
 
 def test_local_memo_keys_keep_direction():
