@@ -383,25 +383,25 @@ class CountStore:
     made on it and the orientation-sum polynomials made from them.
 
     * Box counts are keyed by the box's FAMILY_TABLE *name*, the argument
-      or moduli and the zero mode, plus the side and the circuit positions
-      for "support", the one box that reads them, and then by plan number.
-      The name, not the ranges it expands to, keeps boxes apart that expand
-      alike: an acyclic orientation's "support" tension box is the "open"
-      one, and PL compares the two.
-    * Orientation-sum polynomials are keyed by ``CountTable.sum_key``: the
-      family, rank, nullity, edge count and the multiset of (tension plan,
-      flow plan, circuit) with summed weights, which fix every sample.
+      or moduli and the zero mode, and then by an orbit's count key
+      (``CountTable._reader``): its plan number, with the side and the
+      circuit bits for "support", the one box that reads them. The name,
+      not the ranges it expands to, keeps boxes apart that expand alike: an
+      acyclic orientation's "support" tension box is the "open" one, and PL
+      compares the two.
+    * Orientation-sum polynomials are keyed by the key ``CountTable.sampler``
+      returns, made of the count keys, which fix every sample.
 
     A plan holds every edge position of its space, so its number fixes the
-    edge count a box expands over. A table reads the store only when its
-    own orbit-keyed dict misses. The store holds numbers, names, plans and
-    polynomials, never a table, a graph or an orientation. A resource limit
-    stores nothing, and a store serves one budget."""
+    edge count a box expands over. The store is its tables' one count
+    cache. It holds numbers, names, plans and polynomials, never a table,
+    a graph or an orientation. A resource limit stores nothing, and a store
+    serves one budget."""
 
     def __init__(self):
         self.plans: dict = {}  # _dp_plan -> (its number, the one copy kept)
-        self.counts: dict = {}  # box key -> {plan number: count}
-        self.polynomials: dict = {}  # CountTable.sum_key -> polynomial
+        self.counts: dict = {}  # (box, value, zeros) -> {count key: count}
+        self.polynomials: dict = {}  # CountTable.sampler's key -> polynomial
         self._steps: dict = {}  # one copy of each plan step: plans share most
 
     def plan(self, zero_positions, steps) -> tuple[int, tuple]:
@@ -421,16 +421,17 @@ class CountTable(OrientationTable):
     (``sampler``). A table lives for one count, one polynomial, one
     ``polys`` report (all twelve graph-level families) or one
     identity-ledger computation. Its ``store`` (``CountStore``), private
-    unless one is given, makes each count and each orientation-sum
-    polynomial once per kernel input: the ledger's workspace shares one
-    across a sweep's tables, and IND's recount has none but its own."""
+    unless one is given, is its one count cache, and makes each count and
+    orientation-sum polynomial once per kernel input: the ledger's
+    workspace shares one across a sweep's tables, and IND's recount has
+    none but its own."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET,
                  store: CountStore | None = None):
         super().__init__(graph, budget)
         self.store = CountStore() if store is None else store
-        self._counts: dict = {}
         self._plans: dict = {}  # (orbit key, side) -> (plan number, _dp_plan)
+        self._circuits: dict = {}  # orbit key -> its first orientation's circuit part
         self._orbits: dict = {}  # flips -> orbit key
         self._merged: dict = {}  # block-reversal key -> orbit key
         self._isomorphic: dict = {}  # _isomorphism_key -> orbit key
@@ -505,31 +506,44 @@ class CountTable(OrientationTable):
 
     def side(self, orientation: Orientation, side: str, box, value, zeros: str = "allowed"):
         """The count in one box at p or q (a group's moduli on a "group"
-        box), with ``zeros`` as in _partial_sum_dp; 1 for the box None. Each
-        count is read once per ``orbit``, on its first orientation, from the
-        store. A zero-set histogram, read on the "int" and "group" boxes
-        only, is the same for every orientation: flipping an edge negates its
-        value, not its zero set."""
-        return 1 if box is None else self._count(self.orbit(orientation), side, box, value, zeros)
+        box), with ``zeros`` as in _partial_sum_dp, read by ``_reader``. A
+        zero-set histogram, read on the "int" and "group" boxes only, is the
+        same for every orientation: flipping an edge negates its value, not
+        its zero set."""
+        return self._reader([self.orbit(orientation)], side, box, zeros)[1](value)[0]
 
-    def _count(self, orbit, side: str, box, value, zeros: str):
-        """``side`` on the orientations of one orbit key, for a box that is
-        not None; the store is read only when the table's own dict misses."""
-        key = (orbit, side, box, value, zeros)
-        found = self._counts.get(key)
-        if found is None:
+    def _reader(self, orbits, side: str, box, zeros: str):
+        """(keys, read): the orbits' count keys on the side, resolved once
+        per orbit, and read(value), their counts in the box at ``value``,
+        listed once per value from the store, which makes each once per key.
+        A count key is the plan number of the orbit's first orientation,
+        with the side and the circuit bits for "support", the one box that
+        reads them; None for the box None, whose counts are 1."""
+        if box is None:
+            ones = [1] * len(orbits)
+            return [None] * len(orbits), lambda value: ones
+        inputs, listed = [], {}  # (key, plan, circuit) per orbit; value -> counts
+        for orbit in orbits:
             number, plan = self._plan(orbit, side)
-            at, circuit = (box, value, zeros), None
             if box == "support":
-                circuit = self.circuit(self._first[orbit])
-                at += (side, _bits(circuit))
-            made = self.store.counts.setdefault(at, {})
-            found = made.get(number)
-            if found is None:
-                found = made[number] = _box_count(plan, self.graph.edge_count, circuit, side, box,
-                                                  value, self.budget, zeros)
-            self._counts[key] = found
-        return found
+                if orbit not in self._circuits:
+                    self._circuits[orbit] = self.circuit(self._first[orbit])
+                circuit = self._circuits[orbit]
+                inputs.append(((number, side, _bits(circuit)), plan, circuit))
+            else:
+                inputs.append((number, plan, None))
+
+        def read(value):
+            if value not in listed:
+                made = self.store.counts.setdefault((box, value, zeros), {})
+                for key, plan, circuit in inputs:
+                    if key not in made:
+                        made[key] = _box_count(plan, self.graph.edge_count, circuit, side, box,
+                                               value, self.budget, zeros)
+                listed[value] = [made[key] for key, _, _ in inputs]
+            return listed[value]
+
+        return [key for key, _, _ in inputs], read
 
     def _merge(self, pairs) -> list[tuple[Orientation, int]]:
         """The (orientation, weight) pairs merged by ``orbit``, on which
@@ -543,9 +557,12 @@ class CountTable(OrientationTable):
         return list(merged.values())
 
     def sampler(self, family: str, pairs):
-        """sampler(p, q) of the family's weighted sum over (orientation,
-        weight) pairs: over the orbits (``_merge``), the weight times the
-        tension count at p times the flow count at q, each read once per p or q.
+        """(key, sampler): sampler(p, q) of the family's weighted sum over
+        (orientation, weight) pairs, over the orbits (``_merge``) the weight
+        times the tension count at p times the flow count at q (``_reader``);
+        key, which fixes it at every point, is the family, rank, nullity,
+        edge count and the orbits' (tension, flow) count keys with summed
+        weights: the store's polynomial key.
 
         The family's row picks the zero mode: "allowed" for an orientation
         sum; for a definition-level family "forbidden" on its one side, or
@@ -554,44 +571,24 @@ class CountTable(OrientationTable):
         own, so a one-side count is never read off a zero-set histogram."""
         t_box, f_box, members = FAMILY_TABLE[family]
         zeros = "allowed" if members != "one" else "masks" if t_box and f_box else "forbidden"
-        full = (1 << self.graph.edge_count) - 1
-        combine = mul if zeros != "masks" else lambda t, f: _matched_pairs(t, f, full)
+        m = self.graph.edge_count
+        combine = mul if zeros != "masks" else lambda t, f: _matched_pairs(t, f, (1 << m) - 1)
         merged = self._merge(pairs)
         orbits, weights = [self.orbit(o) for o, _ in merged], [w for _, w in merged]
-        ones = [1] * len(orbits)  # the counts of the box None
-        tensions, flows = {}, {}  # p -> the orbits' tension counts; q -> their flow counts
+        t_keys, tensions = self._reader(orbits, "tension", t_box, zeros)
+        f_keys, flows = self._reader(orbits, "flow", f_box, zeros)
+        inputs: dict = {}
+        for pair, w in zip(zip(t_keys, f_keys), weights):
+            inputs[pair] = inputs.get(pair, 0) + w
+        rank = len(spanning_structure(self.graph).forest_positions)
+        # one flat tuple, in sorted order: it is kept for the whole sweep
+        key = (family, rank, m - rank, m,
+               *(x for pair in sorted(inputs) for x in (*pair, inputs[pair])))
 
         def sampler(a, b):
-            if a not in tensions:
-                tensions[a] = ones if t_box is None else [
-                    self._count(orbit, "tension", t_box, a, zeros) for orbit in orbits]
-            if b not in flows:
-                flows[b] = ones if f_box is None else [
-                    self._count(orbit, "flow", f_box, b, zeros) for orbit in orbits]
-            return sum(map(mul, weights, map(combine, tensions[a], flows[b])))
+            return sum(map(mul, weights, map(combine, tensions(a), flows(b))))
 
-        return sampler
-
-    def sum_key(self, family: str, merged) -> tuple:
-        """The kernel inputs of the family's sum over (orientation, weight)
-        pairs merged by ``_merge``, which fix its ``sampler`` at every point:
-        the family, rank, nullity and edge count, and the multiset of
-        (tension plan number, flow plan number, circuit part) over the
-        orbits, with summed weights. A side the family does not count has no
-        plan, and only the "support" box reads the circuit part."""
-        t_box, f_box, _ = FAMILY_TABLE[family]
-        support = "support" in (t_box, f_box)
-        inputs: dict = {}
-        for o, w in merged:
-            orbit = self.orbit(o)
-            key = (self._plan(orbit, "tension")[0] if t_box else -1,
-                   self._plan(orbit, "flow")[0] if f_box else -1,
-                   _bits(self.circuit(self._first[orbit])) if support else 0)
-            inputs[key] = inputs.get(key, 0) + w
-        m, rank = self.graph.edge_count, len(spanning_structure(self.graph).forest_positions)
-        # one flat tuple, in sorted order: it is kept for the whole sweep
-        return (family, rank, m - rank, m,
-                *(x for key in sorted(inputs) for x in (*key, inputs[key])))
+        return key, sampler
 
 
 def _require(condition: bool, message: str) -> None:
@@ -645,4 +642,4 @@ def count(
         return moduli
 
     a, b = argument(p, group_a), argument(q, group_b)
-    return table.sampler(family, table._members(family, orientation))(a, b)
+    return table.sampler(family, table._members(family, orientation))[1](a, b)

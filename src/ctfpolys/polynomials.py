@@ -407,15 +407,13 @@ def orientation_sum_polynomial(
     pairs: Sequence[tuple[Orientation, int]],
 ) -> BivariatePolynomial:
     """Polynomial of a family over (orientation, weight) pairs of the
-    table's graph (for a definition-level family, its one orientation), read
-    from the table by ``CountTable.sampler``; made once per kernel input
-    (``CountTable.sum_key``) in the table's store."""
-    merged = table._merge(pairs)
-    key = table.sum_key(family, merged)
+    table's graph (for a definition-level family, its one orientation),
+    sampled from ``CountTable.sampler`` and made once per kernel input: the
+    table's store keeps it under the key the sampler returns."""
+    key, sampler = table.sampler(family, pairs)
     made = table.store.polynomials.get(key)
     if made is None:
-        made = _interpolate_family(family, table.sampler(family, merged), table.graph)
-        table.store.polynomials[key] = made
+        made = table.store.polynomials[key] = _interpolate_family(family, sampler, table.graph)
     return made
 
 

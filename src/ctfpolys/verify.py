@@ -168,7 +168,8 @@ class _PolynomialMemo:
     family and its ``_SIBLING`` come from one CountTable, dropped once both
     are made: the two kinds of a closed-box sweep share its box counts, the
     other pairs the kernel plans. The ledger keeps the ``minors`` list for
-    one run. A resource limit stores nothing.
+    one run. Every table the workspace, the ledger and IND's recount build
+    reads the workspace's one ``budget``, and a resource limit stores nothing.
 
     ``store``, a CountStore that lives as long as the workspace, serves
     every CountTable the workspace and the ledger build, but IND's recount,
@@ -178,11 +179,12 @@ class _PolynomialMemo:
     of later graphs share their box counts and orientation-sum polynomials
     there; it holds plans, counts and polynomials, never a table."""
 
-    def __init__(self):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
+        self.budget = budget
         self._polys: dict = {}
         self.store = CountStore()
 
-    def polynomial(self, graph: MultiGraph, family: str, budget,
+    def polynomial(self, graph: MultiGraph, family: str,
                    orientation: Orientation | None = None, key=None) -> BivariatePolynomial:
         """The family on ``graph`` (under ``orientation`` for a per-orientation
         family) at memo key ``key``, by default ``_compact_key(graph,
@@ -192,7 +194,7 @@ class _PolynomialMemo:
         if (key, family) not in self._polys:
             blocks, sibling = _block_restrictions(graph), _SIBLING.get(family)
             if len(blocks) == 1:
-                table = CountTable(graph, budget, self.store)
+                table = CountTable(graph, self.budget, self.store)
                 made = _polynomial(table, family, orientation)
                 if sibling and (key, sibling) not in self._polys:
                     try:
@@ -204,7 +206,7 @@ class _PolynomialMemo:
                 for block in blocks:
                     o = None if orientation is None else induced_orientation(orientation, block)
                     keys.append(_compact_key(block, o))
-                    made = made * self.polynomial(block, family, budget, o, keys[-1])
+                    made = made * self.polynomial(block, family, o, keys[-1])
                 # once every block's sibling is stored, so is the graph's
                 siblings = [self._polys.get((k, sibling)) for k in keys]
                 if sibling and None not in siblings:
@@ -225,18 +227,18 @@ def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityRep
     integer equalities throughout. A graph with more than ``budget`` edge
     subsets raises BudgetExceededError; an identity whose computation needs
     a kernel call over the budget is reported as "skip"."""
-    return _verify_graph(graph, budget, _PolynomialMemo())
+    return _verify_graph(graph, _PolynomialMemo(budget))
 
 
-def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> IdentityReport:
+def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
     # the orientation and edge-subset sweeps below all have 2^|E| items
-    _check_sweep_budget(graph.edge_count, budget, "edge subsets")
+    _check_sweep_budget(graph.edge_count, memo.budget, "edge subsets")
     r, m = graph.stats().rank, graph.edge_count
     full = (1 << m) - 1
 
     # every orientation set, partition and circuit part below, and every
     # orientation-sum polynomial of the ledger, is read from this one table
-    table = CountTable(graph, budget, memo.store)
+    table = CountTable(graph, memo.budget, memo.store)
     orientations, classes = table.orientations, table.mask_classes
     ce_size, cu_size, eu_size = (
         {orientations[f]: len(cls) for cls in classes(relation) for f in cls}
@@ -282,12 +284,12 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
         # the definition-level families, counted apart from the table by the
         # workspace, as the minors are: tau/phi _int and _mod share a sweep
-        kappa_int=lambda: memo.polynomial(graph, "kappa_int", budget),
-        kappa_mod=lambda: memo.polynomial(graph, "kappa_mod", budget),
-        tau_int=lambda: memo.polynomial(graph, "tau_int", budget),
-        phi_int=lambda: memo.polynomial(graph, "phi_int", budget),
-        tau_mod=lambda: memo.polynomial(graph, "tau_mod", budget),
-        phi_mod=lambda: memo.polynomial(graph, "phi_mod", budget),
+        kappa_int=lambda: memo.polynomial(graph, "kappa_int"),
+        kappa_mod=lambda: memo.polynomial(graph, "kappa_mod"),
+        tau_int=lambda: memo.polynomial(graph, "tau_int"),
+        phi_int=lambda: memo.polynomial(graph, "phi_int"),
+        tau_mod=lambda: memo.polynomial(graph, "tau_mod"),
+        phi_mod=lambda: memo.polynomial(graph, "phi_mod"),
         minors=lambda: memo.minors(graph),
     )
 
@@ -349,9 +351,9 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
                 def term(mask, quotient, q_key, restriction, r_key):
                     # G/{} and G|E are G itself: those two factors are the ledger's own
                     tau = read(f"tau{bar}") if mask == 0 else \
-                        memo.polynomial(quotient, f"tau{bar}_{kind}", budget, key=q_key)
+                        memo.polynomial(quotient, f"tau{bar}_{kind}", key=q_key)
                     phi = read(f"phi{bar}") if mask == full else \
-                        memo.polynomial(restriction, f"phi{bar}_{kind}", budget, key=r_key)
+                        memo.polynomial(restriction, f"phi{bar}_{kind}", key=r_key)
                     return tau * phi
 
                 col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"),
@@ -389,8 +391,8 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
             label = f"orientation {o.flip_string() or '-'}"
             for kind, bar in (("", ""), ("closed ", "_bar")):
                 col.equal(f"{label} {kind}product decomposition", getattr(poly, f"kappa{bar}")[o],
-                          memo.polynomial(quotient, f"tau{bar}_local", budget, o_quot)
-                          * memo.polynomial(restriction, f"phi{bar}_local", budget, o_rest))
+                          memo.polynomial(quotient, f"tau{bar}_local", o_quot)
+                          * memo.polynomial(restriction, f"phi{bar}_local", o_rest))
             for name, left, right in differing[o]:
                 col.equal(f"{label} {name}", left, right)
 
@@ -403,7 +405,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
 
     def t3(col):
         col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
-        triples = table.sampler("kappa_bar_mod", [(o, 1) for o in reps])
+        _, triples = table.sampler("kappa_bar_mod", [(o, 1) for o in reps])
         for p, q in product((1, 2, 3), repeat=2):
             col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples(p - 1, q - 1))
 
@@ -500,7 +502,7 @@ def _verify_graph(graph: MultiGraph, budget: int, memo: _PolynomialMemo) -> Iden
         # reference's orbit key, and its kernel inputs are the reference's
         alternate = Orientation.reference(graph).reversed()
         recomputed = orientation_sum_polynomial(
-            CountTable(graph, budget), "kappa_int", [(alternate, 1)])
+            CountTable(graph, memo.budget), "kappa_int", [(alternate, 1)])
         col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
         lex_largest = [orientations[cls[-1]] for cls in classes("cut_eulerian")]
         col.equal(
@@ -572,6 +574,6 @@ def verify_corpus(
     # an oversized sweep stops here, before it yields anything
     _check_sweep_budget(max(max_edges, 0), budget, "edge subsets")
     # one memo for the whole sweep: the minors of small graphs repeat
-    memo = _PolynomialMemo()
+    memo = _PolynomialMemo(budget)
     for graph in small_multigraphs(max_edges, include_loops):
-        yield graph, _verify_graph(graph, budget, memo)
+        yield graph, _verify_graph(graph, memo)

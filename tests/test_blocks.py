@@ -5,7 +5,7 @@ its cycle matroid), checked against one whole-graph CountTable."""
 import pytest
 from hypothesis import given, settings
 
-from ctfpolys import DEFAULT_BUDGET, build_graph, polynomial_report, rank_generating, tutte
+from ctfpolys import build_graph, polynomial_report, rank_generating, tutte
 from ctfpolys import verify
 from ctfpolys.counting import LOCAL_FAMILIES, CountTable
 from ctfpolys.polynomials import REPORT_FAMILIES, _block_restrictions, _polynomial
@@ -35,12 +35,12 @@ def block_product_mismatches(graph, per_orientation):
     for family in REPORT_FAMILIES:
         expected = _polynomial(whole, family)
         if report.families[family] != expected or \
-                memo.polynomial(graph, family, DEFAULT_BUDGET) != expected:
+                memo.polynomial(graph, family) != expected:
             bad.append((family, None))
     if per_orientation:
         for o in whole.orientations:
             for family in LOCAL_FAMILIES:
-                if memo.polynomial(graph, family, DEFAULT_BUDGET, o) != _polynomial(whole, family, o):
+                if memo.polynomial(graph, family, o) != _polynomial(whole, family, o):
                     bad.append((family, o.flip_string()))
     return bad
 

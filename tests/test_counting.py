@@ -520,6 +520,17 @@ def test_count_checks_its_arguments_before_it_sweeps(component_passes):
     assert component_passes(refused) == 0
 
 
+def test_a_support_count_finds_one_circuit_part_per_orbit(component_passes):
+    # kappa_local's "support" box reads the circuit part on both sides and
+    # at every p and q; one orbit, so one circuit part is found
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    reference = Orientation.reference(k4)
+    assert component_passes(
+        lambda: counting_polynomial(k4, "kappa_local", orientation=reference)) == 1
+    assert component_passes(
+        lambda: count(k4, "kappa_local", p=3, q=2, orientation=reference)) == 1
+
+
 #: family -> (variables read, lowest argument, needs an orientation,
 #: integer coefficients), written out so that a wrong FAMILY_TABLE row fails
 #: here and not only in a count
@@ -770,7 +781,7 @@ def test_class_weighted_sums_match_orientation_sums(corpus5_graphs, unmerged_sam
             pairs = table.sum_members(family)
             every = [(o, 1) for o in table.members(filter_name)]
             assert sum(w for _, w in pairs) == len(every)
-            sampler, reference = table.sampler(family, pairs), unmerged_sampler(family, every)
+            sampler, reference = table.sampler(family, pairs)[1], unmerged_sampler(family, every)
             for p, q in product(range(4), repeat=2):
                 assert sampler(p, q) == reference(p, q), (graph.edges, family, p, q)
 
@@ -803,7 +814,7 @@ def test_definition_level_counts_match_direct_kernel_calls(corpus5_graphs):
     for graph in corpus5_graphs:
         shared = CountTable(graph)
         pairs = shared.sum_members("kappa_mod")
-        samplers = {family: shared.sampler(family, pairs) for family in families}
+        samplers = {family: shared.sampler(family, pairs)[1] for family in families}
         for family, (p, q) in product(families, product(range(1, 4), repeat=2)):
             direct = _direct_count(graph, family, p, q)
             assert count(graph, family, p=p, q=q) == direct, (graph.edges, family, p, q)
@@ -981,10 +992,8 @@ def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
         orientation_sum_polynomial(CountTable(p8), "kappa_int", [(ref.reversed(), 1)])
         memo = verify._PolynomialMemo()
         for quotient, _, restriction, _ in memo.minors(p8):
-            memo.polynomial(quotient, "tau_local", DEFAULT_BUDGET,
-                            Orientation.reference(quotient))
-            memo.polynomial(restriction, "phi_local", DEFAULT_BUDGET,
-                            Orientation.reference(restriction))
+            memo.polynomial(quotient, "tau_local", Orientation.reference(quotient))
+            memo.polynomial(restriction, "phi_local", Orientation.reference(restriction))
 
     assert isomorphism_keys(one_orientation) == 0
     table = CountTable(p8)

@@ -506,7 +506,7 @@ def test_orbit_merged_sampler_matches_per_point_totals(unmerged_sampler):
             points = list(product(range(lo, lo + rank + 3) if t_box else [lo],
                                   range(lo, lo + nullity + 3) if f_box else [lo]))
             for pairs in _pair_lists(listed, family):
-                sampler = merged.sampler(family, pairs)
+                _, sampler = merged.sampler(family, pairs)
                 reference = unmerged_sampler(family, pairs)
                 for p, q in points:
                     assert sampler(p, q) == reference(p, q), (

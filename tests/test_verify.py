@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from ctfpolys import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     Orientation,
     OrientationTable,
@@ -210,8 +209,8 @@ def test_filled_workspace_changes_no_report(first, second):
     # minors and their siblings) must give a second graph the report a
     # fresh run gives
     memo = _PolynomialMemo()
-    verify._verify_graph(first, DEFAULT_BUDGET, memo)
-    assert verify._verify_graph(second, DEFAULT_BUDGET, memo) == verify_graph(second)
+    verify._verify_graph(first, memo)
+    assert verify._verify_graph(second, memo) == verify_graph(second)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,10 +240,10 @@ def test_t2e_reads_the_minors_t1e_made(name, request, monkeypatch, kernel_calls,
 
     monkeypatch.setattr(verify, "IdentityCheck", check)
     memo = _PolynomialMemo()
-    assert verify._verify_graph(graph, DEFAULT_BUDGET, memo).all_passed
+    assert verify._verify_graph(graph, memo).all_passed
     assert totals["T2e"] == totals["T2d"]
     assert all(t1e > t1d for t1e, t1d in zip(totals["T1e"], totals["T1d"]))
-    assert list(vars(memo)) == ["_polys", "store"]
+    assert list(vars(memo)) == ["budget", "_polys", "store"]
     assert all(isinstance(poly, BivariatePolynomial) for poly in memo._polys.values())
     # the store keeps plans, counts and polynomials, built of numbers, names
     # and bits: never a table, a graph or an orientation, so no minors list
@@ -275,8 +274,8 @@ def test_twins_share_the_store(kernel_calls):
     memo, reports = _PolynomialMemo(), []
     apart = build_graph(4, [(0, 1), (2, 3), (2, 3)])
     joined = build_graph(3, [(0, 1), (1, 2), (1, 2)])
-    assert verify._verify_graph(apart, DEFAULT_BUDGET, memo).all_passed
-    made = kernel_calls(lambda: reports.append(verify._verify_graph(joined, DEFAULT_BUDGET, memo)))
+    assert verify._verify_graph(apart, memo).all_passed
+    made = kernel_calls(lambda: reports.append(verify._verify_graph(joined, memo)))
     assert reports[0].all_passed, reports[0].failures()
     reversed_reference = Orientation.reference(joined).reversed()
     recount = kernel_calls(lambda: orientation_sum_polynomial(
@@ -300,7 +299,7 @@ def test_local_memo_keys_keep_direction():
     for family in ("tau_local", "phi_local", "tau_bar_local", "phi_bar_local"):
         fresh = [counting_polynomial(digon, family, orientation=o) for o in (acyclic, cyclic)]
         assert fresh[0] != fresh[1], family
-        assert [memo.polynomial(digon, family, DEFAULT_BUDGET, o) for o in (acyclic, cyclic)] == fresh
+        assert [memo.polynomial(digon, family, o) for o in (acyclic, cyclic)] == fresh
 
 
 def test_failure_witness_counts_problems(p8, monkeypatch):
@@ -436,7 +435,7 @@ def test_t2e_reads_the_sibling_products_t1e_made(monkeypatch, block_splits):
 
     monkeypatch.setattr(verify, "IdentityCheck", check)
     memo = _PolynomialMemo()
-    assert verify._verify_graph(W4, DEFAULT_BUDGET, memo).all_passed
+    assert verify._verify_graph(W4, memo).all_passed
     assert any(len(_block_restrictions(r)) > 1 for _, _, r, _ in memo.minors(W4))
     assert at["T1e"] > at["T1d"]
     assert at["T2e"] == at["T2d"]
@@ -444,6 +443,19 @@ def test_t2e_reads_the_sibling_products_t1e_made(monkeypatch, block_splits):
 
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def test_a_workspace_serves_one_budget():
+    # a workspace is made with its budget, and every table it, the ledger
+    # and IND's recount build reads it: one that verified K4 first gives K4
+    # plus two parallel edges the report a fresh run at that budget gives,
+    # where most identities hit the budget
+    doubled = build_graph(4, [*K4.edges, (0, 1), (2, 3)])
+    memo = _PolynomialMemo(256)
+    assert verify._verify_graph(K4, memo).all_passed
+    report = verify._verify_graph(doubled, memo)
+    assert report == verify_graph(doubled, 256)
+    assert [c.identity for c in report.checks if c.status != "skip"] == ["RPQ", "TC"]
 
 
 def _drop_an_orbit(monkeypatch):
