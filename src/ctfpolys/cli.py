@@ -152,50 +152,29 @@ def _cmd_example(args) -> int:
     ce_members = table.self_reverse("cut_eulerian")
     ce_class_count = sum(rep in ce_members for rep in table.classes("cut_eulerian").representatives)
     notes = [
-        "the published worked example for this graph states "
-        "kappa(2,2) = #[O_ce] = 0; exhaustive enumeration gives "
-        f"kappa(2,2) = {kappa22}, |O_ce| = {len(ce_members)}, "
+        "the published worked example for this graph states kappa(2,2) = #[O_ce] = 0; "
+        f"exhaustive enumeration gives kappa(2,2) = {kappa22}, |O_ce| = {len(ce_members)}, "
         f"#[O_ce] = {ce_class_count}.",
-        "the published integral formula's token '2y-1' is read "
-        "as '2q-1'; the corrected polynomial matches brute-force counts "
-        "(the counts are authoritative either way).",
+        "the published integral formula's token '2y-1' is read as '2q-1'; the corrected "
+        "polynomial matches brute-force counts (the counts are authoritative either way).",
     ]
     if args.format == "json":
-        payload = {
+        special = {"kappa(2,2)": kappa22, "kappa_int(2,2)": kappa_int22,
+                   "|O_ce|": len(ce_members), "#[O_ce]": ce_class_count}
+        print(json.dumps({
             "polynomials": {name: poly.to_json_dict() for name, poly in polys.items()},
-            "censuses": dict(censuses),
-            "special_values": {
-                "kappa(2,2)": kappa22,
-                "kappa_int(2,2)": kappa_int22,
-                "|O_ce|": len(ce_members),
-                "#[O_ce]": ce_class_count,
-            },
-            "notes": notes,
-        }
-        print(json.dumps(payload, indent=2))
+            "censuses": dict(censuses), "special_values": special, "notes": notes,
+        }, indent=2))
         return 0
 
-    lines = [
-        "built-in example graph: 3 vertices, edges e1..e5 = "
-        + " ".join(f"{u}->{v}" for u, v in graph.edges),
-        "",
-    ]
-    lines.extend(f"{name} = {poly.to_text()}" for name, poly in polys.items())
-    lines.extend(["", "censuses:"])
-    lines.extend(f"  {name}: {value}" for name, value in censuses)
-    lines.extend(
-        [
-            "",
-            "special values:",
-            f"  kappa(2,2) = {kappa22}",
-            f"  kappa_int(2,2) = |O_ce| = {kappa_int22}",
-            f"  |O_ce| = {len(ce_members)}",
-            f"  #[O_ce] = {ce_class_count}",
-            "",
-            "documented anomalies:",
-        ]
-    )
-    lines.extend(f"  note: {note}" for note in notes)
+    lines = ["built-in example graph: 3 vertices, edges e1..e5 = "
+             + " ".join(f"{u}->{v}" for u, v in graph.edges), ""]
+    lines += [f"{name} = {poly.to_text()}" for name, poly in polys.items()]
+    lines += ["", "censuses:", *(f"  {name}: {value}" for name, value in censuses)]
+    lines += ["", "special values:", f"  kappa(2,2) = {kappa22}",
+              f"  kappa_int(2,2) = |O_ce| = {kappa_int22}", f"  |O_ce| = {len(ce_members)}",
+              f"  #[O_ce] = {ce_class_count}", "", "documented anomalies:"]
+    lines += [f"  note: {note}" for note in notes]
     print("\n".join(lines))
     return 0
 
@@ -232,10 +211,8 @@ _COMMANDS = {
         ("--family", dict(required=True, choices=sorted(FAMILIES - LOCAL_FAMILIES))),
         ("--p", dict(type=int, default=None)),
         ("--q", dict(type=int, default=None)),
-        ("--group", dict(default=None,
-                         help="comma-separated cyclic moduli for the tension-side group")),
-        ("--group-b", dict(default=None,
-                           help="comma-separated cyclic moduli for the flow-side group")),
+        ("--group", dict(help="comma-separated cyclic moduli for the tension-side group")),
+        ("--group-b", dict(help="comma-separated cyclic moduli for the flow-side group")),
     ]),
     "classes": ("equivalence-class census", _cmd_classes, [
         ("file", {}),
@@ -245,70 +222,95 @@ _COMMANDS = {
     "verify": ("run the identity ledger on a graph", _cmd_verify, [("file", {})]),
     "corpus": ("verify all small multigraphs", _cmd_corpus, [
         ("--max-edges", dict(type=_at_least(0, "max-edges"), required=True)),
-        ("--loops", dict(action="store_true")),
+        ("--loops", dict(action="store_true", default=False)),
     ]),
     "example": ("reproduce the built-in worked example", _cmd_example, []),
 }
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """The ``_COMMANDS``, each parser built only when its command runs. The
-    help, the usage and a bad command's error read just the names and the
-    help lines, which are registered here as ``add_parser`` registers them.
+#: The options before the command name, as (flag, keywords of add_argument).
+_GLOBALS = [
+    ("--format", dict(choices=("text", "json"), default="text",
+                      help="output format (default text)")),
+    ("--budget", dict(type=_at_least(1, "budget"), default=DEFAULT_BUDGET, help=(
+        "work items one call may create: DP states of one counting-kernel "
+        "call, or the 2^|E| orientations or edge subsets of one sweep "
+        f"(default {DEFAULT_BUDGET}); past it a command exits 1"))),
+]
 
-    It reads private argparse names, for a measured reason: a plain
-    ``add_parser`` loop gives the same help and usage, but building every
-    parser made the perfbench ``classes`` workload's ``run_ref_s`` about 13%
-    higher (medians 0.0096 against 0.0085 s, four alternating pairs on a
-    2-vCPU host)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name, (help_line, _, _) in _COMMANDS.items():
-            self._name_parser_map[name] = None
-            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_line))
+def _values(tokens, arguments) -> dict | None:
+    """What argparse sets for ``arguments`` (as in ``_COMMANDS``) from
+    ``tokens``, defaults included, if each option is spelt in full and given
+    once, each value is a token of its own not starting with "-", of its
+    type and among its choices, and nothing required is missing; else None."""
+    options, got, tokens = dict(arguments), {}, iter(tokens)
+    positionals = [name for name in options if name[0] != "-"]
+    for token in tokens:
+        if token[:1] != "-":  # the next positional's value; "" names none left
+            name, value = positionals.pop(0) if positionals else "", token
+        else:  # an option; "" names one given before
+            name, value = "" if token in got else token, None
+        if name not in options:
+            return None
+        keywords = options[name]
+        if keywords.get("action") == "store_true":
+            got[name] = True
+            continue
+        value = next(tokens, "-") if value is None else value  # a missing value declines too
+        try:
+            value = keywords.get("type", str)(value) if value[:1] != "-" else None
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            value = None
+        if value is None or value not in keywords.get("choices", (value,)):
+            return None
+        got[name] = value
+    if positionals or any(kw.get("required") and n not in got for n, kw in arguments):
+        return None
+    return {n.lstrip("-").replace("-", "_"): got.get(n, kw.get("default")) for n, kw in arguments}
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if self._name_parser_map[name] is None:  # argparse checked the name
-            _, handler, arguments = _COMMANDS[name]
-            command = self._name_parser_map[name] = self._parser_class(
-                prog=f"{self._prog_prefix} {name}")
-            for flag, options in arguments:
-                command.add_argument(flag, **options)
-            command.set_defaults(func=handler)
-        super().__call__(parser, namespace, values, option_string)
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the parser makes of a plain command line: global
+    options, a command name, its arguments, each read by ``_values``. None
+    for any other line (help, a usage error, ``--opt=value``, ``--``, an
+    abbreviated or repeated option), which the parser then reads."""
+    # the command name: each global option before it takes a value
+    k = next((k for k in range(0, len(argv), 2) if argv[k][:1] != "-"), len(argv))
+    if argv[k:k + 1] and argv[k] in _COMMANDS:
+        _, handler, arguments = _COMMANDS[argv[k]]
+        top, values = _values(argv[:k], _GLOBALS), _values(argv[k + 1:], arguments)
+        if top is not None and values is not None:
+            return argparse.Namespace(**top, command=argv[k], **values, func=handler)
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ctfpolys",
-        description="Exact tension-flow counting polynomials of multigraphs",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
-    parser.add_argument(
-        "--budget", type=_at_least(1, "budget"), default=DEFAULT_BUDGET,
-        help="work items one call may create: DP states of one counting-kernel "
-        "call, or the 2^|E| orientations or edge subsets of one sweep "
-        f"(default {DEFAULT_BUDGET}); past it a command exits 1",
-    )
-    parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    parser = _Parser(prog="ctfpolys",
+                     description="Exact tension-flow counting polynomials of multigraphs")
+    for flag, options in _GLOBALS:
+        parser.add_argument(flag, **options)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=handler)
     return parser
 
 
-#: The parser, built by the first ``main`` call of the process and reused by
-#: the rest; parse_args adds only the subcommand parsers it builds.
+#: The argparse parser, built once per process, for the first line ``_read`` declines.
 _parser = None
 
 
 def main(argv=None) -> int:
     global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:  # argparse prints the help and every usage error
+        if _parser is None:
+            _parser = _build_parser()
+        args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
@@ -318,13 +320,8 @@ def main(argv=None) -> int:
         # to devnull, so the flush at exit fails no more, and exit 1 quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (
-        GraphFormatError,
-        OSError,  # a missing, unreadable or directory graph file
-        ValueError,
-        KeyError,
-        BudgetExceededError,
-    ) as exc:
+    # OSError: a missing, unreadable or directory graph file
+    except (GraphFormatError, OSError, ValueError, KeyError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -611,7 +611,8 @@ def count(
 
     A per-orientation family needs ``orientation``; a definition-level one
     counts on it, or on the reference orientation, and a class-sum family
-    refuses it. ``group_a``/``group_b`` give the moduli of a product group of
+    refuses it. A one-side family reads p (tension) or q (flow) and refuses
+    the other. ``group_a``/``group_b`` give the moduli of a product group of
     order p/q for a "group" box.
     ``budget`` caps the work items of each kernel call and orientation sweep.
     """
@@ -622,7 +623,9 @@ def count(
     t_box, f_box, _ = FAMILY_TABLE[family]
     lowest = lowest_argument(family)
     for name, value, box in (("p", p, t_box), ("q", q, f_box)):
-        if box is not None:
+        if box is None:
+            _require(value is None, f"{family} reads no {name}")
+        else:
             # bool is an int subclass, but True is no argument
             _require(
                 isinstance(value, int) and not isinstance(value, bool) and value >= lowest,

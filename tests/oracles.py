@@ -332,6 +332,41 @@ def isomorphic(vertex_count, first, second, directed):
     )
 
 
+def canonical_form_unpruned(vertex_count, arcs, directed=True):
+    """``multigraph.canonical_form`` with no pruning: the same colour
+    refinement and choice of the first non-singleton colour class, but every
+    vertex of that class individualised and the least form taken over every
+    leaf of the search tree. No automorphism prunes or cuts the search, so
+    a pruning step that drops the least leaf shows as a different form."""
+    n, width = vertex_count, (2 * len(arcs)).bit_length()
+
+    def refine(keys):  # as in canonical_form
+        cells = None
+        while True:
+            rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+            if len(rank) == cells:
+                return colours
+            colours, cells = [rank[key] for key in keys], len(rank)
+            if cells == n:
+                return colours
+            heads = [1 << width * c for c in colours]
+            tails = [1 << width * (n + c) for c in colours] if directed else heads
+            keys = [c << 2 * width * n for c in colours]
+            for u, v in arcs:
+                keys[u] += heads[v]
+                keys[v] += tails[u]
+
+    def least(colours):
+        if len(set(colours)) == n:
+            pairs = [(colours[u], colours[v]) for u, v in arcs]
+            return tuple(sorted(pairs if directed else [(min(p), max(p)) for p in pairs]))
+        target = min(c for c in colours if colours.count(c) > 1)
+        return min(least(refine([2 * c + (x != v) for x, c in enumerate(colours)]))
+                   for v in range(n) if colours[v] == target)
+
+    return least(refine([0] * n))
+
+
 def equivalent_by_definition(graph, first, second, relation):
     """Cut / Eulerian / cut-Eulerian equivalence of two flip vectors: the
     disagreement indicator is a tension / a flow / a tension on the bond part

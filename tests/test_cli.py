@@ -1,17 +1,55 @@
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import ctfpolys
+import ctfpolys.cli as cli
 from ctfpolys import IdentityCheck, IdentityReport, build_graph, count, format_graph_text, tutte
-from ctfpolys.cli import main
+from ctfpolys.cli import _build_parser, _read, main
 
 P8_TEXT = "v 3\ne 0 2\ne 0 1\ne 1 2\ne 0 1\ne 1 2\n"
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The argparse parser main falls back to, the reference for ``_read``.
+REFERENCE = _build_parser()
+
+
+def _parsed(argv):
+    """vars() of the namespace argparse parses from argv, or None where it
+    exits (help or a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(REFERENCE.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _plain(argv):
+    """vars() of the namespace ``_read`` makes of argv, or None where it declines."""
+    args = _read(list(argv))
+    return None if args is None else vars(args)
+
+
+@pytest.fixture(autouse=True)
+def every_line_is_read_as_argparse_reads_it(monkeypatch):
+    # every command line a test here passes to main is read by _read, or
+    # declined there and refused by argparse: each valid line skips argparse
+    lines = []
+    monkeypatch.setattr(cli, "_read", lambda argv: lines.append(list(argv)) or _read(argv))
+    yield
+    for argv in lines:
+        assert _plain(argv) == _parsed(argv), argv
 
 
 @pytest.fixture()
@@ -514,22 +552,149 @@ def test_help_and_usage_errors_are_byte_identical(argv, monkeypatch, capsys):
     assert hashlib.sha256(printed.encode()).hexdigest() == HELP_DIGESTS[argv], printed
 
 
-def test_only_the_running_subcommand_is_built(p8_file, monkeypatch, capsys):
-    # a fresh parser builds itself and the one subcommand that runs, the
-    # next command of the process its own, and the help none
-    import ctfpolys.cli as cli
-
+def test_a_plain_command_line_builds_no_parser(p8_file, monkeypatch, capsys):
+    # main reads a plain command line from _COMMANDS and builds no parser;
+    # the help and a usage error each build the whole argparse parser
     built = []
     init = cli._Parser.__init__
     monkeypatch.setattr(cli._Parser, "__init__",
                         lambda self, **kwargs: built.append(kwargs["prog"]) or init(self, **kwargs))
     monkeypatch.setattr(cli, "_parser", None)
-    for argv in (["polys", p8_file], ["polys", p8_file], ["verify", p8_file]):
-        main(argv)
-    with pytest.raises(SystemExit):
-        main(["--help"])
+    for argv in (["polys", p8_file], ["--budget", "64", "verify", p8_file],
+                 ["--format", "json", "classes", p8_file, "--relation", "cut"],
+                 ["corpus", "--max-edges", "1", "--loops"]):
+        assert main(argv) == 0, argv
+    assert built == [] and cli._parser is None
+    whole = ["ctfpolys", *(f"ctfpolys {name}" for name in cli._COMMANDS)]
+    for argv, code in ((["--help"], 0), (["classes", p8_file], 1)):
+        monkeypatch.setattr(cli, "_parser", None)
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, built) == (code, whole), argv
     capsys.readouterr()
-    assert built == ["ctfpolys", "ctfpolys polys", "ctfpolys verify"]
+
+
+def _chunks(arguments, last=False):
+    """Per argument of a command, as (name or flag, add_argument keywords):
+    its tokens with a valid value (the last choice if ``last``), and an
+    invalid value, or None where every string is valid."""
+    for flag, options in arguments:
+        if options.get("action") == "store_true":
+            yield [flag], None
+        elif "choices" in options:
+            yield [flag, options["choices"][-1 if last else 0]], "nope"
+        else:
+            value, bad = ("3", "three") if "type" in options else ("2,2", None)
+            yield ([flag, value] if flag[0] == "-" else ["g.g"]), bad
+
+
+def _lines():
+    """(argv, declined) for command lines made from ``_COMMANDS``: a plain
+    spelling of each command with every subset of its options, in two
+    orders, under three global prefixes, and with invalid values, missing
+    and extra arguments; declined marks each spelling that ``_read``
+    leaves to argparse."""
+    prefixes = ([], ["--format", "json"], ["--budget", "7", "--format", "text"])
+    for name, (_, _, arguments) in cli._COMMANDS.items():
+        for last in (False, True):
+            chunks = [c for c, _ in _chunks(arguments, last)]
+            positional = [c for c in chunks if c[0][0] != "-"]
+            options = [c for c in chunks if c[0][0] == "-"]
+            for size in range(len(options) + 1):
+                for chosen in combinations(options, size):
+                    order = [*positional, *chosen] if not last else [*chosen[::-1], *positional]
+                    for prefix in prefixes:
+                        yield [*prefix, name, *sum(order, [])], False
+        chunks = list(_chunks(arguments))
+        line = [name, *(t for c, _ in chunks for t in c)]
+        for prefix in (["--format", "xml"], ["--budget", "0"], ["--budget", "many"],
+                       ["--format"], ["--budget"]):
+            yield [*prefix, *line], False
+        yield [*line, "extra"], False
+        for k, (chunk, bad) in enumerate(chunks):
+            before = [name, *(t for c, _ in chunks[:k] for t in c)]
+            after = [t for c, _ in chunks[k + 1:] for t in c]
+            yield [*before, *after], False  # missing
+            if bad is not None:
+                yield [*before, *chunk[:-1], bad, *after], False
+            if chunk[0][0] != "-":
+                yield [*before, "--", *chunk, *after], True
+                yield [*before, "-" + chunk[0], *after], True
+                continue
+            yield [*line, *chunk], True  # repeated
+            if len(chunk[0]) > 4:
+                yield [*before, chunk[0][:-1], *chunk[1:], *after], True  # abbreviated
+            if len(chunk) == 2:
+                yield [*before, "=".join(chunk), *after], True
+                yield [*before, chunk[0], "-" + chunk[1], *after], True
+        for prefix in (["--format=json"], ["--form", "json"], ["--budget", "-7"],
+                       ["--budget", "7", "--budget", "7"], ["-h"], ["--help"]):
+            yield [*prefix, *line], True
+        yield [*line, "--help"], True
+        yield [*line, "-h"], True
+    yield ["polish"], False
+    yield [], False
+
+
+def test_the_table_read_agrees_with_argparse():
+    # _read gives exactly argparse's namespace or declines; on a plain
+    # spelling it declines only where argparse refuses the line
+    declined = accepted = 0
+    for argv, argparse_only in _lines():
+        plain, parsed = _plain(argv), _parsed(argv)
+        if argparse_only:
+            assert plain is None, argv
+            declined += parsed is not None
+        else:
+            assert plain == parsed, argv
+            accepted += plain is not None
+    assert accepted >= 100 and declined >= 40, (accepted, declined)
+
+
+def _ci_lines():
+    """Each ctfpolys command line of the CI workflow, split as the shell splits it."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    found = re.findall(r"(?:^\s*|\$\(|<\()ctfpolys ([^|)\n]*)", text, re.M)
+    return [shlex.split(re.split(r"\s\d*>", line)[0]) for line in found]
+
+
+def _workload_lines():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = dict.fromkeys(workloads.BASE_GRAPHS, "g.g")
+    return [op["argv"] for name in workloads.WORKLOADS
+            for op in workloads.operations(name, inputs)]
+
+
+#: CI lines that only argparse reads: the step checks that they print
+#: what the plain spelling prints.
+CI_ARGPARSE_ONLY = (["--format=json", "classes", "w4.g", "--rel", "cut-eulerian"],)
+
+
+def test_the_table_reads_every_ci_and_benchmark_line():
+    # the CI step's lines and the benchmark's commands skip argparse, but
+    # for the spellings the step checks it through
+    ci, bench = _ci_lines(), _workload_lines()
+    for argv in CI_ARGPARSE_ONLY:
+        assert argv in ci and _plain(argv) is None and _parsed(argv) is not None, argv
+    for argv in ci + bench:
+        if argv not in CI_ARGPARSE_ONLY:
+            assert _plain(argv) == _parsed(argv), argv
+    assert bench and all(_plain(argv) for argv in bench)
+    assert sum(_plain(argv) is not None for argv in ci) >= 15
+
+
+def test_count_refuses_the_argument_a_one_side_family_does_not_read(tmp_path, capsys):
+    path = tmp_path / "triangle.g"
+    path.write_text(format_graph_text(build_graph(3, [(0, 1), (1, 2), (0, 2)])))
+    assert main(["count", str(path), "--family", "tau_mod", "--p", "3"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    for family, other in (("tau_mod", "q"), ("phi_int", "p")):
+        argv = ["count", str(path), "--family", family, "--p", "3", "--q", "5"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {family} reads no {other}\n")
 
 
 def test_help_exits_0(capsys):

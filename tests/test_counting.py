@@ -33,6 +33,7 @@ from ctfpolys.counting import (
     _matched_pairs,
     _orbit_key,
     _space,
+    lowest_argument,
 )
 from ctfpolys.multigraph import spanning_structure
 from ctfpolys.orientations import RELATIONS, _circuit_part, equivalent
@@ -520,6 +521,27 @@ def test_count_checks_its_arguments_before_it_sweeps(component_passes):
     assert component_passes(refused) == 0
 
 
+def test_a_one_side_family_refuses_the_other_argument(c3, kernel_calls):
+    # a one-side family counts on p alone (tension side) or q alone (flow
+    # side): the other argument is refused by name, as a group it does not
+    # read is, and before anything is counted
+    ref = Orientation.reference(c3)
+    assert count(c3, "tau_mod", p=3) == 2
+
+    def refused():
+        for family, (t_box, f_box, members) in FAMILY_TABLE.items():
+            if t_box and f_box:
+                continue
+            name, read = ("q", "p") if f_box is None else ("p", "q")
+            orientation = ref if members is None else None
+            for value in (-7, 0, 5):
+                with pytest.raises(ValueError, match=rf"^{family} reads no {name}$"):
+                    count(c3, family, orientation=orientation,
+                          **{read: lowest_argument(family), name: value})
+
+    assert kernel_calls(refused) == 0
+
+
 def test_a_support_count_finds_one_circuit_part_per_orbit(component_passes):
     # kappa_local's "support" box reads the circuit part on both sides and
     # at every p and q; one orbit, so one circuit part is found
@@ -572,15 +594,15 @@ def test_family_predicates(p8):
             with pytest.raises(ValueError, match="needs an orientation"):
                 count(p8, family, p=lowest, q=lowest)
         for name in ("p", "q"):
-            low = {"p": lowest, "q": lowest, name: lowest - 1}
+            low = {**dict.fromkeys(reads, lowest), name: lowest - 1}
             if name in reads:
                 with pytest.raises(ValueError, match=f"needs {name} >= {lowest}"):
                     count(p8, family, **low, **args)
                 with pytest.raises(ValueError, match=f"needs {name} >= {lowest}"):
                     count(p8, family, **{**low, name: None}, **args)
             else:
-                assert count(p8, family, **low, **args) == count(
-                    p8, family, p=lowest, q=lowest, **args)
+                with pytest.raises(ValueError, match=f"^{family} reads no {name}$"):
+                    count(p8, family, **low, **args)
         # interpolation: the grid, and the integer-coefficient check on
         # C(p, 2) + C(q, 2), which fits the grid but has halves
         seen = []
@@ -786,6 +808,13 @@ def test_class_weighted_sums_match_orientation_sums(corpus5_graphs, unmerged_sam
                 assert sampler(p, q) == reference(p, q), (graph.edges, family, p, q)
 
 
+def _read_arguments(family, p, q):
+    """The p and q that a family reads, as count's keywords: count refuses
+    the argument a one-side family does not read."""
+    t_box, f_box, _ = FAMILY_TABLE[family]
+    return {name: value for name, value, box in (("p", p, t_box), ("q", q, f_box)) if box}
+
+
 def _direct_count(graph, family, p, q, group_a=None):
     # a definition-level family counted by its own kernel calls: the
     # nowhere-zero vectors of one side, or the complementary pairs matched
@@ -817,7 +846,8 @@ def test_definition_level_counts_match_direct_kernel_calls(corpus5_graphs):
         samplers = {family: shared.sampler(family, pairs)[1] for family in families}
         for family, (p, q) in product(families, product(range(1, 4), repeat=2)):
             direct = _direct_count(graph, family, p, q)
-            assert count(graph, family, p=p, q=q) == direct, (graph.edges, family, p, q)
+            assert count(graph, family, **_read_arguments(family, p, q)) == direct, \
+                (graph.edges, family, p, q)
             assert samplers[family](p, q) == direct, (graph.edges, family, p, q)
         # a product group: its moduli, not only its order, key the table
         direct = _direct_count(graph, "kappa_mod", 4, 2, group_a=(2, 2))
@@ -987,7 +1017,7 @@ def test_one_orientation_tables_find_no_isomorphism_key(isomorphism_keys, p8):
             counting_polynomial(p8, family)
         for family in LOCAL_FAMILIES:
             counting_polynomial(p8, family, orientation=ref)
-            count(p8, family, p=2, q=2, orientation=ref.reversed())
+            count(p8, family, orientation=ref.reversed(), **_read_arguments(family, 2, 2))
         # IND's recount, and the workspace's per-orientation minor sweeps
         orientation_sum_polynomial(CountTable(p8), "kappa_int", [(ref.reversed(), 1)])
         memo = verify._PolynomialMemo()

@@ -311,6 +311,60 @@ def test_canonical_form_is_exact(graph, directed, data):
     assert same == oracles.isomorphic(n, arcs, other, directed), (n, arcs, other, directed)
 
 
+def _cayley(group_order, generators, add):
+    """The Cayley digraph of a group of ``group_order`` elements 0, 1, ...
+    with the ``add`` operation: an arc x -> add(x, g) per x and generator g."""
+    return group_order, [(x, add(x, g)) for x in range(group_order) for g in generators]
+
+
+def _union(*graphs):
+    """The disjoint union of (vertex count, arcs) graphs."""
+    n, arcs = 0, []
+    for size, part in graphs:
+        arcs += [(n + u, n + v) for u, v in part]
+        n += size
+    return n, arcs
+
+
+_K4 = (4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+_C5 = (5, [(k, (k + 1) % 5) for k in range(5)])
+_K33 = (6, [(u, v) for u in range(3) for v in range(3, 6)])
+_CUBE = (8, [(x, x ^ b) for x in range(8) for b in (1, 2, 4) if x < x ^ b])
+
+#: Graphs with large automorphism groups at 6-10 vertices: Cayley digraphs
+#: of Z_n and Z_2^3 (K3,3, K4,4, three triangles, a doubled matching, the
+#: cube, two K4s) and disjoint unions of K4, C5, K3,3 and the cube.
+SYMMETRIC_GRAPHS = {
+    **{f"Z{n}{sorted(s)}": _cayley(n, s, lambda x, g, n=n: (x + g) % n)
+       for n, s in ((6, {1}), (6, {1, 5}), (6, {1, 3, 5}), (7, {1, 2, 4}), (8, {1, 3, 5, 7}),
+                    (8, {2, 6}), (9, {3, 6}), (9, {1, 8, 3, 6}), (10, {5}), (10, {1, 9, 5}),
+                    (10, {2, 8}))},
+    **{f"Z2^3{sorted(s)}": _cayley(8, s, lambda x, g: x ^ g)
+       for s in ({1, 2, 4}, {1, 2, 4, 7}, {1, 2, 3}, {1, 6})},
+    "K3,3": _K33,
+    "cube": _CUBE,
+    "2K4": _union(_K4, _K4),
+    "K4+C5": _union(_K4, _C5),
+    "2C5": _union(_C5, _C5),
+    "K4+K3,3": _union(_K4, _K33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+def test_canonical_form_matches_the_unpruned_search(name):
+    # pruning the search by the automorphisms it finds keeps the least
+    # leaf: the form equals the search that prunes nothing, as a digraph and
+    # as a graph, with half the arcs doubled too, under every rotation of
+    # the vertex names (so each vertex comes first once)
+    n, arcs = SYMMETRIC_GRAPHS[name]
+    for graph in (arcs, arcs + arcs[::2]):
+        for directed in (True, False):
+            form = oracles.canonical_form_unpruned(n, graph, directed)
+            for k in range(n):
+                renamed = [((u + k) % n, (v + k) % n) for u, v in graph]
+                assert canonical_form(n, renamed, directed) == form, (renamed, directed)
+
+
 def test_canonical_form_examples():
     # arc direction counts only when directed; loops and parallel arcs count
     assert canonical_form(2, [(0, 1), (0, 1)]) != canonical_form(2, [(0, 1), (1, 0)])
