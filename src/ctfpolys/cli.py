@@ -97,16 +97,22 @@ def _cmd_corpus(args) -> int:
     for graph, report in results:
         code = max(code, EXIT_CODES[report.outcome])
         if args.format == "json":
-            # one graph at a time, byte for byte as json.dumps of the list
-            # with indent=2 would; "[" waits for the first report, so a
-            # sweep that stops at once prints nothing
-            entry = json.dumps({
-                "vertex_count": graph.vertex_count,
-                "edges": [list(e) for e in graph.edges],
-                "all_passed": report.all_passed,
-                "checks": report.to_json_list(),
-            }, indent=2).replace("\n", "\n  ")
-            sys.stdout.write(f"{',' if graphs else '['}\n  {entry}")
+            # one graph at a time, written by hand byte for byte as json.dumps
+            # of the list with indent=2 would (indent forces json's pure-Python
+            # encoder): the ids, tags and statuses need no escaping, and each
+            # witness goes through json.dumps; "[" waits for the first
+            # report, so a sweep that stops at once prints nothing
+            edges = ",".join(f"\n      [\n        {u},\n        {v}\n      ]" for u, v in graph.edges)
+            edges = f"[{edges}\n    ]" if edges else "[]"
+            checks = ",".join(
+                f'\n      {{\n        "id": "{c.identity}",\n        "tag": "{c.tag}",\n        '
+                f'"status": "{c.status}",\n        "witness": {json.dumps(c.witness)}\n      }}'
+                for c in report.checks)
+            sys.stdout.write(
+                f'{"," if graphs else "["}\n  {{\n    "vertex_count": {graph.vertex_count},\n'
+                f'    "edges": {edges},\n'
+                f'    "all_passed": {"true" if report.all_passed else "false"},\n'
+                f'    "checks": [{checks}\n    ]\n  }}')
         else:
             # text mode prints each graph as soon as it is verified
             failures += report.outcome == "fail"

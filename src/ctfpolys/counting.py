@@ -423,8 +423,7 @@ class CountTable(OrientationTable):
     identity-ledger computation. Its ``store`` (``CountStore``), private
     unless one is given, is its one count cache, and makes each count and
     orientation-sum polynomial once per kernel input: the ledger's
-    workspace shares one across a sweep's tables, and IND's recount has
-    none but its own."""
+    workspace shares one across a sweep's tables."""
 
     def __init__(self, graph: MultiGraph, budget: int = DEFAULT_BUDGET,
                  store: CountStore | None = None):

@@ -214,12 +214,13 @@ def _ratio(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _poly_sum(polys) -> BivariatePolynomial:
-    """The sum of the polynomials, normalised once."""
+def _poly_sum(polys, weights=None) -> BivariatePolynomial:
+    """The sum of the polynomials, each times its int weight (default 1),
+    normalised once."""
     polys = list(polys)
     den, out = lcm(*(p._den for p in polys)), {}
-    for p in polys:
-        scale = den // p._den
+    for p, w in zip(polys, [1] * len(polys) if weights is None else weights):
+        scale = den // p._den * w
         for key, c in p._num.items():
             out[key] = out.get(key, 0) + c * scale
     return BivariatePolynomial._make(out, den)

@@ -8,12 +8,13 @@ from math import prod
 from typing import Callable, Iterator
 
 from .counting import CountStore, CountTable
-from .multigraph import MultiGraph, _Record, build_graph, canonical_form
+from .multigraph import MultiGraph, _Record, build_graph, canonical_form, spanning_structure
 from .orientations import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Orientation,
     _check_sweep_budget,
+    _flip_mask,
     induced_orientation,
 )
 from .polynomials import (
@@ -172,12 +173,14 @@ class _PolynomialMemo:
     reads the workspace's one ``budget``, and a resource limit stores nothing.
 
     ``store``, a CountStore that lives as long as the workspace, serves
-    every CountTable the workspace and the ledger build, but IND's recount,
-    which keeps one of its own so that it counts again. Every counting
-    family reads only the tension and flow spaces, so graphs with one cycle
-    matroid (a disjoint union and its one-point union, say) and the minors
-    of later graphs share their box counts and orientation-sum polynomials
-    there; it holds plans, counts and polynomials, never a table."""
+    every CountTable the workspace and the ledger build, IND's recount
+    included, whose alternate orientation has kernel plans of its own
+    (``_alternate``). Every counting family reads only the tension and flow
+    spaces, so graphs with one cycle matroid (a disjoint union and its
+    one-point union, say) and the minors of later graphs share their box
+    counts and orientation-sum polynomials there; it holds plans, counts and
+    polynomials, never a table. The ledger reads the polynomials per orbit
+    and sums them once per distinct term (``_verify_graph``)."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
         self.budget = budget
@@ -230,67 +233,105 @@ def verify_graph(graph: MultiGraph, budget: int = DEFAULT_BUDGET) -> IdentityRep
     return _verify_graph(graph, _PolynomialMemo(budget))
 
 
+def _alternate(graph: MultiGraph) -> Orientation:
+    """The orientation IND recounts kappa_int on: the reference with the
+    first edge of the first block of two or more edges flipped, or the
+    reference where every block has one edge (a forest plus loops, whose
+    orientations share one kernel plan). The flipped edge lies on a circuit
+    with another edge, so a coefficient of the plans changes sign; reversing
+    every edge changes none, since signs enter only as products of two."""
+    blocks = spanning_structure(graph).blocks
+    flipped = [b for b in sorted(set(blocks)) if blocks.count(b) > 1][:1]
+    return Orientation.reference(graph).with_flipped(flipped)
+
+
 def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
+    """The ledger on one graph, in the workspace ``memo``. Every per-orientation
+    value is made once per table orbit (``CountTable.orbit``, on which box
+    counts are constant), and every sum once per distinct term: a sum over
+    orientations adds each orbit's polynomial once, times its members' summed
+    weight or sign; a convolution adds each distinct (G/S key, G|S key) term
+    once, times its multiplicity; PL forms each product once per pair of minor
+    keys. The comparisons, labels and witnesses are per orientation."""
     # the orientation and edge-subset sweeps below all have 2^|E| items
     _check_sweep_budget(graph.edge_count, memo.budget, "edge subsets")
     r, m = graph.stats().rank, graph.edge_count
     full = (1 << m) - 1
 
     # every orientation set, partition and circuit part below, and every
-    # orientation-sum polynomial of the ledger, is read from this one table
+    # orientation-sum polynomial of the ledger, is read from this one table;
+    # lists are indexed by flip mask, and classes list flip masks
     table = CountTable(graph, memo.budget, memo.store)
-    orientations, classes = table.orientations, table.mask_classes
+    orientations, classes, circuits = table.orientations, table.mask_classes, table._circuit_masks
+    orbit = [table.orbit(o) for o in orientations]
+    ones, sign = [1] * (full + 1), [-1 if (r + c.bit_count()) % 2 else 1 for c in circuits]
+    names = [format(full + 1 | f, "b")[1:] or "-" for f in range(full + 1)]
+
     ce_size, cu_size, eu_size = (
-        {orientations[f]: len(cls) for cls in classes(relation) for f in cls}
+        {f: len(cls) for cls in classes(relation) for f in cls}
         for relation in ("cut_eulerian", "cut", "eulerian")
     )
     reps, acyclic_reps, tc_reps = (
-        [orientations[cls[0]] for cls in classes("cut_eulerian", filter_name)]
+        [cls[0] for cls in classes("cut_eulerian", filter_name)]
         for filter_name in ("all", "acyclic", "totally_cyclic")
     )
 
     def swept(family, members) -> BivariatePolynomial:
         # each member once: the library weights class representatives by
         # class size, and IM checks that weighting instead of assuming it
-        return orientation_sum_polynomial(table, family, [(o, 1) for o in members])
+        return orientation_sum_polynomial(table, family, [(orientations[f], 1) for f in members])
 
     # box counts are constant on the table's orbits (blocks isomorphic up to
-    # reversal): each per-orientation polynomial is made once per orbit, on
-    # the table's representative
-    def per_orientation(make):
+    # reversal): each per-orientation polynomial is made once per orbit key,
+    # on the table's representative
+    def per_orbit(make) -> dict:
         made: dict = {}
-        for o in orientations:
-            if table.orbit(o) not in made:
-                made[table.orbit(o)] = make(table.representative(o))
-        return {o: made[table.orbit(o)] for o in orientations}
+        for o, key in zip(orientations, orbit):
+            if key not in made:
+                made[key] = make(table.representative(o))
+        return made
 
-    sign = {o: -1 if (r + len(table.circuit(o))) % 2 else 1 for o in orientations}
+    def local(family) -> dict:
+        return per_orbit(lambda o: orientation_sum_polynomial(table, family, [(o, 1)]))
+
+    def orbit_sum(polys, members, weight) -> BivariatePolynomial:
+        # each orbit's polynomial once, times its members' summed weight
+        total: dict = {}
+        for f in members:
+            total[orbit[f]] = total.get(orbit[f], 0) + weight[f]
+        return _poly_sum([polys[key] for key in total], total.values())
+
+    def minor_terms():
+        # [first mask, G/S, its key, G|S, its key, multiplicity] per distinct
+        # pair of keys; S = {} and S = E, whose factors are the ledger's own,
+        # have pairs of their own, as G/S and G|S have m - |S| and |S| edges
+        terms: dict = {}
+        for mask, minor in enumerate(poly.minors):
+            terms.setdefault((minor[1], minor[3]), [mask, *minor, 0])[-1] += 1
+        return list(terms.values())
 
     # the counted polynomials, each computed when an identity first reads it,
     # so that a resource limit skips only the identities that need it
     poly = _Lazy(
-        kappa=lambda: per_orientation(lambda o: swept("kappa_local", [o])),
-        tau_open=lambda: per_orientation(lambda o: swept("tau_local", [o])),
-        phi_open=lambda: per_orientation(lambda o: swept("phi_local", [o])),
-        tau_closed=lambda: per_orientation(lambda o: swept("tau_bar_local", [o])),
-        phi_closed=lambda: per_orientation(lambda o: swept("phi_bar_local", [o])),
+        kappa=lambda: local("kappa_local"),
+        tau_open=lambda: local("tau_local"),
+        phi_open=lambda: local("phi_local"),
+        tau_closed=lambda: local("tau_bar_local"),
+        phi_closed=lambda: local("phi_bar_local"),
         # kappa_bar_local is the product of the two closed-box counts
-        kappa_bar=lambda: per_orientation(lambda o: poly.tau_closed[o] * poly.phi_closed[o]),
-        kappa_bar_int=lambda: swept("kappa_bar_int", orientations),
+        kappa_bar=lambda: {key: p * poly.phi_closed[key] for key, p in poly.tau_closed.items()},
+        kappa_bar_int=lambda: swept("kappa_bar_int", range(full + 1)),
         kappa_bar_mod=lambda: swept("kappa_bar_mod", reps),
-        tau_bar_int=lambda: swept("tau_bar_int", table.members("acyclic")),
-        phi_bar_int=lambda: swept("phi_bar_int", table.members("totally_cyclic")),
+        tau_bar_int=lambda: swept("tau_bar_int", table._flip_masks("acyclic")),
+        phi_bar_int=lambda: swept("phi_bar_int", table._flip_masks("totally_cyclic")),
         tau_bar_mod=lambda: swept("tau_bar_mod", acyclic_reps),
         phi_bar_mod=lambda: swept("phi_bar_mod", tc_reps),
         # the definition-level families, counted apart from the table by the
         # workspace, as the minors are: tau/phi _int and _mod share a sweep
-        kappa_int=lambda: memo.polynomial(graph, "kappa_int"),
-        kappa_mod=lambda: memo.polynomial(graph, "kappa_mod"),
-        tau_int=lambda: memo.polynomial(graph, "tau_int"),
-        phi_int=lambda: memo.polynomial(graph, "phi_int"),
-        tau_mod=lambda: memo.polynomial(graph, "tau_mod"),
-        phi_mod=lambda: memo.polynomial(graph, "phi_mod"),
+        **{family: (lambda family=family: memo.polynomial(graph, family)) for family in (
+            "kappa_int", "kappa_mod", "tau_int", "phi_int", "tau_mod", "phi_mod")},
         minors=lambda: memo.minors(graph),
+        terms=minor_terms,
     )
 
     tutte_poly = tutte(graph)
@@ -326,19 +367,19 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
     # over the cut-Eulerian class representatives) ----
     def theorem(kind, members, summed):
         # read("kappa") is the graph-level kappa_{kind}; poly.kappa and
-        # poly.kappa_bar hold the per-orientation polynomials
+        # poly.kappa_bar hold the per-orbit polynomials
         def read(family):
             return getattr(poly, f"{family}_{kind}")
 
         def b(col):
             for family in ("kappa", "kappa_bar"):
                 col.equal(f"{family}_{kind} = {summed}", read(family),
-                          _poly_sum(getattr(poly, family)[o] for o in members))
+                          orbit_sum(getattr(poly, family), members, ones))
 
         def c(col):
             for family, other in (("kappa", "kappa_bar"), ("kappa_bar", "kappa")):
                 col.equal(f"{family}_{kind}(-x,-y)", _neg_vars(read(family)),
-                          _poly_sum(sign[o] * getattr(poly, other)[o] for o in members))
+                          orbit_sum(getattr(poly, other), members, sign))
 
         def d(col):
             col.equal(f"kappa_{kind}(x,1)", read("kappa").set_y(1), read("tau"))
@@ -348,7 +389,7 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
 
         def e(col):
             for bar in ("", "_bar"):
-                def term(mask, quotient, q_key, restriction, r_key):
+                def term(mask, quotient, q_key, restriction, r_key, _):
                     # G/{} and G|E are G itself: those two factors are the ledger's own
                     tau = read(f"tau{bar}") if mask == 0 else \
                         memo.polynomial(quotient, f"tau{bar}_{kind}", key=q_key)
@@ -357,7 +398,7 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
                     return tau * phi
 
                 col.equal(f"kappa{bar}_{kind} convolution", read(f"kappa{bar}"),
-                          _poly_sum(term(mask, *minor) for mask, minor in enumerate(poly.minors)))
+                          _poly_sum([term(*t) for t in poly.terms], [t[-1] for t in poly.terms]))
 
         return b, c, d, e
 
@@ -368,56 +409,61 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
         def orbit_checks(o):
             # both sides read only the orbit's polynomials: each pair is compared
             # once per orbit, and one that differs is reported at every member
-            kappa, kappa_bar, circuit = poly.kappa[o], poly.kappa_bar[o], table.circuit(o)
+            key, circuit = table.orbit(o), table.circuit(o)
+            kappa, kappa_bar = poly.kappa[key], poly.kappa_bar[key]
             sides = (
-                ("reciprocity", _neg_vars(kappa), sign[o] * kappa_bar),
-                ("kappa(x,1)", kappa.set_y(1), poly.tau_open[o]),
-                ("kappa(1,y)", kappa.set_x(1), poly.phi_open[o]),
+                ("reciprocity", _neg_vars(kappa), sign[_flip_mask(o)] * kappa_bar),
+                ("kappa(x,1)", kappa.set_y(1), poly.tau_open[key]),
+                ("kappa(1,y)", kappa.set_x(1), poly.phi_open[key]),
                 # the closed-box specializations survive only where the
                 # matching open polytope is nonempty: the tension one needs
                 # an empty circuit part, the flow one an empty bond part
-                ("kappa_bar(x,-1)", kappa_bar.set_y(-1), zero if circuit else poly.tau_closed[o]),
+                ("kappa_bar(x,-1)", kappa_bar.set_y(-1), zero if circuit else poly.tau_closed[key]),
                 ("kappa_bar(-1,y)", kappa_bar.set_x(-1),
-                 poly.phi_closed[o] if len(circuit) == m else zero),
+                 poly.phi_closed[key] if len(circuit) == m else zero),
             )
             return [side for side in sides if side[1] != side[2]]
 
-        differing = per_orientation(orbit_checks)
-        for o in orientations:
-            # G/C and G|C for the circuit part C
-            quotient, _, restriction, _ = poly.minors[sum(1 << pos for pos in table.circuit(o))]
+        differing, products = per_orbit(orbit_checks), {}
+        for f, o in enumerate(orientations):
+            # G/C and G|C for the circuit part C: the minors list puts
+            # position pos at bit pos, a flip mask at bit m-1-pos
+            quotient, _, restriction, _ = poly.minors[
+                int("0" + format(full + 1 | circuits[f], "b")[:0:-1], 2)]
             o_quot = induced_orientation(o, quotient)
             o_rest = induced_orientation(o, restriction)
-            label = f"orientation {o.flip_string() or '-'}"
+            keys = _compact_key(quotient, o_quot), _compact_key(restriction, o_rest)
+            label = f"orientation {names[f]}"
             for kind, bar in (("", ""), ("closed ", "_bar")):
-                col.equal(f"{label} {kind}product decomposition", getattr(poly, f"kappa{bar}")[o],
-                          memo.polynomial(quotient, f"tau{bar}_local", o_quot)
-                          * memo.polynomial(restriction, f"phi{bar}_local", o_rest))
-            for name, left, right in differing[o]:
+                if (keys, bar) not in products:
+                    products[keys, bar] = (
+                        memo.polynomial(quotient, f"tau{bar}_local", o_quot, keys[0])
+                        * memo.polynomial(restriction, f"phi{bar}_local", o_rest, keys[1]))
+                col.equal(f"{label} {kind}product decomposition",
+                          getattr(poly, f"kappa{bar}")[orbit[f]], products[keys, bar])
+            for name, left, right in differing[orbit[f]]:
                 col.equal(f"{label} {name}", left, right)
 
     def pe(col):
-        for o in orientations:
-            col.equal(f"class sizes at {o.flip_string() or '-'}",
-                      ce_size[o], cu_size[o] * eu_size[o])
-            col.equal(f"0-1 pair count at {o.flip_string() or '-'}",
-                      ce_size[o], poly.kappa_bar[o].evaluate(1, 1))
+        at_one = {key: p.evaluate(1, 1) for key, p in poly.kappa_bar.items()}
+        for f, key in enumerate(orbit):
+            col.equal(f"class sizes at {names[f]}", ce_size[f], cu_size[f] * eu_size[f])
+            col.equal(f"0-1 pair count at {names[f]}", ce_size[f], at_one[key])
 
     def t3(col):
         col.equal("kappa_bar_mod = rank generating", poly.kappa_bar_mod, rank_poly)
-        _, triples = table.sampler("kappa_bar_mod", [(o, 1) for o in reps])
+        _, triples = table.sampler("kappa_bar_mod", [(orientations[f], 1) for f in reps])
         for p, q in product((1, 2, 3), repeat=2):
             col.equal(f"T({p},{q}) as triples", tutte_poly.evaluate(p, q), triples(p - 1, q - 1))
 
     def rpq(col):
-        ref = Orientation.reference(graph)
+        ref = orientations[0]
+        tension_at, flow_at = ({v: table.side(ref, side, "group", v, "masks") for v in (1, 2, 3)}
+                               for side in ("tension", "flow"))
         for p, q in product((1, 2, 3), repeat=2):
-            tensions = table.side(ref, "tension", "group", p, "masks")
-            flows = table.side(ref, "flow", "group", q, "masks")
-            positive = 0
-            alternating = 0
-            for kmask, tcount in tensions.items():
-                for fzmask, fcount in flows.items():
+            positive = alternating = 0
+            for kmask, tcount in tension_at[p].items():
+                for fzmask, fcount in flow_at[q].items():
                     smask = full ^ fzmask
                     if smask & ~kmask:
                         continue
@@ -431,18 +477,18 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
 
     def im(col):
         col.equal("kappa_int = weighted class sum", poly.kappa_int,
-                  _poly_sum(ce_size[o] * poly.kappa[o] for o in reps))
+                  orbit_sum(poly.kappa, reps, ce_size))
         col.equal("kappa_bar_int = weighted class sum", poly.kappa_bar_int,
-                  _poly_sum(ce_size[o] * poly.kappa_bar[o] for o in reps))
+                  orbit_sum(poly.kappa_bar, reps, ce_size))
         col.equal("tau_int = weighted acyclic class sum", poly.tau_int,
-                  _poly_sum(ce_size[o] * poly.tau_open[o] for o in acyclic_reps))
+                  orbit_sum(poly.tau_open, acyclic_reps, ce_size))
         col.equal("phi_int = weighted totally cyclic class sum", poly.phi_int,
-                  _poly_sum(ce_size[o] * poly.phi_open[o] for o in tc_reps))
+                  orbit_sum(poly.phi_open, tc_reps, ce_size))
 
     def cs(col):
         n_or = len(orientations)
-        n_ac = len(table.members("acyclic"))
-        n_tc = len(table.members("totally_cyclic"))
+        n_ac = len(table._flip_masks("acyclic"))
+        n_tc = len(table._flip_masks("totally_cyclic"))
         n_cu = len(table.self_reverse("cut"))
         n_eu = len(table.self_reverse("eulerian"))
         n_ce = len(table.self_reverse("cut_eulerian"))
@@ -465,7 +511,8 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
         col.equal("kappa_bar_int(1,1)", kbz.evaluate(1, 1), sum(ce_size.values()))
 
         k, kb, t = poly.kappa_mod, poly.kappa_bar_mod, tutte_poly
-        classes_in = lambda relation: sum(1 for o in reps if o in table.self_reverse(relation))
+        ce_in, eu_in, cu_in = (sum(orientations[f] in table.self_reverse(relation) for f in reps)
+                               for relation in ("cut_eulerian", "eulerian", "cut"))
         col.equal("T(0,0) chain", t.evaluate(0, 0), kb.evaluate(-1, -1))
         col.equal("kappa_mod(1,1) chain", k.evaluate(1, 1), kb.evaluate(-1, -1))
         if m:
@@ -474,13 +521,13 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
         col.equal("kappa_bar_mod(0,0)", kb.evaluate(0, 0), len(reps))
         col.equal("T(2,2) = orientation count", t.evaluate(2, 2), n_or)
         col.equal("kappa_bar_mod(1,1)", kb.evaluate(1, 1), n_or)
-        col.equal("kappa_mod(2,2)", k.evaluate(2, 2), classes_in("cut_eulerian"))
-        col.equal("|T(0,-1)|", abs(t.evaluate(0, -1)), classes_in("eulerian"))
-        col.equal("|kappa_bar_mod(-1,-2)|", abs(kb.evaluate(-1, -2)), classes_in("eulerian"))
-        col.equal("kappa_mod(1,2)", k.evaluate(1, 2), classes_in("eulerian"))
-        col.equal("|T(-1,0)|", abs(t.evaluate(-1, 0)), classes_in("cut"))
-        col.equal("|kappa_bar_mod(-2,-1)|", abs(kb.evaluate(-2, -1)), classes_in("cut"))
-        col.equal("kappa_mod(2,1)", k.evaluate(2, 1), classes_in("cut"))
+        col.equal("kappa_mod(2,2)", k.evaluate(2, 2), ce_in)
+        col.equal("|T(0,-1)|", abs(t.evaluate(0, -1)), eu_in)
+        col.equal("|kappa_bar_mod(-1,-2)|", abs(kb.evaluate(-1, -2)), eu_in)
+        col.equal("kappa_mod(1,2)", k.evaluate(1, 2), eu_in)
+        col.equal("|T(-1,0)|", abs(t.evaluate(-1, 0)), cu_in)
+        col.equal("|kappa_bar_mod(-2,-1)|", abs(kb.evaluate(-2, -1)), cu_in)
+        col.equal("kappa_mod(2,1)", k.evaluate(2, 1), cu_in)
         col.equal("T(1,0)", t.evaluate(1, 0), len(acyclic_reps))
         col.equal("kappa_bar_mod(0,-1)", kb.evaluate(0, -1), len(acyclic_reps))
         col.equal("|kappa_mod(0,1)|", abs(k.evaluate(0, 1)), len(acyclic_reps))
@@ -493,42 +540,24 @@ def _verify_graph(graph: MultiGraph, memo: _PolynomialMemo) -> IdentityReport:
         col.equal("kappa_bar_mod(1,0)", kb.evaluate(1, 0), len(classes("eulerian")))
 
     def tc(col):
-        total = _poly_sum(_tutte_by_key(q_key).set_y(0) * _tutte_by_key(r_key).set_x(0)
-                          for _, q_key, _, r_key in poly.minors)
+        terms = poly.terms
+        total = _poly_sum([_tutte_by_key(q_key).set_y(0) * _tutte_by_key(r_key).set_x(0)
+                           for _, _, q_key, _, r_key, _ in terms], [t[-1] for t in terms])
         col.equal("Tutte convolution", tutte_poly, total)
 
     def ind(col):
-        # a table and a store of its own: the reversed orientation has the
-        # reference's orbit key, and its kernel inputs are the reference's
-        alternate = Orientation.reference(graph).reversed()
+        # a table of its own on the workspace's store: the alternate
+        # orientation's kernel plans are not the reference's (``_alternate``)
         recomputed = orientation_sum_polynomial(
-            CountTable(graph, memo.budget), "kappa_int", [(alternate, 1)])
-        col.equal("kappa_int from reversed orientation", poly.kappa_int, recomputed)
-        lex_largest = [orientations[cls[-1]] for cls in classes("cut_eulerian")]
-        col.equal(
-            "kappa_bar_mod from largest representatives",
-            poly.kappa_bar_mod,
-            swept("kappa_bar_mod", lex_largest),
-        )
+            CountTable(graph, memo.budget, memo.store), "kappa_int", [(_alternate(graph), 1)])
+        col.equal("kappa_int from alternate orientation", poly.kappa_int, recomputed)
+        col.equal("kappa_bar_mod from largest representatives", poly.kappa_bar_mod,
+                  swept("kappa_bar_mod", [cls[-1] for cls in classes("cut_eulerian")]))
 
-    t1b, t1c, t1d, t1e = theorem("int", orientations, "sum of local")
-    t2b, t2c, t2d, t2e = theorem("mod", reps, "sum over reps")
-    run("T1b", t1b)
-    run("T1c", t1c)
-    run("T1d", t1d)
-    run("T1e", t1e)
-    run("T2b", t2b)
-    run("T2c", t2c)
-    run("T2d", t2d)
-    run("T2e", t2e)
-    run("PL", pl)
-    run("PE", pe)
-    run("T3", t3)
-    run("RPQ", rpq)
-    run("IM", im)
-    run("CS", cs)
-    run("TC", tc)
-    run("IND", ind)
+    bodies = (*theorem("int", range(full + 1), "sum of local"),
+              *theorem("mod", reps, "sum over reps"), pl, pe, t3, rpq, im, cs, tc, ind)
+    for (identity, _), body in zip(IDENTITY_TAGS, bodies):
+        run(identity, body)
 
     return IdentityReport(graph, tuple(checks))
 

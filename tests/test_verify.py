@@ -19,13 +19,13 @@ from ctfpolys import (
 from ctfpolys import orientations, verify
 from ctfpolys.cli import main
 from ctfpolys.multigraph import format_graph_text
-from ctfpolys.counting import CountTable
-from ctfpolys.orientations import RELATIONS
+from ctfpolys.counting import CountTable, _dp_plan, _space
+from ctfpolys.multigraph import spanning_structure
+from ctfpolys.orientations import RELATIONS, induced_orientation
 from ctfpolys.polynomials import (
     BivariatePolynomial,
     InterpolationError,
     _compact_key,
-    orientation_sum_polynomial,
 )
 from ctfpolys.verify import IDENTITY_TAGS, _PolynomialMemo
 from strategies import multigraphs
@@ -269,18 +269,17 @@ def _leaves(value):
 
 def test_twins_share_the_store(kernel_calls):
     # a disjoint union and its one-point union have one cycle matroid, so
-    # their tables run the same kernel plans: in one workspace the second
-    # ledger run counts only IND's recount, whose table keeps its own store
+    # their tables run the same kernel plans, IND's alternate orientation's
+    # among them (it flips the digon's first edge in both): in one workspace
+    # the second ledger run makes no kernel call, and a fresh one counts again
     memo, reports = _PolynomialMemo(), []
     apart = build_graph(4, [(0, 1), (2, 3), (2, 3)])
     joined = build_graph(3, [(0, 1), (1, 2), (1, 2)])
     assert verify._verify_graph(apart, memo).all_passed
     made = kernel_calls(lambda: reports.append(verify._verify_graph(joined, memo)))
     assert reports[0].all_passed, reports[0].failures()
-    reversed_reference = Orientation.reference(joined).reversed()
-    recount = kernel_calls(lambda: orientation_sum_polynomial(
-        CountTable(joined), "kappa_int", [(reversed_reference, 1)]))
-    assert made == recount > 0
+    assert made == 0
+    assert kernel_calls(lambda: verify._verify_graph(joined, _PolynomialMemo())) > 0
 
 
 def test_local_memo_keys_keep_direction():
@@ -387,19 +386,27 @@ def test_theorem_witnesses_name_the_wrong_polynomial(p8, monkeypatch, wrong):
         assert checks[identity].witness.startswith(label + ": "), checks[identity].witness
 
 
-def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
-    # the reversed reference orientation has the reference's orbit key: IND
-    # must count it with kernel calls of its own, never from a ledger table,
-    # or it would compare kappa_int with itself
+def _plans(orientation):
+    return [_dp_plan(*_space(orientation, side)) for side in ("tension", "flow")]
+
+
+def test_ind_recounts_an_alternate_orientation(p8, monkeypatch, kernel_calls):
+    # IND counts kappa_int on the reference with one edge flipped, whose
+    # kernel plans differ from the reference's (the reversed reference's
+    # would not: flip signs enter the coefficients only as products of two),
+    # in a table of its own, so its recount makes kernel calls of its own
     import ctfpolys.verify as verify
 
+    alternate, reference = verify._alternate(p8), Orientation.reference(p8)
+    assert alternate.flips == (1, 0, 0, 0, 0)
+    assert _plans(reference.reversed()) == _plans(reference) != _plans(alternate)
     true_sum, made, tables = verify.orientation_sum_polynomial, [], []
 
     def counted(table, family, pairs):
         out = []
         calls = kernel_calls(lambda: out.append(true_sum(table, family, pairs)))
         if family == "kappa_int":
-            made.append((table, calls))
+            made.append((table, pairs, calls))
         else:
             tables.append(table)
         return out[0]
@@ -407,7 +414,7 @@ def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
     monkeypatch.setattr(verify, "orientation_sum_polynomial", counted)
     assert verify_graph(p8).all_passed
     # one recount over the whole grid, from a table no other sum reads
-    assert len(made) == 1 and made[0][1] >= 1, made
+    assert len(made) == 1 and made[0][1] == [(alternate, 1)] and made[0][2] >= 1, made
     assert all(table is not made[0][0] for table in tables)
 
     true_poly = verify._polynomial
@@ -419,7 +426,48 @@ def test_ind_recounts_its_reversed_orientation(p8, monkeypatch, kernel_calls):
     monkeypatch.setattr(verify, "_polynomial", off_by_one)
     ind = next(c for c in verify_graph(p8).checks if c.identity == "IND")
     assert ind.status == "fail"
-    assert ind.witness.startswith("kappa_int from reversed orientation: "), ind.witness
+    assert ind.witness.startswith("kappa_int from alternate orientation: "), ind.witness
+
+
+@pytest.mark.parametrize("side", ["tension", "flow"])
+def test_ind_fails_on_a_wrong_sign_in_the_alternate_count(side, monkeypatch):
+    # one coefficient of the alternate orientation's space with the wrong
+    # sign: no ledger table counts on that orientation, so IND alone must
+    # catch it. On K4 each side's circuits share free edges around a cycle,
+    # so no negation of free values undoes the sign; on p8 or C4 one would,
+    # and kappa_int's box, closed under negation, would not change
+    from ctfpolys import counting
+
+    alternate, real = verify._alternate(K4), counting._space
+
+    def one_sign_wrong(orientation, wrong_side):
+        free, dependent = real(orientation, wrong_side)
+        if orientation != alternate or wrong_side != side:
+            return free, dependent
+        (pos, ((t, c), *rest)), *others = dependent
+        return free, ((pos, ((t, -c), *rest)), *others)
+
+    monkeypatch.setattr(counting, "_space", one_sign_wrong)
+    # the held-out points of the recount's interpolation catch it first
+    failed = [c for c in verify_graph(K4).checks if c.status != "pass"]
+    assert [(c.identity, c.witness[:16]) for c in failed] == [("IND", "held-out point (")]
+
+
+def test_every_block_with_a_cycle_gives_ind_other_plans():
+    # on every graph with a block of two or more edges the alternate
+    # orientation's plans differ from the reference's; on a forest plus
+    # loops every orientation has the reference's plans, and IND counts on
+    # the reference itself
+    checked = 0
+    for graph in small_multigraphs(4, True):
+        blocks = spanning_structure(graph).blocks
+        alternate, reference = verify._alternate(graph), Orientation.reference(graph)
+        if len(set(blocks)) < len(blocks):
+            assert _plans(alternate) != _plans(reference), graph.edges
+            checked += 1
+        else:
+            assert alternate == reference, graph.edges
+    assert checked > 0
 
 
 def test_t2e_reads_the_sibling_products_t1e_made(monkeypatch, block_splits):
@@ -456,6 +504,58 @@ def test_a_workspace_serves_one_budget():
     report = verify._verify_graph(doubled, memo)
     assert report == verify_graph(doubled, 256)
     assert [c.identity for c in report.checks if c.status != "skip"] == ["RPQ", "TC"]
+
+
+def test_ledger_arithmetic_is_made_once_per_term(monkeypatch):
+    # on a workspace that already holds every polynomial, PL forms one
+    # product per distinct (quotient key, restriction key, bar), and T1b and
+    # T1c add and scale one term per orbit and family: arithmetic per
+    # orientation would make 2 x 64 of each on K4, which has 3 orbits
+    memo = _PolynomialMemo()
+    assert verify._verify_graph(K4, memo).all_passed
+    table = CountTable(K4)
+    orbits = len({table.orbit(o) for o in table.orientations})
+    pairs = set()
+    for o in table.orientations:
+        ids = [K4.edge_ids[pos] for pos in table.circuit(o)]
+        minors = K4.contract(ids), K4.restrict(ids)
+        pairs.add(tuple(_compact_key(g, induced_orientation(o, g)) for g in minors))
+    assert (orbits, len(pairs)) == (3, 19)
+
+    real_mul, real_sum, real_check = BivariatePolynomial.__mul__, verify._poly_sum, \
+        verify.IdentityCheck
+    made, at = {"products": 0, "scaled": 0, "terms": 0}, {}
+
+    def mul(self, other):
+        made["products" if isinstance(other, BivariatePolynomial) else "scaled"] += 1
+        return real_mul(self, other)
+
+    def summed(polys, *weights):
+        polys = list(polys)
+        made["terms"] += len(polys)
+        return real_sum(polys, *weights)
+
+    def check(identity, *args):
+        at[identity] = dict(made)
+        return real_check(identity, *args)
+
+    monkeypatch.setattr(BivariatePolynomial, "__mul__", mul)
+    monkeypatch.setattr(BivariatePolynomial, "__rmul__", mul)
+    monkeypatch.setattr(verify, "_poly_sum", summed)
+    monkeypatch.setattr(verify, "IdentityCheck", check)
+    assert verify._verify_graph(K4, memo).all_passed
+
+    def spent(identity, before):
+        return {k: at[identity][k] - at[before][k] for k in made}
+
+    # T1b also makes kappa_bar_local, one product per orbit
+    t1b = at["T1b"]
+    assert t1b["products"] <= orbits and t1b["scaled"] + t1b["terms"] <= 2 * orbits, t1b
+    t1c = spent("T1c", "T1b")
+    assert t1c["products"] == 0 and t1c["scaled"] + t1c["terms"] <= 2 * orbits, t1c
+    # PL scales each orbit's kappa_bar by its sign
+    pl = spent("PL", "T2e")
+    assert pl["products"] <= 2 * len(pairs) and pl["scaled"] <= orbits, pl
 
 
 def _drop_an_orbit(monkeypatch):
